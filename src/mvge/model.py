@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.special
+import scipy.sparse as sp
 
 from mvge.data import Dataset, EmbeddingSet
 from mvge.graph import Graph, NormalizedAdjacency, ValidationError, normalized_adjacency
@@ -44,8 +44,16 @@ TASKS = ("ego", "agg", "adj")
 EGO_ENCODERS = ("linear", "gcn")
 ADJ_LOSS_MODES = ("auto", "full", "sampled")
 
-# node count above which "auto" switches the adjacency loss to sampling
+# node count above which "auto" switches the adjacency loss to sampling; full mode
+# needs O(block * N) memory, so this bounds its O(N^2) time per epoch, not memory
 FULL_ADJ_MAX_NODES = 5000
+
+# bytes of one float64 row block of H H^T in the full adjacency loss; blocks
+# near L2 size ran faster than 16-32 MB ones at N=1490 and N=5000
+_ADJ_BLOCK_BYTES = 4 << 20
+
+# rounds of the sampled-mode negative rejection loop before it gives up
+_NEG_MAX_ROUNDS = 1000
 
 # RNG stream tags >= 2**32 so they can never collide with per-node walk streams
 _INIT_TAG = 2**32 + 1
@@ -323,26 +331,35 @@ def _directed_pairs(g: Graph):
 
 def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
                      rng: np.random.Generator | None = None,
-                     sample_ratio: float = 1.0, want_grad: bool = True):
+                     sample_ratio: float = 1.0, want_grad: bool = True,
+                     pairs: tuple[np.ndarray, np.ndarray] | None = None):
     if h.shape[0] != g.num_nodes:
         raise ValidationError(f"embedding rows {h.shape[0]} != num_nodes {g.num_nodes}")
     n = g.num_nodes
+    pr, pc = _directed_pairs(g) if pairs is None else pairs
     if mode == "full":
-        z = h @ h.T
-        rows, cols = _directed_pairs(g)
-        # sum over entries of softplus(-z) + (1 - a) z, diagonal counted as negatives
-        loss = (softplus(-z).sum() + z.sum() - z[rows, cols].sum()) / (n * n)
-        if not want_grad:
-            return float(loss), None
-        grad_z = scipy.special.expit(z, out=z)
-        grad_z[rows, cols] -= 1.0
-        d_h = (2.0 / (n * n)) * (grad_z @ h)
-        return float(loss), d_h
+        # one row block of z = H H^T at a time; per entry softplus(-z) + (1 - a) z
+        # equals softplus(z) - a z, and one exp(-|z|) gives softplus and sigmoid
+        block = max(1, _ADJ_BLOCK_BYTES // (8 * n))
+        loss = 0.0
+        d_h = np.empty_like(h) if want_grad else None
+        for s0 in range(0, n, block):
+            s1 = min(s0 + block, n)
+            z = h[s0:s1] @ h.T
+            # pairs are in CSR order, so this block's edges are one slice
+            r = pr[g.offsets[s0]:g.offsets[s1]] - s0
+            c = pc[g.offsets[s0]:g.offsets[s1]]
+            e = np.exp(-np.abs(z))
+            loss += (np.maximum(z, 0.0) + np.log1p(e)).sum() - z[r, c].sum()
+            if want_grad:
+                sig = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+                sig[r, c] -= 1.0
+                d_h[s0:s1] = sig @ h
+        return float(loss / (n * n)), None if d_h is None else (2.0 / (n * n)) * d_h
     if mode != "sampled":
         raise ValidationError(f"adjacency loss mode must be full or sampled, got {mode!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    pr, pc = _directed_pairs(g)
     n_pos = pr.size
     if n_pos == 0:
         raise ValidationError("sampled adjacency loss needs at least one edge")
@@ -351,8 +368,14 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
         raise ValidationError("graph is complete, no negative pairs to sample")
     nr = np.empty(n_neg, dtype=np.int64)
     nc = np.empty(n_neg, dtype=np.int64)
-    got = 0
+    got = rounds = 0
     while got < n_neg:
+        if rounds == _NEG_MAX_ROUNDS:
+            rate = 1.0 - (n + n_pos) / (n * n)  # chance that one drawn pair is a non-edge
+            raise ValidationError(
+                f"negative sampling filled {got} of {n_neg} pairs in {rounds} rounds at "
+                f"acceptance rate {rate:.2%}; the graph is too dense for sampled mode")
+        rounds += 1
         cand_r = rng.integers(0, n, size=(n_neg - got) * 2)
         cand_c = rng.integers(0, n, size=(n_neg - got) * 2)
         ok = (cand_r != cand_c) & ~g.has_edge_mask(cand_r, cand_c)
@@ -363,17 +386,18 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
     z_pos = np.einsum("ij,ij->i", h[pr], h[pc])
     z_neg = np.einsum("ij,ij->i", h[nr], h[nc])
     total = n_pos + n_neg
-    loss = (softplus(-z_pos).sum() + (z_neg + softplus(-z_neg)).sum()) / total
+    loss = (softplus(-z_pos).sum() + softplus(z_neg).sum()) / total
     if not want_grad:
         return float(loss), None
     coef_pos = (sigmoid(z_pos) - 1.0) / total
     coef_neg = sigmoid(z_neg) / total
-    d_h = np.zeros_like(h)
-    np.add.at(d_h, pr, coef_pos[:, None] * h[pc])
-    np.add.at(d_h, pc, coef_pos[:, None] * h[pr])
-    np.add.at(d_h, nr, coef_neg[:, None] * h[nc])
-    np.add.at(d_h, nc, coef_neg[:, None] * h[nr])
-    return float(loss), d_h
+    # one symmetric coefficient matrix; duplicate pairs sum on construction
+    coef = sp.csr_matrix(
+        (np.concatenate([coef_pos, coef_pos, coef_neg, coef_neg]),
+         (np.concatenate([pr, pc, nr, nc]), np.concatenate([pc, pr, nc, nr]))),
+        shape=(n, n),
+    )
+    return float(loss), coef @ h
 
 
 def total_loss(l_ego: float, l_agg: float, l_s: float,
@@ -388,7 +412,8 @@ def total_loss(l_ego: float, l_agg: float, l_s: float,
 
 def _train_step(model: MVGEModel, views: ViewPair, s: NormalizedAdjacency,
                 g: Graph, p_ego: np.ndarray, p_agg: np.ndarray,
-                adj_mode: str, neg_rng: np.random.Generator):
+                adj_mode: str, neg_rng: np.random.Generator,
+                pairs: tuple[np.ndarray, np.ndarray] | None = None):
     """One forward/backward pass; gradients are left in model.params."""
     cfg = model.cfg
     mask = cfg.task_mask
@@ -421,7 +446,7 @@ def _train_step(model: MVGEModel, views: ViewPair, s: NormalizedAdjacency,
             d_h_agg += d_recon @ params["dec_agg_w"].value.T
     if "adj" in mask:
         l_s, d_h_adj = _adjacency_terms(h, g, adj_mode, rng=neg_rng,
-                                        sample_ratio=cfg.sample_ratio)
+                                        sample_ratio=cfg.sample_ratio, pairs=pairs)
         w = 1.0 - cfg.beta
         if w != 0.0:
             d_h_adj = w * d_h_adj
@@ -461,12 +486,13 @@ def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
     p_agg = softmax_rows(views.x_agg)
     adj_mode = cfg.resolve_adj_mode(g.num_nodes)
     neg_rng = np.random.default_rng([cfg.seed, _NEG_TAG])
+    pairs = _directed_pairs(g)
     opt = Adam(model.params, lr=cfg.lr)
 
     trace = np.zeros((cfg.epochs, 4), dtype=np.float64)
     for epoch in range(cfg.epochs):
         l_e, l_a, l_s, l_t = _train_step(model, views, s, g, p_ego, p_agg,
-                                         adj_mode, neg_rng)
+                                         adj_mode, neg_rng, pairs)
         trace[epoch] = (l_e, l_a, l_s, l_t)
         if not np.isfinite(l_t):
             raise TrainingDivergedError(

@@ -4,9 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvge.model
 from mvge.graph import Graph, ValidationError, normalized_adjacency
 from mvge.model import (
     MVGEConfig,
@@ -20,11 +22,11 @@ from mvge.model import (
     total_loss,
     train,
 )
-from mvge.numerics import grad_check, softmax_rows
+from mvge.numerics import grad_check, sigmoid, softmax_rows, softplus
 from mvge.synth import SynthSpec, generate_synthetic
 from mvge.walks import ViewPair, build_views
 
-from conftest import feature_matrices, make_dataset, random_dataset
+from conftest import edge_lists, feature_matrices, make_dataset, random_dataset
 
 
 def toy_cfg(**kw):
@@ -249,6 +251,122 @@ def test_adjacency_row_mismatch_rejected(triangle):
         adjacency_loss(np.zeros((4, 2)), triangle, "full")
 
 
+# Reference implementations of the adjacency loss as first written: one
+# dense N x N pass in full mode, np.add.at scatters in sampled mode.
+
+def dense_adjacency_oracle(h, g):
+    n = g.num_nodes
+    z = h @ h.T
+    rows = np.repeat(np.arange(n), g.degrees)
+    cols = g.neighbors
+    loss = (softplus(-z).sum() + z.sum() - z[rows, cols].sum()) / (n * n)
+    grad_z = scipy.special.expit(z)
+    grad_z[rows, cols] -= 1.0
+    return float(loss), (2.0 / (n * n)) * (grad_z @ h)
+
+
+def sampled_adjacency_oracle(h, g, rng, sample_ratio=1.0):
+    n = g.num_nodes
+    pr = np.repeat(np.arange(n), g.degrees)
+    pc = g.neighbors
+    n_pos = pr.size
+    n_neg = max(1, int(round(sample_ratio * n_pos)))
+    nr = np.empty(n_neg, dtype=np.int64)
+    nc = np.empty(n_neg, dtype=np.int64)
+    got = 0
+    while got < n_neg:
+        cand_r = rng.integers(0, n, size=(n_neg - got) * 2)
+        cand_c = rng.integers(0, n, size=(n_neg - got) * 2)
+        ok = (cand_r != cand_c) & ~g.has_edge_mask(cand_r, cand_c)
+        take = min(int(ok.sum()), n_neg - got)
+        nr[got:got + take] = cand_r[ok][:take]
+        nc[got:got + take] = cand_c[ok][:take]
+        got += take
+    z_pos = np.einsum("ij,ij->i", h[pr], h[pc])
+    z_neg = np.einsum("ij,ij->i", h[nr], h[nc])
+    total = n_pos + n_neg
+    loss = (softplus(-z_pos).sum() + (z_neg + softplus(-z_neg)).sum()) / total
+    coef_pos = (sigmoid(z_pos) - 1.0) / total
+    coef_neg = sigmoid(z_neg) / total
+    d_h = np.zeros_like(h)
+    np.add.at(d_h, pr, coef_pos[:, None] * h[pc])
+    np.add.at(d_h, pc, coef_pos[:, None] * h[pr])
+    np.add.at(d_h, nr, coef_neg[:, None] * h[nc])
+    np.add.at(d_h, nc, coef_neg[:, None] * h[nr])
+    return float(loss), d_h
+
+
+def set_block_rows(monkeypatch, n, rows):
+    """Make the full adjacency loss use row blocks of `rows` rows at n nodes."""
+    monkeypatch.setattr(mvge.model, "_ADJ_BLOCK_BYTES", 8 * n * rows)
+
+
+def assert_adjacency_matches(got, want):
+    assert abs(got[0] - want[0]) <= 1e-12
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+
+
+ADJ_GRAPHS = {
+    "random": lambda: random_dataset(np.random.default_rng(20), n=10, p_edge=0.3).graph,
+    "edgeless": lambda: Graph.from_edges(10, [])[0],
+    "isolated": lambda: Graph.from_edges(10, [(0, 3), (3, 4), (4, 9), (1, 3)])[0],
+}
+
+
+@pytest.mark.parametrize("graph", sorted(ADJ_GRAPHS))
+@pytest.mark.parametrize("rows", [1, 3, 4, 10, 11])
+def test_full_adjacency_blocks_match_dense_oracle(monkeypatch, graph, rows):
+    # 10 nodes: blocks of 3 and 4 leave a short last block, 10 and 11 are one block
+    g = ADJ_GRAPHS[graph]()
+    h = np.random.default_rng(21).normal(size=(10, 5))
+    set_block_rows(monkeypatch, 10, rows)
+    got = mvge.model._adjacency_terms(h, g, "full")
+    assert_adjacency_matches(got, dense_adjacency_oracle(h, g))
+    assert adjacency_loss(h, g, "full") == got[0]
+
+
+@given(edge_lists(max_nodes=12, max_edges=40),
+       st.integers(min_value=1, max_value=13),
+       st.integers(min_value=0, max_value=2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_full_adjacency_property_matches_dense_oracle(graph, rows, seed):
+    n, edges = graph
+    g, _ = Graph.from_edges(n, edges)
+    h = np.random.default_rng(seed).normal(size=(n, 4))
+    with pytest.MonkeyPatch.context() as mp:
+        set_block_rows(mp, n, rows)
+        got = mvge.model._adjacency_terms(h, g, "full")
+    assert_adjacency_matches(got, dense_adjacency_oracle(h, g))
+
+
+@pytest.mark.parametrize("graph", ["random", "isolated"])
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 3.0])
+def test_sampled_adjacency_matches_scatter_oracle(graph, ratio):
+    g = ADJ_GRAPHS[graph]()
+    h = np.random.default_rng(22).normal(size=(10, 5))
+    got = mvge.model._adjacency_terms(h, g, "sampled", rng=np.random.default_rng(5),
+                                      sample_ratio=ratio)
+    want = sampled_adjacency_oracle(h, g, np.random.default_rng(5), ratio)
+    assert_adjacency_matches(got, want)
+
+
+def near_complete_graph(n=10):
+    # the complete graph minus one edge: 2 of every n^2 draws are negatives
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if (u, v) != (0, 1)])[0]
+
+
+def test_sampled_near_complete_graph_within_round_cap():
+    h = np.random.default_rng(23).normal(size=(10, 3))
+    assert np.isfinite(adjacency_loss(h, near_complete_graph(), "sampled"))
+
+
+def test_sampled_rejection_loop_bounded(monkeypatch):
+    monkeypatch.setattr(mvge.model, "_NEG_MAX_ROUNDS", 1)
+    with pytest.raises(ValidationError, match=r"acceptance rate 2\.00%"):
+        adjacency_loss(np.ones((10, 2)), near_complete_graph(), "sampled")
+
+
 def test_total_loss_pure_ego():
     assert total_loss(3.0, 7.0, 11.0, alpha=1.0, beta=1.0) == 3.0
 
@@ -317,6 +435,12 @@ def test_gradients_gcn_ego_variant():
 
 def test_gradients_sum_merge():
     assert grad_check_toy(merge_fn="sum") < 1e-4
+
+
+def test_gradients_full_adjacency_several_blocks(monkeypatch):
+    set_block_rows(monkeypatch, 8, 3)  # the toy graph has 8 nodes: blocks 3, 3, 2
+    assert grad_check_toy() < 1e-4
+    assert grad_check_toy(task_mask=frozenset({"adj"})) < 1e-4
 
 
 def test_gradients_sampled_adjacency():
