@@ -95,14 +95,16 @@ class Graph:
             self.neighbors.min() < 0 or self.neighbors.max() >= self.num_nodes
         ):
             raise ValidationError("neighbor id out of range")
-        for v in range(self.num_nodes):
-            nb = self.neighbors_of(v)
-            if np.any(nb == v):
-                raise ValidationError(f"self-loop at node {v}")
-            if np.any(np.diff(nb) <= 0):
-                raise ValidationError(f"neighbor list of node {v} not strictly increasing")
-        # symmetry check via sorted directed pair sets, O(E log E)
         src = np.repeat(np.arange(self.num_nodes), np.diff(self.offsets))
+        # report the first offending node; at one node a self-loop comes first
+        loop_at = src[self.neighbors == src]
+        same_row = src[1:] == src[:-1]
+        order_at = src[1:][same_row & (self.neighbors[1:] <= self.neighbors[:-1])]
+        if loop_at.size and (not order_at.size or loop_at[0] <= order_at[0]):
+            raise ValidationError(f"self-loop at node {loop_at[0]}")
+        if order_at.size:
+            raise ValidationError(f"neighbor list of node {order_at[0]} not strictly increasing")
+        # symmetry check via sorted directed pair sets, O(E log E)
         fwd = src * self.num_nodes + self.neighbors
         rev = self.neighbors * self.num_nodes + src
         if not np.array_equal(np.sort(fwd), np.sort(rev)):

@@ -48,8 +48,9 @@ ADJ_LOSS_MODES = ("auto", "full", "sampled")
 # needs O(block * N) memory, so this bounds its O(N^2) time per epoch, not memory
 FULL_ADJ_MAX_NODES = 5000
 
-# bytes of one float64 row block of H H^T in the full adjacency loss; blocks
-# near L2 size ran faster than 16-32 MB ones at N=1490 and N=5000
+# bytes of the widest float64 strip of H H^T in the full adjacency loss (its
+# rows times N); median ms per call at 1/2/4/8 MB, d=128, 1 BLAS thread, 2 MB
+# L2: 45/44/48/57 at N=1490 and 577/487/473/420 at N=5000
 _ADJ_BLOCK_BYTES = 4 << 20
 
 # rounds of the sampled-mode negative rejection loop before it gives up
@@ -336,30 +337,49 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
     if h.shape[0] != g.num_nodes:
         raise ValidationError(f"embedding rows {h.shape[0]} != num_nodes {g.num_nodes}")
     n = g.num_nodes
-    pr, pc = _directed_pairs(g) if pairs is None else pairs
     if mode == "full":
-        # one row block of z = H H^T at a time; per entry softplus(-z) + (1 - a) z
-        # equals softplus(z) - a z, and one exp(-|z|) gives softplus and sigmoid
+        if n == 0:
+            raise ValidationError("full adjacency loss needs at least one node")
+        # loss = (sum softplus(z) - sum_edges z) / n^2 over z = H H^T; the edge sum
+        # is sum(H * A H), softplus(z) = (z + |z|) / 2 + log1p(exp(-|z|)), and
+        # sum(z) = |col|^2 with col the column sums of H
+        adj = sp.csr_matrix((np.ones(g.neighbors.size), g.neighbors, g.offsets),
+                            shape=(n, n))
+        ah = adj @ h
+        col = h.sum(axis=0)
         block = max(1, _ADJ_BLOCK_BYTES // (8 * n))
-        loss = 0.0
-        d_h = np.empty_like(h) if want_grad else None
+        abs_sum = log_sum = 0.0
+        # d_h = (2 / n^2) (sigmoid(z) - A) H with sigmoid(z) = (1 + tanh(z / 2)) / 2:
+        # t collects tanh(z / 2) H, and the 1 adds col to every row
+        t = np.zeros_like(h) if want_grad else None
         for s0 in range(0, n, block):
             s1 = min(s0 + block, n)
-            z = h[s0:s1] @ h.T
-            # pairs are in CSR order, so this block's edges are one slice
-            r = pr[g.offsets[s0]:g.offsets[s1]] - s0
-            c = pc[g.offsets[s0]:g.offsets[s1]]
-            e = np.exp(-np.abs(z))
-            loss += (np.maximum(z, 0.0) + np.log1p(e)).sum() - z[r, c].sum()
+            b = s1 - s0
+            # z is symmetric: strip [s0, s1) x [s0, n) scores each unordered pair
+            # once; its diagonal tile counts once and the rest twice
+            z = h[s0:s1] @ h[s0:].T
+            e = np.abs(z)
+            abs_sum += 2.0 * e.sum() - e[:, :b].sum()
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            np.log1p(e, out=e)
+            log_sum += 2.0 * e.sum() - e[:, :b].sum()
             if want_grad:
-                sig = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
-                sig[r, c] -= 1.0
-                d_h[s0:s1] = sig @ h
-        return float(loss / (n * n)), None if d_h is None else (2.0 / (n * n)) * d_h
+                z *= 0.5
+                np.tanh(z, out=z)
+                t[s0:s1] += z @ h[s0:]
+                t[s1:] += z[:, b:].T @ h[s0:s1]
+        loss = (0.5 * (col @ col + abs_sum) + log_sum - (h * ah).sum()) / (n * n)
+        if not want_grad:
+            return float(loss), None
+        t += col
+        t -= 2.0 * ah
+        return float(loss), t / (n * n)
     if mode != "sampled":
         raise ValidationError(f"adjacency loss mode must be full or sampled, got {mode!r}")
     if rng is None:
         rng = np.random.default_rng(0)
+    pr, pc = _directed_pairs(g) if pairs is None else pairs
     n_pos = pr.size
     if n_pos == 0:
         raise ValidationError("sampled adjacency loss needs at least one edge")

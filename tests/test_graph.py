@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvge.graph import (
     Graph,
@@ -152,3 +153,64 @@ def test_normalized_adjacency_symmetric(ne):
     m = normalized_adjacency(g).matrix
     assert (abs(m - m.T) > 1e-12).nnz == 0
     assert np.allclose(m.diagonal(), 1.0 / (g.degrees + 1.0))
+
+
+def loop_validate_message(g):
+    """The per-node check Graph.validate first used, kept as a reference:
+    the message it raised for self-loops, order and symmetry, or None."""
+    for v in range(g.num_nodes):
+        nb = g.neighbors_of(v)
+        if np.any(nb == v):
+            return f"self-loop at node {v}"
+        if np.any(np.diff(nb) <= 0):
+            return f"neighbor list of node {v} not strictly increasing"
+    src = np.repeat(np.arange(g.num_nodes), np.diff(g.offsets))
+    fwd = src * g.num_nodes + g.neighbors
+    rev = g.neighbors * g.num_nodes + src
+    if not np.array_equal(np.sort(fwd), np.sort(rev)):
+        return "adjacency is not symmetric"
+    return None
+
+
+@st.composite
+def corrupted_csr(draw):
+    """A valid CSR graph with some neighbor entries overwritten: by a random
+    node id (duplicates, disorder, asymmetry) or by the row's own id (self-loop)."""
+    n, edges = draw(edge_lists(max_nodes=10, max_edges=30))
+    g, _ = Graph.from_edges(n, edges)
+    nb = g.neighbors.copy()
+    src = np.repeat(np.arange(n), g.degrees)
+    if nb.size:
+        edits = draw(st.lists(st.tuples(st.integers(0, nb.size - 1),
+                                        st.integers(0, n - 1), st.booleans()),
+                              max_size=4))
+        for pos, value, self_loop in edits:
+            nb[pos] = src[pos] if self_loop else value
+    return Graph(n, g.offsets.copy(), nb)
+
+
+@given(corrupted_csr())
+@settings(max_examples=200, deadline=None)
+def test_validate_matches_loop_reference(g):
+    want = loop_validate_message(g)
+    if want is None:
+        g.validate()
+    else:
+        with pytest.raises(ValidationError) as err:
+            g.validate()
+        assert str(err.value) == want
+
+
+def test_validate_self_loop_precedes_disorder_at_same_node():
+    # node 1 lists [2, 1, 0]: both faults, the self-loop is reported
+    g = Graph(3, np.array([0, 1, 4, 5]), np.array([1, 2, 1, 0, 1]))
+    with pytest.raises(ValidationError, match="^self-loop at node 1$"):
+        g.validate()
+    # an earlier node's disorder wins over a later self-loop
+    g = Graph(3, np.array([0, 2, 3, 4]), np.array([2, 1, 1, 2]))
+    with pytest.raises(ValidationError, match="^neighbor list of node 0 not strictly"):
+        g.validate()
+
+
+def test_validate_empty_graph():
+    Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)).validate()

@@ -339,6 +339,63 @@ def test_full_adjacency_property_matches_dense_oracle(graph, rows, seed):
     assert_adjacency_matches(got, dense_adjacency_oracle(h, g))
 
 
+@given(edge_lists(max_nodes=12, max_edges=40),
+       st.integers(min_value=1, max_value=13),
+       st.integers(min_value=0, max_value=2 ** 16),
+       st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=12.0)))
+@settings(max_examples=100, deadline=None)
+def test_full_adjacency_saturating_scales_match_dense_oracle(graph, rows, seed, scale):
+    # scale 12 on 4 dims puts |z| in the hundreds, where sigmoid and softplus saturate
+    n, edges = graph
+    g, _ = Graph.from_edges(n, edges)
+    h = scale * np.random.default_rng(seed).normal(size=(n, 4))
+    with pytest.MonkeyPatch.context() as mp:
+        set_block_rows(mp, n, rows)
+        loss, d_h = mvge.model._adjacency_terms(h, g, "full")
+    want_loss, want_d_h = dense_adjacency_oracle(h, g)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert np.abs(d_h - want_d_h).max() <= 1e-12 * np.abs(want_d_h).max()
+
+
+@pytest.mark.parametrize("graph", sorted(ADJ_GRAPHS))
+@pytest.mark.parametrize("rows", [1, 3, 10])
+def test_full_adjacency_loss_without_gradient_is_identical(monkeypatch, graph, rows):
+    g = ADJ_GRAPHS[graph]()
+    h = np.random.default_rng(24).normal(size=(10, 5)) * 3.0
+    set_block_rows(monkeypatch, 10, rows)
+    with_grad = mvge.model._adjacency_terms(h, g, "full", want_grad=True)
+    without = mvge.model._adjacency_terms(h, g, "full", want_grad=False)
+    assert without[1] is None
+    assert without[0] == with_grad[0]
+
+
+def test_full_adjacency_peak_allocation_is_block_sized():
+    import tracemalloc
+
+    n, d = 2000, 16
+    g, _ = Graph.from_edges(n, np.random.default_rng(25).integers(0, n, size=(4 * n, 2)))
+    h = np.random.default_rng(26).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        mvge.model._adjacency_terms(h, g, "full")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two live strips (z and its scratch) plus the next z as it is computed,
+    # and a few N x d arrays; the dense N x N matrix alone would be 32 MB
+    assert peak <= 3 * mvge.model._ADJ_BLOCK_BYTES + 4 * h.nbytes < 8 * n * n
+
+
+@pytest.mark.parametrize("mode", ["auto", "full"])
+def test_train_on_empty_graph_raises_validation_error(mode):
+    ds = make_dataset(Graph.from_edges(0, [])[0], np.zeros((0, 3)))
+    ds.validate()
+    with pytest.raises(ValidationError, match="at least one node"):
+        train(ds, toy_cfg(adj_loss_mode=mode))
+    with pytest.raises(ValidationError, match="at least one node"):
+        adjacency_loss(np.zeros((0, 3)), ds.graph, "full")
+
+
 @pytest.mark.parametrize("graph", ["random", "isolated"])
 @pytest.mark.parametrize("ratio", [0.5, 1.0, 3.0])
 def test_sampled_adjacency_matches_scatter_oracle(graph, ratio):
