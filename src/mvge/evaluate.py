@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.stats
 
 from mvge.data import Dataset
 from mvge.graph import Graph, ValidationError
@@ -189,21 +188,12 @@ class LogRegModel:
         return self.scores(x).argmax(axis=1).astype(np.int64)
 
 
-def train_logreg_ovr(features: np.ndarray, labels: np.ndarray,
-                     train_idx: np.ndarray, lr: float = 0.1,
-                     iterations: int = 300, l2: float = 1e-4) -> LogRegModel:
-    """Fit the probe on the selected rows only."""
-    model = LogRegModel(lr=lr, iterations=iterations, l2=l2)
-    labels = np.asarray(labels, dtype=np.int64)
-    num_classes = int(labels.max()) + 1
-    return model.fit(features[train_idx], labels[train_idx], num_classes=num_classes)
-
-
 def micro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Micro-averaged F1 over classes.
 
-    Computed from pooled per-class true/false positive and negative
-    counts. For single-label predictions this equals plain accuracy.
+    For single-label predictions the pooled false positives and false
+    negatives both count the mismatches, so 2tp / (2tp + fp + fn) is plain
+    accuracy: one exact count of matches over n, rounded once.
     """
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
@@ -211,19 +201,12 @@ def micro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
         raise ValidationError(f"bad label shapes {y_true.shape} / {y_pred.shape}")
     if y_true.size == 0:
         raise ValidationError("micro_f1 needs at least one example")
-    tp = fp = fn = 0
-    for c in np.unique(np.concatenate([y_true, y_pred])):
-        tp += int(((y_pred == c) & (y_true == c)).sum())
-        fp += int(((y_pred == c) & (y_true != c)).sum())
-        fn += int(((y_pred != c) & (y_true == c)).sum())
-    if tp == 0:
-        return 0.0
-    # pooled harmonic mean; the integer form rounds exactly once
-    return 2.0 * tp / (2 * tp + fp + fn)
+    return float((y_true == y_pred).mean())
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based ROC-AUC; tied scores get their average rank."""
+    """Rank-based ROC-AUC; tied scores get their average rank. NaN scores
+    raise ``ValidationError``."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape or scores.ndim != 1:
@@ -232,7 +215,16 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("roc_auc needs both classes present")
-    ranks = scipy.stats.rankdata(scores)
+    if np.isnan(scores).any():
+        raise ValidationError("roc_auc got NaN scores")
+    # 1-based average ranks: a tie group over sorted positions [start, end)
+    # gets (start + 1 + end) / 2
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     pos_rank_sum = ranks[labels == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -273,20 +265,18 @@ class LinkSplit:
     test_neg: np.ndarray
 
 
-def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` distinct unordered non-adjacent pairs."""
-    n = g.num_nodes
-    pool = n * (n - 1) // 2 - g.num_edges
+def _sample_pairs(n: int, count: int, pool: int, kind: str, keep,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` distinct unordered pairs u < v with ``keep(u, v)`` true,
+    out of the ``pool`` such pairs; returns shape (count, 2)."""
     if count > pool:
-        raise ValidationError(
-            f"need {count} non-edge pairs but only {pool} exist"
-        )
+        raise ValidationError(f"need {count} {kind} pairs but only {pool} exist")
     if count == 0:
         return np.empty((0, 2), dtype=np.int64)
     if count * 4 > pool:
         # dense enough that rejection would crawl; enumerate instead
         iu, iv = np.triu_indices(n, k=1)
-        mask = ~g.has_edge_mask(iu, iv)
+        mask = keep(iu, iv)
         iu, iv = iu[mask], iv[mask]
         pick = rng.choice(iu.size, size=count, replace=False)
         return np.stack([iu[pick], iv[pick]], axis=1).astype(np.int64)
@@ -299,7 +289,7 @@ def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndar
         b = rng.integers(0, n, size=m)
         u = np.minimum(a, b)
         v = np.maximum(a, b)
-        ok = (u != v) & ~g.has_edge_mask(u, v)
+        ok = (u != v) & keep(u, v)
         for uu, vv in zip(u[ok], v[ok]):
             key = int(uu) * n + int(vv)
             if key in taken:
@@ -310,6 +300,13 @@ def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndar
             if got == count:
                 break
     return out
+
+
+def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` distinct unordered non-adjacent pairs."""
+    n = g.num_nodes
+    return _sample_pairs(n, count, n * (n - 1) // 2 - g.num_edges, "non-edge",
+                         lambda u, v: ~g.has_edge_mask(u, v), rng)
 
 
 def link_split(g: Graph, spec: SplitSpec, repeat: int = 0) -> LinkSplit:
@@ -410,36 +407,9 @@ def _sample_label_pairs(labels: np.ndarray, count: int, same: bool,
     counts = np.bincount(labels)
     same_pool = int((counts * (counts - 1) // 2).sum())
     pool = same_pool if same else n * (n - 1) // 2 - same_pool
-    if count > pool:
-        kind = "same-class" if same else "different-class"
-        raise ValidationError(f"need {count} {kind} pairs but only {pool} exist")
-    if count * 4 > pool:
-        iu, iv = np.triu_indices(n, k=1)
-        mask = (labels[iu] == labels[iv]) if same else (labels[iu] != labels[iv])
-        iu, iv = iu[mask], iv[mask]
-        pick = rng.choice(iu.size, size=count, replace=False)
-        return np.stack([iu[pick], iv[pick]], axis=1).astype(np.int64)
-    taken: set[int] = set()
-    out = np.empty((count, 2), dtype=np.int64)
-    got = 0
-    while got < count:
-        m = (count - got) * 2
-        a = rng.integers(0, n, size=m)
-        b = rng.integers(0, n, size=m)
-        u = np.minimum(a, b)
-        v = np.maximum(a, b)
-        match = (labels[u] == labels[v]) if same else (labels[u] != labels[v])
-        ok = (u != v) & match
-        for uu, vv in zip(u[ok], v[ok]):
-            key = int(uu) * n + int(vv)
-            if key in taken:
-                continue
-            taken.add(key)
-            out[got] = (uu, vv)
-            got += 1
-            if got == count:
-                break
-    return out
+    kind = "same-class" if same else "different-class"
+    return _sample_pairs(n, count, pool, kind,
+                         lambda u, v: (labels[u] == labels[v]) == same, rng)
 
 
 def pairwise_eval(ds: Dataset, cfg, spec: SplitSpec,

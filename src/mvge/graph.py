@@ -132,9 +132,10 @@ class Graph:
         """Vectorized membership test for node pairs."""
         keys = self._edge_keys()
         q = np.minimum(u, v) * self.num_nodes + np.maximum(u, v)
-        idx = np.searchsorted(keys, q)
-        idx = np.clip(idx, 0, max(len(keys) - 1, 0))
-        return (len(keys) > 0) & (keys[idx] == q) & (u != v)
+        if len(keys) == 0:
+            return np.zeros(np.shape(q), dtype=bool)
+        idx = np.clip(np.searchsorted(keys, q), 0, len(keys) - 1)
+        return (keys[idx] == q) & (u != v)
 
     def _edge_keys(self) -> np.ndarray:
         cached = getattr(self, "_keys_cache", None)

@@ -25,10 +25,7 @@ from mvge.graph import Graph, NormalizedAdjacency, ValidationError, normalized_a
 from mvge.numerics import (
     Adam,
     Param,
-    concat_cols,
-    concat_cols_backward,
     glorot,
-    matmul_backward,
     relu,
     relu_backward,
     sigmoid,
@@ -202,40 +199,37 @@ class MVGEModel:
 
     def encode_ego(self, x: np.ndarray, s: NormalizedAdjacency | None = None):
         """Forward the raw-feature branch; returns (h_ego, cache)."""
-        p = self.params
-        if x.shape[1] != self.f_ego:
-            raise ValidationError(f"expected {self.f_ego} ego features, got {x.shape[1]}")
-        if self.cfg.ego_encoder == "linear":
-            a1 = x @ p["ego_w1"].value + p["ego_b1"].value
-            r1 = relu(a1)
-            c1 = concat_cols(x, r1)
-            h_ego = c1 @ p["ego_skip_w"].value + p["ego_skip_b"].value
-            cache = {"x": x, "a1": a1, "c1": c1}
-        else:
-            if s is None:
-                raise ValidationError("gcn ego encoder needs the normalized adjacency")
-            s1 = spmm(s, x @ p["ego_w1"].value)
-            g1 = relu(s1)
-            s2 = spmm(s, g1 @ p["ego_w2"].value)
-            g2 = relu(s2)
-            c1 = concat_cols(x, g2)
-            h_ego = c1 @ p["ego_skip_w"].value + p["ego_skip_b"].value
-            cache = {"x": x, "s1": s1, "g1": g1, "s2": s2, "c1": c1, "s_op": s}
-        return h_ego, cache
+        return self._encode("ego", x, s)
 
     def encode_agg(self, x_agg: np.ndarray, s: NormalizedAdjacency):
         """Forward the walk-feature branch; returns (h_agg, cache)."""
+        return self._encode("agg", x_agg, s)
+
+    def _is_linear(self, name: str) -> bool:
+        return name == "ego" and self.cfg.ego_encoder == "linear"
+
+    def _encode(self, name: str, x: np.ndarray, s: NormalizedAdjacency | None):
+        """One branch: a linear layer or two graph convolutions, then a dense
+        skip layer over [x, inner]; returns (h, cache)."""
         p = self.params
-        if x_agg.shape[1] != self.f_agg:
-            raise ValidationError(f"expected {self.f_agg} agg features, got {x_agg.shape[1]}")
-        s1 = spmm(s, x_agg @ p["agg_w1"].value)
-        g1 = relu(s1)
-        s2 = spmm(s, g1 @ p["agg_w2"].value)
-        g2 = relu(s2)
-        c2 = concat_cols(x_agg, g2)
-        h_agg = c2 @ p["agg_skip_w"].value + p["agg_skip_b"].value
-        cache = {"x": x_agg, "s1": s1, "g1": g1, "s2": s2, "c2": c2, "s_op": s}
-        return h_agg, cache
+        f = self.f_ego if name == "ego" else self.f_agg
+        if x.shape[1] != f:
+            raise ValidationError(f"expected {f} {name} features, got {x.shape[1]}")
+        if self._is_linear(name):
+            a1 = x @ p["ego_w1"].value + p["ego_b1"].value
+            inner = relu(a1)
+            cache = {"x": x, "a1": a1}
+        else:
+            if s is None:
+                raise ValidationError(f"gcn {name} encoder needs the normalized adjacency")
+            s1 = spmm(s, x @ p[f"{name}_w1"].value)
+            g1 = relu(s1)
+            s2 = spmm(s, g1 @ p[f"{name}_w2"].value)
+            inner = relu(s2)
+            cache = {"x": x, "s1": s1, "g1": g1, "s2": s2, "s_op": s}
+        cache["c"] = np.concatenate([x, inner], axis=1)
+        h = cache["c"] @ p[f"{name}_skip_w"].value + p[f"{name}_skip_b"].value
+        return h, cache
 
     def embeddings(self, views: ViewPair, s: NormalizedAdjacency) -> EmbeddingSet:
         h_ego, _ = self.encode_ego(views.x_ego, s)
@@ -246,38 +240,29 @@ class MVGEModel:
         )
 
     def _backward_ego(self, d_h: np.ndarray, cache: dict) -> None:
-        p = self.params
-        d_c1, d_w = matmul_backward(d_h, cache["c1"], p["ego_skip_w"].value)
-        p["ego_skip_w"].grad += d_w
-        p["ego_skip_b"].grad += d_h.sum(axis=0, keepdims=True)
-        if self.cfg.ego_encoder == "linear":
-            _, d_r1 = concat_cols_backward(d_c1, cache["x"].shape[1])
-            d_a1 = relu_backward(d_r1, cache["a1"])
-            p["ego_w1"].grad += cache["x"].T @ d_a1
-            p["ego_b1"].grad += d_a1.sum(axis=0, keepdims=True)
-        else:
-            _, d_g2 = concat_cols_backward(d_c1, cache["x"].shape[1])
-            d_s2 = relu_backward(d_g2, cache["s2"])
-            d_b2 = spmm_backward(cache["s_op"], d_s2)
-            p["ego_w2"].grad += cache["g1"].T @ d_b2
-            d_g1 = d_b2 @ p["ego_w2"].value.T
-            d_s1 = relu_backward(d_g1, cache["s1"])
-            d_b1 = spmm_backward(cache["s_op"], d_s1)
-            p["ego_w1"].grad += cache["x"].T @ d_b1
+        self._backward("ego", d_h, cache)
 
     def _backward_agg(self, d_h: np.ndarray, cache: dict) -> None:
+        self._backward("agg", d_h, cache)
+
+    def _backward(self, name: str, d_h: np.ndarray, cache: dict) -> None:
         p = self.params
-        d_c2, d_w = matmul_backward(d_h, cache["c2"], p["agg_skip_w"].value)
-        p["agg_skip_w"].grad += d_w
-        p["agg_skip_b"].grad += d_h.sum(axis=0, keepdims=True)
-        _, d_g2 = concat_cols_backward(d_c2, cache["x"].shape[1])
-        d_s2 = relu_backward(d_g2, cache["s2"])
+        skip_w = p[f"{name}_skip_w"]
+        skip_w.grad += cache["c"].T @ d_h
+        p[f"{name}_skip_b"].grad += d_h.sum(axis=0, keepdims=True)
+        d_inner = (d_h @ skip_w.value.T)[:, cache["x"].shape[1]:]
+        if self._is_linear(name):
+            d_a1 = relu_backward(d_inner, cache["a1"])
+            p["ego_w1"].grad += cache["x"].T @ d_a1
+            p["ego_b1"].grad += d_a1.sum(axis=0, keepdims=True)
+            return
+        d_s2 = relu_backward(d_inner, cache["s2"])
         d_b2 = spmm_backward(cache["s_op"], d_s2)
-        p["agg_w2"].grad += cache["g1"].T @ d_b2
-        d_g1 = d_b2 @ p["agg_w2"].value.T
+        p[f"{name}_w2"].grad += cache["g1"].T @ d_b2
+        d_g1 = d_b2 @ p[f"{name}_w2"].value.T
         d_s1 = relu_backward(d_g1, cache["s1"])
         d_b1 = spmm_backward(cache["s_op"], d_s1)
-        p["agg_w1"].grad += cache["x"].T @ d_b1
+        p[f"{name}_w1"].grad += cache["x"].T @ d_b1
 
 
 def merge_embeddings(h_ego: np.ndarray, h_agg: np.ndarray, fn: str) -> np.ndarray:
@@ -286,7 +271,7 @@ def merge_embeddings(h_ego: np.ndarray, h_agg: np.ndarray, fn: str) -> np.ndarra
     if h_ego.shape[0] != h_agg.shape[0]:
         raise ValidationError("row count mismatch between views")
     if fn == "concat":
-        return concat_cols(h_ego, h_agg)
+        return np.concatenate([h_ego, h_agg], axis=1)
     if h_ego.shape[1] != h_agg.shape[1]:
         raise ValidationError(
             f"merge_fn {fn!r} needs matching dims, got {h_ego.shape[1]} and {h_agg.shape[1]}"
@@ -303,10 +288,8 @@ def kl_feature_loss(targets: np.ndarray, recon: np.ndarray) -> float:
     """
     if targets.shape != recon.shape:
         raise ValidationError(f"shape mismatch: {targets.shape} vs {recon.shape}")
-    p = softmax_rows(np.asarray(targets, dtype=np.float64))
-    q = softmax_rows(np.asarray(recon, dtype=np.float64))
-    logs = np.log(np.maximum(p, _LOG_FLOOR)) - np.log(np.maximum(q, _LOG_FLOOR))
-    return float((p * logs).sum())
+    targets = np.asarray(targets, dtype=np.float64)
+    return _kl_terms(softmax_rows(targets), np.asarray(recon, dtype=np.float64))[0]
 
 
 def _kl_terms(p: np.ndarray, recon: np.ndarray):

@@ -14,8 +14,6 @@ import numpy as np
 
 from mvge.graph import NormalizedAdjacency
 
-LOG_FLOOR = 1e-12
-
 
 @dataclass
 class Param:
@@ -44,17 +42,6 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform init in +-sqrt(6 / (fan_in + fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def matmul_backward(d_out: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """dA = dC @ B^T, dB = A^T @ dC."""
-    return d_out @ b.T, a.T @ d_out
 
 
 def spmm(s: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
@@ -91,16 +78,6 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def concat_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"concat row mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1)
-
-
-def concat_cols_backward(d_out: np.ndarray, cols_a: int):
-    return d_out[:, :cols_a], d_out[:, cols_a:]
 
 
 def softplus(x: np.ndarray) -> np.ndarray:

@@ -45,10 +45,6 @@ class WalkConfig:
         if self.aggr not in AGGREGATORS:
             raise ValidationError(f"aggr must be one of {AGGREGATORS}, got {self.aggr!r}")
 
-    @property
-    def output_dim_factor(self) -> int:
-        return len(self.lengths) if self.aggr == "concat" else 1
-
 
 @dataclass(frozen=True)
 class ViewPair:
@@ -81,7 +77,7 @@ def random_walk(g: Graph, start: int, length: int, rng: np.random.Generator) -> 
 
 
 def walk_aggregate(g: Graph, features: np.ndarray, cfg: WalkConfig) -> np.ndarray:
-    """Build the aggregated view, shape (N, F * output_dim_factor).
+    """Build the aggregated view, (N, F * len(lengths)) for "concat", else (N, F).
 
     For node v and length l the walk's visited features are averaged;
     per-length vectors then combine per ``cfg.aggr``. An isolated node

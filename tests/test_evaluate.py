@@ -1,7 +1,11 @@
 """Downstream probes: classifier, metrics, splits, and task harnesses."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +13,8 @@ from mvge.evaluate import (
     EvalReport,
     LogRegModel,
     SplitSpec,
+    _sample_label_pairs,
+    _sample_non_edges,
     link_prediction_eval,
     link_split,
     micro_f1,
@@ -16,13 +22,12 @@ from mvge.evaluate import (
     pair_embed_l2,
     pairwise_eval,
     roc_auc,
-    train_logreg_ovr,
 )
 from mvge.graph import Graph, ValidationError
 from mvge.model import MVGEConfig
 from mvge.synth import SynthSpec, generate_synthetic
 
-from conftest import make_dataset, random_dataset
+from conftest import labeled_graphs, make_dataset, random_dataset
 
 
 # -- logistic regression probe -----------------------------------------------
@@ -82,13 +87,6 @@ def test_logreg_standardization_shift_invariant():
     assert np.array_equal(a, b)
 
 
-def test_train_logreg_ovr_wrapper():
-    x = np.array([[0.0], [1.0], [10.0], [11.0]])
-    y = np.array([0, 0, 1, 1])
-    clf = train_logreg_ovr(x, y, np.arange(4))
-    assert np.array_equal(clf.predict(x), y)
-
-
 # -- metrics -----------------------------------------------------------------
 
 def test_micro_f1_perfect():
@@ -118,6 +116,27 @@ def test_micro_f1_equals_accuracy_on_random_vectors():
         y = rng.integers(0, c, size=n)
         p = rng.integers(0, c, size=n)
         assert micro_f1(y, p) == pytest.approx(np.mean(y == p))
+
+
+def pooled_micro_f1(y_true, y_pred):
+    """Micro-F1 from per-class true/false positive and negative counts."""
+    tp = fp = fn = 0
+    for c in np.unique(np.concatenate([y_true, y_pred])):
+        tp += int(((y_pred == c) & (y_true == c)).sum())
+        fp += int(((y_pred == c) & (y_true != c)).sum())
+        fn += int(((y_pred != c) & (y_true == c)).sum())
+    return 0.0 if tp == 0 else 2.0 * tp / (2 * tp + fp + fn)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_micro_f1_matches_pooled_counts_exactly(data):
+    n = data.draw(st.integers(min_value=1, max_value=300))
+    c = data.draw(st.integers(min_value=1, max_value=8))
+    labels = st.lists(st.integers(min_value=0, max_value=c - 1), min_size=n, max_size=n)
+    y = np.array(data.draw(labels))
+    p = np.array(data.draw(labels))
+    assert micro_f1(y, p) == pooled_micro_f1(y, p)
 
 
 def test_roc_auc_perfect_separation():
@@ -158,6 +177,40 @@ def test_roc_auc_matches_brute_force(data):
     ties = (pos[:, None] == neg[None, :]).sum()
     brute = (wins + 0.5 * ties) / (len(pos) * len(neg))
     assert roc_auc(scores, labels) == pytest.approx(brute, abs=1e-12)
+
+
+def rankdata_auc(scores, labels):
+    ranks = scipy.stats.rankdata(scores)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_roc_auc_matches_rankdata_exactly(data):
+    """Heavy ties and infinities: the average ranks equal scipy's bit for bit."""
+    n = data.draw(st.integers(min_value=2, max_value=300))
+    labels = np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=1), min_size=n, max_size=n)))
+    if labels.min() == labels.max():
+        labels[0] = 1 - labels[0]
+    values = st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 3.0, np.inf])
+    scores = np.array(data.draw(st.lists(
+        st.one_of(values, st.floats(allow_nan=False)), min_size=n, max_size=n)))
+    assert roc_auc(scores, labels) == rankdata_auc(scores, labels)
+
+
+def test_roc_auc_rejects_nan_scores():
+    with pytest.raises(ValidationError, match="NaN"):
+        roc_auc(np.array([0.1, np.nan, 0.3, 0.2]), np.array([0, 1, 0, 1]))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, mvge; print('scipy.stats' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 # -- node classification harness ---------------------------------------------
@@ -264,6 +317,123 @@ def test_link_split_too_few_edges_rejected():
     g, _ = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValidationError, match="split"):
         link_split(g, SplitSpec("link"))
+
+
+# -- pair samplers against the two loops they replaced -----------------------
+
+def reference_non_edges(g, count, rng):
+    n = g.num_nodes
+    pool = n * (n - 1) // 2 - g.num_edges
+    if count > pool:
+        raise ValidationError(f"need {count} non-edge pairs but only {pool} exist")
+    if count == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if count * 4 > pool:
+        iu, iv = np.triu_indices(n, k=1)
+        mask = ~g.has_edge_mask(iu, iv)
+        iu, iv = iu[mask], iv[mask]
+        pick = rng.choice(iu.size, size=count, replace=False)
+        return np.stack([iu[pick], iv[pick]], axis=1).astype(np.int64)
+    taken = set()
+    out = np.empty((count, 2), dtype=np.int64)
+    got = 0
+    while got < count:
+        m = (count - got) * 2
+        a = rng.integers(0, n, size=m)
+        b = rng.integers(0, n, size=m)
+        u = np.minimum(a, b)
+        v = np.maximum(a, b)
+        ok = (u != v) & ~g.has_edge_mask(u, v)
+        for uu, vv in zip(u[ok], v[ok]):
+            key = int(uu) * n + int(vv)
+            if key in taken:
+                continue
+            taken.add(key)
+            out[got] = (uu, vv)
+            got += 1
+            if got == count:
+                break
+    return out
+
+
+def reference_label_pairs(labels, count, same, rng):
+    n = labels.shape[0]
+    counts = np.bincount(labels)
+    same_pool = int((counts * (counts - 1) // 2).sum())
+    pool = same_pool if same else n * (n - 1) // 2 - same_pool
+    if count > pool:
+        kind = "same-class" if same else "different-class"
+        raise ValidationError(f"need {count} {kind} pairs but only {pool} exist")
+    if count * 4 > pool:
+        iu, iv = np.triu_indices(n, k=1)
+        mask = (labels[iu] == labels[iv]) if same else (labels[iu] != labels[iv])
+        iu, iv = iu[mask], iv[mask]
+        pick = rng.choice(iu.size, size=count, replace=False)
+        return np.stack([iu[pick], iv[pick]], axis=1).astype(np.int64)
+    taken = set()
+    out = np.empty((count, 2), dtype=np.int64)
+    got = 0
+    while got < count:
+        m = (count - got) * 2
+        a = rng.integers(0, n, size=m)
+        b = rng.integers(0, n, size=m)
+        u = np.minimum(a, b)
+        v = np.maximum(a, b)
+        match = (labels[u] == labels[v]) if same else (labels[u] != labels[v])
+        ok = (u != v) & match
+        for uu, vv in zip(u[ok], v[ok]):
+            key = int(uu) * n + int(vv)
+            if key in taken:
+                continue
+            taken.add(key)
+            out[got] = (uu, vv)
+            got += 1
+            if got == count:
+                break
+    return out
+
+
+def assert_same_draw(sample, reference, pool, data):
+    """Same pairs, same error message and the same RNG state afterwards.
+
+    Counts are drawn both below pool / 4 (the rejection loop) and up to
+    pool + 2 (the enumeration fallback and the too-many message)."""
+    count = data.draw(st.one_of(st.integers(min_value=0, max_value=pool // 4),
+                                st.integers(min_value=0, max_value=pool + 2)))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        want = reference(count, rng_ref)
+    except ValidationError as e:
+        with pytest.raises(ValidationError) as got:
+            sample(count, rng_new)
+        assert str(got.value) == str(e)
+        return
+    out = sample(count, rng_new)
+    assert out.dtype == want.dtype and np.array_equal(out, want)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@given(labeled_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sample_non_edges_matches_reference(graph_labels, data):
+    g, _ = graph_labels
+    n = g.num_nodes
+    assert_same_draw(lambda c, r: _sample_non_edges(g, c, r),
+                     lambda c, r: reference_non_edges(g, c, r),
+                     n * (n - 1) // 2 - g.num_edges, data)
+
+
+@given(labeled_graphs(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sample_label_pairs_matches_reference(graph_labels, same, data):
+    _, labels = graph_labels
+    n = labels.shape[0]
+    counts = np.bincount(labels)
+    same_pool = int((counts * (counts - 1) // 2).sum())
+    assert_same_draw(lambda c, r: _sample_label_pairs(labels, c, same, r),
+                     lambda c, r: reference_label_pairs(labels, c, same, r),
+                     same_pool if same else n * (n - 1) // 2 - same_pool, data)
 
 
 # -- pair features -----------------------------------------------------------

@@ -72,6 +72,12 @@ def test_has_edge_mask_accepts_either_order(triangle):
     assert not triangle.has_edge_mask(np.array([0]), np.array([0]))[0]
 
 
+def test_has_edge_mask_on_edgeless_graph():
+    g, _ = Graph.from_edges(4, [])
+    out = g.has_edge_mask(np.array([2, 1, 0]), np.array([3, 2, 0]))
+    assert out.dtype == bool and out.tolist() == [False, False, False]
+
+
 def test_single_node_adjacency_is_identity(single_node):
     s = normalized_adjacency(single_node)
     rows, cols, vals = s.triples()

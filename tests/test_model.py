@@ -68,6 +68,20 @@ def test_ego_feature_width_checked():
         model.encode_ego(np.zeros((5, 7)))
 
 
+def test_agg_feature_width_checked(triangle):
+    model, _ = toy_model(n=3, f_agg=4)
+    with pytest.raises(ValidationError, match="expected 4 agg features, got 7"):
+        model.encode_agg(np.zeros((3, 7)), normalized_adjacency(triangle))
+
+
+@pytest.mark.parametrize("branch", ["ego", "agg"])
+def test_graph_convolution_branch_needs_operator(branch):
+    model, _ = toy_model(ego_encoder="gcn")
+    encode = model.encode_ego if branch == "ego" else model.encode_agg
+    with pytest.raises(ValidationError, match=f"gcn {branch} encoder needs"):
+        encode(np.zeros((5, 4)), None)
+
+
 def test_ego_row_permutation_equivariance():
     model, _ = toy_model()
     x = np.random.default_rng(1).normal(size=(5, 4))

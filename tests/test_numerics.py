@@ -9,12 +9,8 @@ from mvge.numerics import (
     Adam,
     Param,
     child_seed,
-    concat_cols,
-    concat_cols_backward,
     glorot,
     grad_check,
-    matmul,
-    matmul_backward,
     relu,
     relu_backward,
     sigmoid,
@@ -28,16 +24,6 @@ from conftest import feature_matrices
 
 
 # -- forward ops -------------------------------------------------------------
-
-def test_matmul_identity():
-    a = np.arange(6, dtype=np.float64).reshape(2, 3)
-    assert np.array_equal(matmul(a, np.eye(3)), a)
-
-
-def test_matmul_small_example():
-    out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-    assert out.tolist() == [[3.0], [7.0]]
-
 
 def test_spmm_identity_operator():
     g, _ = Graph.from_edges(3, [])
@@ -94,17 +80,6 @@ def test_softplus_matches_reference():
     assert np.all(np.isfinite(softplus(x)))
 
 
-def test_concat_cols_roundtrip():
-    a = np.ones((3, 2))
-    b = np.zeros((3, 4))
-    c = concat_cols(a, b)
-    assert c.shape == (3, 6)
-    da, db = concat_cols_backward(np.arange(18, dtype=np.float64).reshape(3, 6), 2)
-    assert da.shape == (3, 2) and db.shape == (3, 4)
-    assert da[0].tolist() == [0.0, 1.0]
-    assert db[0].tolist() == [2.0, 3.0, 4.0, 5.0]
-
-
 @given(feature_matrices())
 @settings(max_examples=40, deadline=None)
 def test_softmax_rows_are_distributions(x):
@@ -127,26 +102,6 @@ def _fd_grad(f, x, eps=1e-6):
         flat_x[i] = orig
         flat_g[i] = (plus - minus) / (2 * eps)
     return g
-
-
-def test_matmul_backward_matches_fd():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(4, 2))
-    w = rng.normal(size=(3, 2))  # fixed cotangent
-    da, db = matmul_backward(w, a, b)
-    fd_a = _fd_grad(lambda: float((matmul(a, b) * w).sum()), a)
-    fd_b = _fd_grad(lambda: float((matmul(a, b) * w).sum()), b)
-    assert np.allclose(da, fd_a, atol=1e-6)
-    assert np.allclose(db, fd_b, atol=1e-6)
-
-
-def test_matmul_backward_ones_cotangent():
-    a = np.zeros((2, 3))
-    b = np.arange(6, dtype=np.float64).reshape(3, 2)
-    da, _ = matmul_backward(np.ones((2, 2)), a, b)
-    # d/dA sum(A @ B) = ones @ B^T
-    assert np.allclose(da, np.ones((2, 2)) @ b.T)
 
 
 def test_spmm_backward_matches_fd(triangle):
