@@ -29,6 +29,7 @@ from mvge.data import (
     load_dataset,
     load_matrix_binary,
     load_matrix_csv,
+    read_json_object,
     save_dataset,
     save_embeddings,
 )
@@ -75,19 +76,6 @@ def _config_to_dict(cfg: MVGEConfig) -> dict:
     return d
 
 
-def _load_config_file(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"config {path} must hold a JSON object")
-    # a run manifest doubles as a config via its resolved_config block
-    if "resolved_config" in raw:
-        raw = raw["resolved_config"]
-    return raw
-
-
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(MVGEConfig)}
 
 
@@ -95,7 +83,9 @@ def _resolve_config(args: argparse.Namespace) -> MVGEConfig:
     """defaults < --config JSON < explicit flags, then validate."""
     d = _config_to_dict(MVGEConfig())
     if getattr(args, "config", None):
-        overlay = _load_config_file(args.config)
+        overlay = read_json_object(args.config, "config")
+        # a run manifest doubles as a config via its resolved_config block
+        overlay = overlay.get("resolved_config", overlay)
         unknown = set(overlay) - _CONFIG_FIELDS
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -104,9 +94,14 @@ def _resolve_config(args: argparse.Namespace) -> MVGEConfig:
         v = getattr(args, name, None)
         if v is not None:
             d[name] = v
-    d["walk_lengths"] = tuple(d["walk_lengths"])
-    d["task_mask"] = frozenset(d["task_mask"])
-    return MVGEConfig(**d)
+    try:
+        d["walk_lengths"] = tuple(d["walk_lengths"])
+        d["task_mask"] = frozenset(d["task_mask"])
+        return MVGEConfig(**d)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:  # a value of the wrong JSON type
+        raise ValidationError(f"bad value in config {args.config}: {exc}") from None
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -146,12 +141,8 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-fraction", dest="train_fraction", type=float)
 
 
-def _seed_of(args: argparse.Namespace, cfg: MVGEConfig | None = None) -> int:
-    if args.seed is not None:
-        return args.seed
-    if cfg is not None:
-        return cfg.seed
-    return 0
+def _seed_of(args: argparse.Namespace) -> int:
+    return 0 if args.seed is None else args.seed
 
 
 def _write_json(path: Path, obj) -> None:
@@ -238,8 +229,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_embed(args: argparse.Namespace) -> int:
     started = time.time()
     cfg = _resolve_config(args)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     ds = load_dataset(args.dataset)
     _, emb, trace = train(ds, cfg)
     out = Path(args.out)
@@ -272,11 +261,9 @@ def cmd_eval_node(args: argparse.Namespace) -> int:
 def cmd_eval_link(args: argparse.Namespace) -> int:
     started = time.time()
     cfg = _resolve_config(args)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     ds = load_dataset(args.dataset)
     spec = SplitSpec(task="link", train_fraction=args.train_fraction,
-                     repeats=args.repeats, seed=_seed_of(args, cfg))
+                     repeats=args.repeats, seed=cfg.seed)
     split_log: list = []
     report = link_prediction_eval(ds, cfg, spec, split_log=split_log)
     _write_reports(args, report, cfg=cfg, splits=split_log, started=started)
@@ -286,12 +273,10 @@ def cmd_eval_link(args: argparse.Namespace) -> int:
 def cmd_eval_pair(args: argparse.Namespace) -> int:
     started = time.time()
     cfg = _resolve_config(args)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     ds = load_dataset(args.dataset)
     h = _load_matrix(args.embeddings) if args.embeddings else None
     spec = SplitSpec(task="pair", train_fraction=args.train_fraction,
-                     repeats=args.repeats, seed=_seed_of(args, cfg))
+                     repeats=args.repeats, seed=cfg.seed)
     report = pairwise_eval(ds, cfg, spec, h=h)
     _write_reports(args, report, cfg=cfg, started=started)
     return EXIT_OK
@@ -319,8 +304,6 @@ def _write_reports(args: argparse.Namespace, report, cfg: MVGEConfig | None = No
 def cmd_gridsearch(args: argparse.Namespace) -> int:
     started = time.time()
     cfg = _resolve_config(args)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     ds = load_dataset(args.dataset)
     if ds.labels is None:
         raise ValidationError(

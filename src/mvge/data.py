@@ -95,6 +95,24 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Parse a JSON file that must hold an object; ValidationError otherwise."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object")
+    return raw
+
+
+def _meta_int(meta: dict, key: str, path: Path) -> int:
+    try:
+        return int(meta[key])
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: {key} must be an integer, got {meta[key]!r}") from None
+
+
 def _parse_int(token: str, where: str) -> int:
     try:
         return int(token)
@@ -117,11 +135,11 @@ def load_dataset(directory: str | Path) -> Dataset:
     for p in (meta_path, edges_path, feat_path):
         if not p.is_file():
             raise ValidationError(f"missing file: {p}")
-    meta = json.loads(meta_path.read_text())
+    meta = read_json_object(meta_path, "dataset metadata")
     for key in ("name", "num_nodes", "num_features"):
         if key not in meta:
             raise ValidationError(f"meta.json missing key {key!r}")
-    n = int(meta["num_nodes"])
+    n = _meta_int(meta, "num_nodes", meta_path)
 
     raw = []
     with edges_path.open() as f:
@@ -146,12 +164,15 @@ def load_dataset(directory: str | Path) -> Dataset:
             directory.name, repairs.self_loops_dropped, repairs.duplicates_dropped,
         )
 
-    features = np.loadtxt(feat_path, delimiter=",", dtype=np.float64, ndmin=2)
+    try:
+        features = np.loadtxt(feat_path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{feat_path}: {exc}") from None
     if features.shape[0] != n:
         raise ValidationError(
             f"feature row count {features.shape[0]} != node count {n}"
         )
-    if features.shape[1] != int(meta["num_features"]):
+    if features.shape[1] != _meta_int(meta, "num_features", meta_path):
         raise ValidationError(
             f"feature column count {features.shape[1]} != "
             f"meta num_features {meta['num_features']}"
@@ -162,7 +183,7 @@ def load_dataset(directory: str | Path) -> Dataset:
     if labels_path.is_file():
         if meta.get("num_classes") is None:
             raise ValidationError("labels.txt present but meta.json lacks num_classes")
-        num_classes = int(meta["num_classes"])
+        num_classes = _meta_int(meta, "num_classes", meta_path)
         labels = np.array(
             [_parse_int(t, str(labels_path)) for t in labels_path.read_text().split()],
             dtype=np.int64,
@@ -243,7 +264,10 @@ def load_matrix_csv(path: str | Path) -> np.ndarray:
             parts = line.strip().split(",")
             if len(parts) != dim + 1:
                 raise ValidationError(f"{path}: row width {len(parts) - 1} != header dim {dim}")
-            rows.append([float(x) for x in parts[1:]])
+            try:
+                rows.append([float(x) for x in parts[1:]])
+            except ValueError:
+                raise ValidationError(f"{path}: non-numeric value in row {len(rows) + 1}") from None
     return np.array(rows, dtype=np.float64).reshape(-1, dim)
 
 

@@ -178,11 +178,7 @@ class LogRegModel:
         self._check_fitted()
         if self.num_classes != 2:
             raise ValidationError("binary_scores needs a 2-class model")
-        if self.degenerate_class is not None:
-            return np.full(np.asarray(x).shape[0], float(self.degenerate_class))
-        x = np.asarray(x, dtype=np.float64)
-        z = ((x - self.mu) / self.sd) @ self.weights + self.bias
-        return z[:, 0]
+        return self.scores(x)[:, 1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.scores(x).argmax(axis=1).astype(np.int64)
@@ -348,8 +344,20 @@ def pair_embed_l2(e_u: np.ndarray, e_v: np.ndarray) -> np.ndarray:
     return d * d
 
 
-def _pair_features(h: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    return pair_embed_l2(h[pairs[:, 0]], h[pairs[:, 1]])
+def _pair_auc(h: np.ndarray, train_pos: np.ndarray, train_neg: np.ndarray,
+              test_pos: np.ndarray, test_neg: np.ndarray) -> float:
+    """Fit the probe on the squared-difference features of the train pairs,
+    positives labelled 1, and return its ROC-AUC on the test pairs."""
+    def features_labels(pos, neg):
+        pairs = np.concatenate([pos, neg])
+        y = np.concatenate([np.ones(pos.shape[0], dtype=np.int64),
+                            np.zeros(neg.shape[0], dtype=np.int64)])
+        return pair_embed_l2(h[pairs[:, 0]], h[pairs[:, 1]]), y
+
+    x_train, y_train = features_labels(train_pos, train_neg)
+    x_test, y_test = features_labels(test_pos, test_neg)
+    clf = LogRegModel().fit(x_train, y_train, num_classes=2)
+    return roc_auc(clf.binary_scores(x_test), y_test)
 
 
 def link_prediction_eval(ds: Dataset, cfg, spec: SplitSpec,
@@ -373,24 +381,8 @@ def link_prediction_eval(ds: Dataset, cfg, spec: SplitSpec,
         )
         cfg_r = replace(cfg, seed=child_seed(cfg.seed, _LINK_MODEL_TAG, r))
         _, emb, _ = train(train_ds, cfg_r)
-        x_train = np.concatenate([
-            _pair_features(emb.h, split.train_pos),
-            _pair_features(emb.h, split.train_neg),
-        ])
-        y_train = np.concatenate([
-            np.ones(split.train_pos.shape[0], dtype=np.int64),
-            np.zeros(split.train_neg.shape[0], dtype=np.int64),
-        ])
-        clf = LogRegModel().fit(x_train, y_train, num_classes=2)
-        x_test = np.concatenate([
-            _pair_features(emb.h, split.test_pos),
-            _pair_features(emb.h, split.test_neg),
-        ])
-        y_test = np.concatenate([
-            np.ones(split.test_pos.shape[0], dtype=np.int64),
-            np.zeros(split.test_neg.shape[0], dtype=np.int64),
-        ])
-        out.append(roc_auc(clf.binary_scores(x_test), y_test))
+        out.append(_pair_auc(emb.h, split.train_pos, split.train_neg,
+                             split.test_pos, split.test_neg))
         if split_log is not None:
             split_log.append({
                 "repeat": r,
@@ -437,6 +429,8 @@ def pairwise_eval(ds: Dataset, cfg, spec: SplitSpec,
         _, emb, _ = train(ds, cfg)
         h = emb.h
     h = np.asarray(h, dtype=np.float64)
+    if h.shape[0] != ds.num_nodes:
+        raise ValidationError(f"embedding rows {h.shape[0]} != num_nodes {ds.num_nodes}")
     n_test = _count_ceil((1.0 - spec.train_fraction) * n_pairs)
     n_test = min(max(n_test, 1), n_pairs - 1)
     out = []
@@ -444,19 +438,5 @@ def pairwise_eval(ds: Dataset, cfg, spec: SplitSpec,
         rng = np.random.default_rng([spec.seed, _PAIR_TAG, r])
         pos = _sample_label_pairs(labels, n_pairs, True, rng)
         neg = _sample_label_pairs(labels, n_pairs, False, rng)
-        x_train = np.concatenate([
-            _pair_features(h, pos[n_test:]), _pair_features(h, neg[n_test:]),
-        ])
-        y_train = np.concatenate([
-            np.ones(n_pairs - n_test, dtype=np.int64),
-            np.zeros(n_pairs - n_test, dtype=np.int64),
-        ])
-        x_test = np.concatenate([
-            _pair_features(h, pos[:n_test]), _pair_features(h, neg[:n_test]),
-        ])
-        y_test = np.concatenate([
-            np.ones(n_test, dtype=np.int64), np.zeros(n_test, dtype=np.int64),
-        ])
-        clf = LogRegModel().fit(x_train, y_train, num_classes=2)
-        out.append(roc_auc(clf.binary_scores(x_test), y_test))
+        out.append(_pair_auc(h, pos[n_test:], neg[n_test:], pos[:n_test], neg[:n_test]))
     return _make_report("pair", out)

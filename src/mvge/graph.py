@@ -3,7 +3,8 @@ normalized propagation operator used by the GCN branch."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,7 +96,7 @@ class Graph:
             self.neighbors.min() < 0 or self.neighbors.max() >= self.num_nodes
         ):
             raise ValidationError("neighbor id out of range")
-        src = np.repeat(np.arange(self.num_nodes), np.diff(self.offsets))
+        src = self.sources
         # report the first offending node; at one node a self-loop comes first
         loop_at = src[self.neighbors == src]
         same_row = src[1:] == src[:-1]
@@ -122,28 +123,39 @@ class Graph:
         """Number of undirected edges."""
         return len(self.neighbors) // 2
 
+    @cached_property
+    def sources(self) -> np.ndarray:
+        """The row of each ``neighbors`` entry: directed edges run
+        ``sources[i] -> neighbors[i]``."""
+        src = np.repeat(np.arange(self.num_nodes), np.diff(self.offsets))
+        src.setflags(write=False)
+        return src
+
+    @cached_property
+    def adjacency(self) -> sp.csr_matrix:
+        """The 0/1 adjacency matrix A over the CSR arrays."""
+        n = self.num_nodes
+        return sp.csr_matrix((np.ones(self.neighbors.size), self.neighbors, self.offsets),
+                             shape=(n, n))
+
+    @cached_property
+    def _edge_keys(self) -> np.ndarray:
+        e = self.edge_array()
+        return np.sort(e[:, 0] * self.num_nodes + e[:, 1])
+
     def edge_array(self) -> np.ndarray:
         """Undirected edges as an (E, 2) array with u < v, sorted."""
-        src = np.repeat(np.arange(self.num_nodes), np.diff(self.offsets))
-        mask = src < self.neighbors
-        return np.stack([src[mask], self.neighbors[mask]], axis=1)
+        mask = self.sources < self.neighbors
+        return np.stack([self.sources[mask], self.neighbors[mask]], axis=1)
 
     def has_edge_mask(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorized membership test for node pairs."""
-        keys = self._edge_keys()
+        keys = self._edge_keys
         q = np.minimum(u, v) * self.num_nodes + np.maximum(u, v)
         if len(keys) == 0:
             return np.zeros(np.shape(q), dtype=bool)
         idx = np.clip(np.searchsorted(keys, q), 0, len(keys) - 1)
         return (keys[idx] == q) & (u != v)
-
-    def _edge_keys(self) -> np.ndarray:
-        cached = getattr(self, "_keys_cache", None)
-        if cached is None:
-            e = self.edge_array()
-            cached = np.sort(e[:, 0] * self.num_nodes + e[:, 1])
-            object.__setattr__(self, "_keys_cache", cached)
-        return cached
 
 
 @dataclass(frozen=True)
@@ -156,30 +168,13 @@ class NormalizedAdjacency:
 
     matrix: sp.csr_matrix
 
-    @property
-    def num_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m = self.matrix
-        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        return rows, m.indices.copy(), m.data.copy()
-
-    def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        return self.matrix @ other
-
 
 def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
     """Build the symmetrically normalized operator over A + I.
 
     Isolated nodes get only the diagonal entry with weight 1.
     """
-    n = g.num_nodes
-    src = np.repeat(np.arange(n), np.diff(g.offsets))
-    a = sp.csr_matrix(
-        (np.ones(len(src)), (src, g.neighbors)), shape=(n, n), dtype=np.float64
-    )
-    a_tilde = a + sp.identity(n, dtype=np.float64, format="csr")
+    a_tilde = g.adjacency + sp.identity(g.num_nodes, dtype=np.float64, format="csr")
     dinv = 1.0 / np.sqrt(g.degrees + 1.0)
     s = sp.diags(dinv) @ a_tilde @ sp.diags(dinv)
     s = sp.csr_matrix(s)

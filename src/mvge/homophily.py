@@ -30,13 +30,11 @@ def local_homophily(g: Graph, labels: np.ndarray) -> np.ndarray:
     """Per-node fraction of same-label neighbors; NaN for isolated nodes."""
     if labels is None or len(labels) != g.num_nodes:
         raise ValidationError("labels must cover every node")
-    src = np.repeat(np.arange(g.num_nodes), g.degrees)
-    same = (labels[src] == labels[g.neighbors]).astype(np.float64)
+    same = (labels[g.sources] == labels[g.neighbors]).astype(np.float64)
     out = np.full(g.num_nodes, np.nan)
     deg = g.degrees
     nonzero = deg > 0
-    sums = np.zeros(g.num_nodes)
-    np.add.at(sums, src, same)
+    sums = np.bincount(g.sources, weights=same, minlength=g.num_nodes)
     out[nonzero] = sums[nonzero] / deg[nonzero]
     return out
 

@@ -264,6 +264,21 @@ class MVGEModel:
         d_b1 = spmm_backward(cache["s_op"], d_s1)
         p[f"{name}_w1"].grad += cache["x"].T @ d_b1
 
+    def _decode(self, name: str, h: np.ndarray, p: np.ndarray, w: float,
+                d_h: np.ndarray) -> float:
+        """One branch's KL decoder against target distribution ``p``: returns
+        its loss, and adds ``w`` times its gradient to the decoder parameters
+        and to ``d_h`` in place."""
+        dec_w = self.params[f"dec_{name}_w"]
+        dec_b = self.params[f"dec_{name}_b"]
+        loss, d_recon = _kl_terms(p, h @ dec_w.value + dec_b.value)
+        if w != 0.0:
+            d_recon = w * d_recon
+            dec_w.grad += h.T @ d_recon
+            dec_b.grad += d_recon.sum(axis=0, keepdims=True)
+            d_h += d_recon @ dec_w.value.T
+        return loss
+
 
 def merge_embeddings(h_ego: np.ndarray, h_agg: np.ndarray, fn: str) -> np.ndarray:
     if fn not in MERGE_FNS:
@@ -303,20 +318,12 @@ def adjacency_loss(h: np.ndarray, g: Graph, mode: str = "full",
                    rng: np.random.Generator | None = None,
                    sample_ratio: float = 1.0) -> float:
     """Cross-entropy between sigmoid(H H^T) and the adjacency matrix."""
-    loss, _ = _adjacency_terms(h, g, mode, rng=rng, sample_ratio=sample_ratio,
-                               want_grad=False)
-    return loss
-
-
-def _directed_pairs(g: Graph):
-    rows = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.degrees)
-    return rows, g.neighbors
+    return _adjacency_terms(h, g, mode, rng=rng, sample_ratio=sample_ratio)[0]
 
 
 def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
                      rng: np.random.Generator | None = None,
-                     sample_ratio: float = 1.0, want_grad: bool = True,
-                     pairs: tuple[np.ndarray, np.ndarray] | None = None):
+                     sample_ratio: float = 1.0):
     if h.shape[0] != g.num_nodes:
         raise ValidationError(f"embedding rows {h.shape[0]} != num_nodes {g.num_nodes}")
     n = g.num_nodes
@@ -326,15 +333,13 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
         # loss = (sum softplus(z) - sum_edges z) / n^2 over z = H H^T; the edge sum
         # is sum(H * A H), softplus(z) = (z + |z|) / 2 + log1p(exp(-|z|)), and
         # sum(z) = |col|^2 with col the column sums of H
-        adj = sp.csr_matrix((np.ones(g.neighbors.size), g.neighbors, g.offsets),
-                            shape=(n, n))
-        ah = adj @ h
+        ah = g.adjacency @ h
         col = h.sum(axis=0)
         block = max(1, _ADJ_BLOCK_BYTES // (8 * n))
         abs_sum = log_sum = 0.0
         # d_h = (2 / n^2) (sigmoid(z) - A) H with sigmoid(z) = (1 + tanh(z / 2)) / 2:
         # t collects tanh(z / 2) H, and the 1 adds col to every row
-        t = np.zeros_like(h) if want_grad else None
+        t = np.zeros_like(h)
         for s0 in range(0, n, block):
             s1 = min(s0 + block, n)
             b = s1 - s0
@@ -347,14 +352,11 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
             np.exp(e, out=e)
             np.log1p(e, out=e)
             log_sum += 2.0 * e.sum() - e[:, :b].sum()
-            if want_grad:
-                z *= 0.5
-                np.tanh(z, out=z)
-                t[s0:s1] += z @ h[s0:]
-                t[s1:] += z[:, b:].T @ h[s0:s1]
+            z *= 0.5
+            np.tanh(z, out=z)
+            t[s0:s1] += z @ h[s0:]
+            t[s1:] += z[:, b:].T @ h[s0:s1]
         loss = (0.5 * (col @ col + abs_sum) + log_sum - (h * ah).sum()) / (n * n)
-        if not want_grad:
-            return float(loss), None
         t += col
         t -= 2.0 * ah
         return float(loss), t / (n * n)
@@ -362,7 +364,7 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
         raise ValidationError(f"adjacency loss mode must be full or sampled, got {mode!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    pr, pc = _directed_pairs(g) if pairs is None else pairs
+    pr, pc = g.sources, g.neighbors
     n_pos = pr.size
     if n_pos == 0:
         raise ValidationError("sampled adjacency loss needs at least one edge")
@@ -390,8 +392,6 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
     z_neg = np.einsum("ij,ij->i", h[nr], h[nc])
     total = n_pos + n_neg
     loss = (softplus(-z_pos).sum() + softplus(z_neg).sum()) / total
-    if not want_grad:
-        return float(loss), None
     coef_pos = (sigmoid(z_pos) - 1.0) / total
     coef_neg = sigmoid(z_neg) / total
     # one symmetric coefficient matrix; duplicate pairs sum on construction
@@ -415,41 +415,25 @@ def total_loss(l_ego: float, l_agg: float, l_s: float,
 
 def _train_step(model: MVGEModel, views: ViewPair, s: NormalizedAdjacency,
                 g: Graph, p_ego: np.ndarray, p_agg: np.ndarray,
-                adj_mode: str, neg_rng: np.random.Generator,
-                pairs: tuple[np.ndarray, np.ndarray] | None = None):
+                adj_mode: str, neg_rng: np.random.Generator):
     """One forward/backward pass; gradients are left in model.params."""
     cfg = model.cfg
     mask = cfg.task_mask
     h_ego, cache_ego = model.encode_ego(views.x_ego, s)
     h_agg, cache_agg = model.encode_agg(views.x_agg, s)
     h = merge_embeddings(h_ego, h_agg, cfg.merge_fn)
-    params = model.params
 
     l_ego = l_agg = l_s = 0.0
     d_h_ego = np.zeros_like(h_ego)
     d_h_agg = np.zeros_like(h_agg)
 
     if "ego" in mask:
-        recon = h_ego @ params["dec_ego_w"].value + params["dec_ego_b"].value
-        l_ego, d_recon = _kl_terms(p_ego, recon)
-        w = cfg.beta * cfg.alpha
-        if w != 0.0:
-            d_recon = w * d_recon
-            params["dec_ego_w"].grad += h_ego.T @ d_recon
-            params["dec_ego_b"].grad += d_recon.sum(axis=0, keepdims=True)
-            d_h_ego += d_recon @ params["dec_ego_w"].value.T
+        l_ego = model._decode("ego", h_ego, p_ego, cfg.beta * cfg.alpha, d_h_ego)
     if "agg" in mask:
-        recon = h_agg @ params["dec_agg_w"].value + params["dec_agg_b"].value
-        l_agg, d_recon = _kl_terms(p_agg, recon)
-        w = cfg.beta * (1.0 - cfg.alpha)
-        if w != 0.0:
-            d_recon = w * d_recon
-            params["dec_agg_w"].grad += h_agg.T @ d_recon
-            params["dec_agg_b"].grad += d_recon.sum(axis=0, keepdims=True)
-            d_h_agg += d_recon @ params["dec_agg_w"].value.T
+        l_agg = model._decode("agg", h_agg, p_agg, cfg.beta * (1.0 - cfg.alpha), d_h_agg)
     if "adj" in mask:
         l_s, d_h_adj = _adjacency_terms(h, g, adj_mode, rng=neg_rng,
-                                        sample_ratio=cfg.sample_ratio, pairs=pairs)
+                                        sample_ratio=cfg.sample_ratio)
         w = 1.0 - cfg.beta
         if w != 0.0:
             d_h_adj = w * d_h_adj
@@ -465,10 +449,7 @@ def _train_step(model: MVGEModel, views: ViewPair, s: NormalizedAdjacency,
 
     model._backward_ego(d_h_ego, cache_ego)
     model._backward_agg(d_h_agg, cache_agg)
-    l_tot = total_loss(l_ego, l_agg, l_s, cfg.alpha, cfg.beta, mask)
-    return l_ego if "ego" in mask else 0.0, \
-        l_agg if "agg" in mask else 0.0, \
-        l_s if "adj" in mask else 0.0, l_tot
+    return l_ego, l_agg, l_s, total_loss(l_ego, l_agg, l_s, cfg.alpha, cfg.beta, mask)
 
 
 def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
@@ -489,13 +470,12 @@ def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
     p_agg = softmax_rows(views.x_agg)
     adj_mode = cfg.resolve_adj_mode(g.num_nodes)
     neg_rng = np.random.default_rng([cfg.seed, _NEG_TAG])
-    pairs = _directed_pairs(g)
     opt = Adam(model.params, lr=cfg.lr)
 
     trace = np.zeros((cfg.epochs, 4), dtype=np.float64)
     for epoch in range(cfg.epochs):
         l_e, l_a, l_s, l_t = _train_step(model, views, s, g, p_ego, p_agg,
-                                         adj_mode, neg_rng, pairs)
+                                         adj_mode, neg_rng)
         trace[epoch] = (l_e, l_a, l_s, l_t)
         if not np.isfinite(l_t):
             raise TrainingDivergedError(

@@ -287,3 +287,83 @@ def test_version_flag():
     r = run_cli("--version")
     assert r.returncode == 0
     assert "0.1.0" in r.stdout
+
+
+# -- malformed outside input ends in exit 2 and one error line --------------
+
+def _set_meta(ds, **values):
+    meta = json.loads((ds / "meta.json").read_text())
+    meta.update(values)
+    (ds / "meta.json").write_text(json.dumps(meta))
+
+
+def _meta_not_json(ds, tmp):
+    (ds / "meta.json").write_text("{not json")
+    return ["stats", ds], "meta.json"
+
+
+def _num_nodes_not_int(ds, tmp):
+    _set_meta(ds, num_nodes="sixty")
+    return ["stats", ds], "meta.json"
+
+
+def _ragged_features(ds, tmp):
+    rows = (ds / "features.csv").read_text().splitlines()
+    rows[2] = "1.0,2.0"
+    (ds / "features.csv").write_text("\n".join(rows) + "\n")
+    return ["stats", ds], "features.csv"
+
+
+def _non_numeric_features(ds, tmp):
+    rows = (ds / "features.csv").read_text().splitlines()
+    rows[1] = "abc" + rows[1][rows[1].index(","):]
+    (ds / "features.csv").write_text("\n".join(rows) + "\n")
+    return ["stats", ds], "features.csv"
+
+
+def _config_value(value):
+    def case(ds, tmp):
+        (tmp / "cfg.json").write_text(json.dumps(value))
+        return ["embed", ds, "--config", tmp / "cfg.json", "--out", tmp / "o"], "cfg.json"
+    return case
+
+
+def _non_numeric_embedding_csv(ds, tmp):
+    (tmp / "e.csv").write_text("node,e0,e1\n0,1.0,x\n")
+    return ["eval-node", ds, "--embeddings", tmp / "e.csv"], "e.csv"
+
+
+def _pair_embedding_rows(rows):
+    def case(ds, tmp):
+        from mvge.data import save_matrix_binary
+
+        save_matrix_binary(np.ones((rows, 4)), tmp / "h.bin")
+        return ["eval-pair", ds, "--embeddings", tmp / "h.bin", "--repeats", 1], \
+            f"embedding rows {rows} != num_nodes 60"
+    return case
+
+
+MALFORMED = {
+    "meta_not_json": _meta_not_json,
+    "num_nodes_not_int": _num_nodes_not_int,
+    "ragged_features": _ragged_features,
+    "non_numeric_features": _non_numeric_features,
+    "config_epochs_str": _config_value({"epochs": "ten"}),
+    "config_walk_lengths_int": _config_value({"walk_lengths": 5}),
+    "non_numeric_embedding_csv": _non_numeric_embedding_csv,
+    "pair_embedding_rows_10": _pair_embedding_rows(10),
+    "pair_embedding_rows_61": _pair_embedding_rows(61),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_2_without_traceback(tmp_path, synth_dir, case):
+    import shutil
+
+    ds = tmp_path / "ds"
+    shutil.copytree(synth_dir, ds)
+    argv, named = case(ds, tmp_path)
+    r = run_cli(*argv)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and named in r.stderr

@@ -77,6 +77,17 @@ def test_logreg_scores_shape_binary_and_multiclass():
         clf3.binary_scores(x)
 
 
+@pytest.mark.parametrize("label", [0, 1])
+def test_logreg_binary_scores_positive_column(label):
+    x = np.random.default_rng(3).normal(size=(12, 3))
+    clf = LogRegModel().fit(x, (x[:, 0] > 0).astype(np.int64), num_classes=2)
+    z = ((x - clf.mu) / clf.sd) @ clf.weights + clf.bias
+    np.testing.assert_array_equal(clf.binary_scores(x), z[:, 0])
+    # a single-class training set scores every pair by that class
+    clf = LogRegModel().fit(x, np.full(12, label), num_classes=2)
+    assert clf.binary_scores(x).tolist() == [float(label)] * 12
+
+
 def test_logreg_standardization_shift_invariant():
     """Standardizing from train rows makes the probe offset-invariant."""
     rng = np.random.default_rng(3)
@@ -479,6 +490,13 @@ def test_pairwise_eval_single_class_rejected():
     ds = make_dataset(ds.graph, ds.features, np.zeros(20, dtype=np.int64), 1)
     with pytest.raises(ValidationError, match="2 classes"):
         pairwise_eval(ds, fast_cfg(), SplitSpec("pair"), h=np.ones((20, 4)))
+
+
+@pytest.mark.parametrize("rows", [59, 61])
+def test_pairwise_eval_rejects_wrong_row_count(rows):
+    ds = random_dataset(np.random.default_rng(9), n=60, c=3, p_edge=0.1)
+    with pytest.raises(ValidationError, match=f"^embedding rows {rows} != num_nodes 60$"):
+        pairwise_eval(ds, fast_cfg(), SplitSpec("pair", repeats=1), h=np.ones((rows, 3)))
 
 
 def test_pairwise_eval_trains_when_no_embeddings_given():

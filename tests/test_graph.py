@@ -79,11 +79,10 @@ def test_has_edge_mask_on_edgeless_graph():
 
 
 def test_single_node_adjacency_is_identity(single_node):
-    s = normalized_adjacency(single_node)
-    rows, cols, vals = s.triples()
-    assert rows.tolist() == [0]
-    assert cols.tolist() == [0]
-    assert vals.tolist() == [1.0]
+    m = normalized_adjacency(single_node).matrix
+    assert m.indptr.tolist() == [0, 1]
+    assert m.indices.tolist() == [0]
+    assert m.data.tolist() == [1.0]
 
 
 def test_one_edge_adjacency_weights():
@@ -122,18 +121,12 @@ def test_adjacency_row_sum_formula():
         assert sums[v] == pytest.approx(expected)
 
 
-def test_adjacency_matmul_matches_scipy(triangle):
-    s = normalized_adjacency(triangle)
-    x = np.arange(6, dtype=np.float64).reshape(3, 2)
-    assert np.allclose(s @ x, s.matrix @ x)
-
-
 def test_normalized_adjacency_triples_sorted(star5):
-    rows, cols, vals = normalized_adjacency(star5).triples()
-    assert np.all(np.diff(rows) >= 0)
+    m = normalized_adjacency(star5).matrix
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
     same_row = np.diff(rows) == 0
-    assert np.all(np.diff(cols)[same_row] > 0)
-    assert vals.shape == rows.shape == cols.shape
+    assert np.all(np.diff(m.indices)[same_row] > 0)
+    assert m.data.shape == rows.shape == m.indices.shape
 
 
 @given(edge_lists())
@@ -149,6 +142,25 @@ def test_from_edges_roundtrip_properties(ne):
     # degrees consistent with CSR widths
     assert g.degrees.sum() == g.neighbors.size
     assert g.num_edges * 2 == g.neighbors.size
+
+
+@given(edge_lists())
+@settings(max_examples=60, deadline=None)
+def test_cached_edge_arrays_match_references(ne):
+    n, edges = ne
+    g, _ = Graph.from_edges(n, edges)
+    fresh = Graph(g.num_nodes, g.offsets, g.neighbors)
+    np.testing.assert_array_equal(g.sources, np.repeat(np.arange(n), np.diff(g.offsets)))
+    assert not g.sources.flags.writeable
+    dense = np.zeros((n, n))
+    e = g.edge_array()
+    dense[e[:, 0], e[:, 1]] = dense[e[:, 1], e[:, 0]] = 1.0
+    assert g.adjacency.dtype == np.float64
+    np.testing.assert_array_equal(g.adjacency.toarray(), dense)
+    # each cache is built once, and none of them is a dataclass field
+    assert g.sources is g.sources and g.adjacency is g.adjacency
+    assert g._edge_keys is g._edge_keys
+    assert g == fresh and repr(g) == repr(fresh)
 
 
 @given(edge_lists())
