@@ -24,7 +24,7 @@ from mvge.homophily import (
     homophily_report,
 )
 from mvge.synth import SynthSpec, generate_synthetic
-from mvge.walks import WalkConfig, ViewPair, random_walk, walk_aggregate, build_views
+from mvge.walks import WalkConfig, ViewPair, walk_aggregate, build_views
 from mvge.model import MVGEConfig, MVGEModel, train, merge_embeddings, embedding_dim_std
 from mvge.evaluate import (
     SplitSpec,

@@ -98,10 +98,9 @@ def _resolve_config(args: argparse.Namespace) -> MVGEConfig:
         d["walk_lengths"] = tuple(d["walk_lengths"])
         d["task_mask"] = frozenset(d["task_mask"])
         return MVGEConfig(**d)
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:  # a value of the wrong JSON type
-        raise ValidationError(f"bad value in config {args.config}: {exc}") from None
+    except (TypeError, ValueError) as exc:  # ValidationError, or a wrong JSON type
+        where = f"bad value in config {args.config}: " if getattr(args, "config", None) else ""
+        raise ValidationError(f"{where}{exc}") from None
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -193,12 +192,16 @@ def _load_matrix(path: str) -> np.ndarray:
     return load_matrix_binary(p)
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def _load_labeled(args: argparse.Namespace, what: str):
+    """The dataset at ``args.dataset``; ValidationError naming labels.txt if unlabeled."""
     ds = load_dataset(args.dataset)
     if ds.labels is None:
-        raise ValidationError(
-            f"stats needs labels: {Path(args.dataset) / 'labels.txt'} not found"
-        )
+        raise ValidationError(f"{what} needs labels: {Path(args.dataset) / 'labels.txt'} not found")
+    return ds
+
+
+def cmd_stats(args: argparse.Namespace) -> int:
+    ds = _load_labeled(args, "stats")
     report = homophily_report(ds.graph, ds.labels, bins=args.bins)
     if args.local_csv:
         rows = [(v, repr(float(x))) for v, x in enumerate(report.local)]
@@ -245,11 +248,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_node(args: argparse.Namespace) -> int:
-    ds = load_dataset(args.dataset)
-    if ds.labels is None:
-        raise ValidationError(
-            f"node evaluation needs labels: {Path(args.dataset) / 'labels.txt'} not found"
-        )
+    ds = _load_labeled(args, "node evaluation")
     h = _load_matrix(args.embeddings)
     spec = SplitSpec(task="node", train_fraction=args.train_fraction,
                      repeats=args.repeats, seed=_seed_of(args))
@@ -304,11 +303,7 @@ def _write_reports(args: argparse.Namespace, report, cfg: MVGEConfig | None = No
 def cmd_gridsearch(args: argparse.Namespace) -> int:
     started = time.time()
     cfg = _resolve_config(args)
-    ds = load_dataset(args.dataset)
-    if ds.labels is None:
-        raise ValidationError(
-            f"grid search needs labels: {Path(args.dataset) / 'labels.txt'} not found"
-        )
+    ds = _load_labeled(args, "grid search")
     alpha, beta, table = grid_search_alpha_beta(
         ds, cfg, grid_step=args.grid_step, val_fraction=args.val_fraction
     )
@@ -433,10 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.command} requires --out")
     try:
         return args.func(args)
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FloatingPointError as exc:
+    except (TrainingDivergedError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValidationError, OSError) as exc:

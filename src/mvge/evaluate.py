@@ -11,7 +11,7 @@ reproducible end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,10 @@ _PAIR_TAG = 2**32 + 18
 _LINK_MODEL_TAG = 2**32 + 19
 
 _STD_FLOOR = 1e-8
+
+# candidate pairs per block when _sample_pairs enumerates; with fewer than
+# 4 * count kept pairs, its memory is O(count + _PAIR_BLOCK), not O(n^2)
+_PAIR_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,8 @@ class SplitSpec:
             )
         if self.repeats < 1:
             raise ValidationError(f"repeats must be >= 1, got {self.repeats}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -67,13 +73,7 @@ class EvalReport:
     std: float
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "metric": self.metric,
-            "scores": list(self.scores),
-            "mean": self.mean,
-            "std": self.std,
-        }
+        return {**asdict(self), "scores": list(self.scores)}
 
 
 def _make_report(task: str, scores: list[float]) -> EvalReport:
@@ -270,12 +270,15 @@ def _sample_pairs(n: int, count: int, pool: int, kind: str, keep,
     if count == 0:
         return np.empty((0, 2), dtype=np.int64)
     if count * 4 > pool:
-        # dense enough that rejection would crawl; enumerate instead
-        iu, iv = np.triu_indices(n, k=1)
-        mask = keep(iu, iv)
-        iu, iv = iu[mask], iv[mask]
-        pick = rng.choice(iu.size, size=count, replace=False)
-        return np.stack([iu[pick], iv[pick]], axis=1).astype(np.int64)
+        # dense enough that rejection would crawl: enumerate kept pairs u-major, in row blocks
+        rows, kept = max(1, _PAIR_BLOCK // n), []
+        for r0 in range(0, n, rows):
+            iu, iv = np.nonzero(np.arange(n) > np.arange(r0, min(r0 + rows, n))[:, None])
+            iu += r0
+            mask = keep(iu, iv)
+            kept.append(np.stack([iu[mask], iv[mask]], axis=1))
+        kept = np.concatenate(kept)
+        return kept[rng.choice(len(kept), size=count, replace=False)]
     taken: set[int] = set()
     out = np.empty((count, 2), dtype=np.int64)
     got = 0

@@ -34,7 +34,7 @@ from mvge.numerics import (
     spmm,
     spmm_backward,
 )
-from mvge.walks import AGGREGATORS, ViewPair, WalkConfig, build_views
+from mvge.walks import ViewPair, WalkConfig, build_views
 
 MERGE_FNS = ("concat", "sum", "mean")
 TASKS = ("ego", "agg", "adj")
@@ -53,7 +53,8 @@ _ADJ_BLOCK_BYTES = 4 << 20
 # rounds of the sampled-mode negative rejection loop before it gives up
 _NEG_MAX_ROUNDS = 1000
 
-# RNG stream tags >= 2**32 so they can never collide with per-node walk streams
+# default_rng([seed, tag]) stream tags for init, negatives and validation;
+# walks draw from no Generator (they hash seed, node, length and step)
 _INIT_TAG = 2**32 + 1
 _NEG_TAG = 2**32 + 2
 _VAL_TAG = 2**32 + 3
@@ -92,21 +93,24 @@ class MVGEConfig:
     def __post_init__(self):
         object.__setattr__(self, "walk_lengths", tuple(int(x) for x in self.walk_lengths))
         object.__setattr__(self, "task_mask", frozenset(self.task_mask))
-        for name in ("dim_ego", "dim_agg", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
+        for name, low in (("dim_ego", 1), ("dim_agg", 1), ("hidden_dim", 1),
+                          ("epochs", 0), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {v!r}")
+            if v < low:
+                raise ValidationError(f"{name} must be >= {low}, got {v}")
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1], got {v}")
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
         if self.lr <= 0.0:
             raise ValidationError(f"lr must be positive, got {self.lr}")
-        if self.aggr not in AGGREGATORS:
-            raise ValidationError(f"aggr must be one of {AGGREGATORS}, got {self.aggr!r}")
-        if self.merge_fn not in MERGE_FNS:
-            raise ValidationError(f"merge_fn must be one of {MERGE_FNS}, got {self.merge_fn!r}")
+        self.walk_config()  # lengths, aggr and seed
+        for name, choices in (("merge_fn", MERGE_FNS), ("ego_encoder", EGO_ENCODERS),
+                              ("adj_loss_mode", ADJ_LOSS_MODES)):
+            if getattr(self, name) not in choices:
+                raise ValidationError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.merge_fn in ("sum", "mean") and self.dim_ego != self.dim_agg:
             raise ValidationError(
                 f"merge_fn {self.merge_fn!r} needs dim_ego == dim_agg, "
@@ -117,14 +121,6 @@ class MVGEConfig:
             raise ValidationError(f"unknown tasks in task_mask: {sorted(bad)}")
         if not self.task_mask:
             raise ValidationError("task_mask must enable at least one task")
-        if self.ego_encoder not in EGO_ENCODERS:
-            raise ValidationError(
-                f"ego_encoder must be one of {EGO_ENCODERS}, got {self.ego_encoder!r}"
-            )
-        if self.adj_loss_mode not in ADJ_LOSS_MODES:
-            raise ValidationError(
-                f"adj_loss_mode must be one of {ADJ_LOSS_MODES}, got {self.adj_loss_mode!r}"
-            )
         if self.sample_ratio <= 0.0:
             raise ValidationError(f"sample_ratio must be positive, got {self.sample_ratio}")
 
@@ -179,11 +175,10 @@ class MVGEModel:
         rng = np.random.default_rng([cfg.seed, _INIT_TAG])
         h = cfg.hidden_dim
         p: dict[str, Param] = {}
+        p["ego_w1"] = Param(glorot(rng, f_ego, h))
         if cfg.ego_encoder == "linear":
-            p["ego_w1"] = Param(glorot(rng, f_ego, h))
             p["ego_b1"] = Param(np.zeros((1, h)))
         else:
-            p["ego_w1"] = Param(glorot(rng, f_ego, h))
             p["ego_w2"] = Param(glorot(rng, h, h))
         p["ego_skip_w"] = Param(glorot(rng, f_ego + h, cfg.dim_ego))
         p["ego_skip_b"] = Param(np.zeros((1, cfg.dim_ego)))
@@ -440,12 +435,10 @@ def _train_step(model: MVGEModel, views: ViewPair, s: NormalizedAdjacency,
             if cfg.merge_fn == "concat":
                 d_h_ego += d_h_adj[:, :cfg.dim_ego]
                 d_h_agg += d_h_adj[:, cfg.dim_ego:]
-            elif cfg.merge_fn == "sum":
-                d_h_ego += d_h_adj
-                d_h_agg += d_h_adj
             else:
-                d_h_ego += 0.5 * d_h_adj
-                d_h_agg += 0.5 * d_h_adj
+                share = d_h_adj if cfg.merge_fn == "sum" else 0.5 * d_h_adj
+                d_h_ego += share
+                d_h_agg += share
 
     model._backward_ego(d_h_ego, cache_ego)
     model._backward_agg(d_h_agg, cache_agg)

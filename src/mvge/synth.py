@@ -38,6 +38,8 @@ class SynthSpec:
             raise ValidationError("requested degree exceeds the complete graph")
         if self.feature_dim < 1:
             raise ValidationError("feature_dim must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes == 1 and self.target_homophily < 1.0:
             raise ValidationError(
                 "inter-class edges are impossible with a single class"

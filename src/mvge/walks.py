@@ -8,11 +8,14 @@ neighborhood and act as a low-pass filter over the graph.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from mvge.graph import Graph, ValidationError
+
+log = logging.getLogger(__name__)
 
 AGGREGATORS = ("concat", "mean", "sum")
 
@@ -25,8 +28,8 @@ class WalkConfig:
     aggr: how per-length averages combine into one vector. "concat"
         stacks them in ascending length order; "mean" and "sum" reduce
         across lengths and keep the raw feature width.
-    seed: root seed; node v draws from default_rng([seed, v]) so the
-        walk set is independent of iteration order.
+    seed: root seed in [0, 2**64); node v's walks hash it with v, so the
+        walk set is independent of iteration order and of other nodes.
     """
 
     lengths: tuple[int, ...] = (3, 5, 10)
@@ -44,6 +47,8 @@ class WalkConfig:
             raise ValidationError(f"walk lengths must be distinct, got {lengths}")
         if self.aggr not in AGGREGATORS:
             raise ValidationError(f"aggr must be one of {AGGREGATORS}, got {self.aggr!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -54,25 +59,31 @@ class ViewPair:
     x_agg: np.ndarray
 
 
-def random_walk(g: Graph, start: int, length: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample an unbiased walk of ``length`` steps from ``start``.
+def _mix(z: np.ndarray, key) -> np.ndarray:
+    """splitmix64's output function of ``z ^ key``, wrapping mod 2**64."""
+    z = (z ^ np.asarray(key, dtype=np.uint64)) + np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
-    Returns the visited node ids excluding the root itself. A walk from
-    an isolated node is empty; otherwise every node on the walk has at
-    least one neighbor, so the walk always completes all steps.
-    """
-    if not 0 <= start < g.num_nodes:
-        raise ValidationError(f"walk start {start} out of range")
-    if length < 1:
-        raise ValidationError(f"walk length must be >= 1, got {length}")
-    out = np.empty(length, dtype=np.int64)
-    cur = start
-    for i in range(length):
-        nbrs = g.neighbors_of(cur)
-        if nbrs.size == 0:
-            return out[:i].copy()
-        cur = int(nbrs[rng.integers(nbrs.size)])
-        out[i] = cur
+
+def _walks(g: Graph, seed: int, length: int) -> np.ndarray:
+    """Every node's ``length``-step walk, as an (N, length) array of visited nodes.
+
+    Step k of node v picks a neighbor by a splitmix64 hash of (seed, v, length, k)
+    (Steele et al., OOPSLA 2014; counter-based, as in Salmon et al., SC 2011).
+    A walker on an isolated node stays put at its root."""
+    deg = g.degrees
+    out = np.repeat(np.arange(g.num_nodes)[:, None], length, axis=1)
+    cur = roots = np.flatnonzero(deg > 0)
+    keys = _mix(_mix(_mix(np.array([seed], np.uint64), 0), roots), length)
+    for k in range(length):
+        # multiply-shift maps the high 32 bits onto [0, deg), bias <= deg / 2**32
+        pick = ((_mix(keys, k) >> np.uint64(32)) * deg[cur].astype(np.uint64)) >> np.uint64(32)
+        cur = g.neighbors[g.offsets[cur] + pick.astype(np.int64)]
+        out[roots, k] = cur
     return out
 
 
@@ -88,23 +99,22 @@ def walk_aggregate(g: Graph, features: np.ndarray, cfg: WalkConfig) -> np.ndarra
         raise ValidationError(
             f"features must be (num_nodes, F), got {x.shape} for {g.num_nodes} nodes"
         )
-    lengths = sorted(cfg.lengths)
-    n, f = x.shape
-    per_length = np.empty((len(lengths), n, f), dtype=np.float64)
-    for v in range(n):
-        rng = np.random.default_rng([cfg.seed, v])
-        # one stream per node, consumed in ascending length order
-        for li, length in enumerate(lengths):
-            visited = random_walk(g, v, length, rng)
-            if visited.size == 0:
-                per_length[li, v] = x[v]
-            else:
-                per_length[li, v] = x[visited].mean(axis=0)
+    isolated = g.degrees == 0
+    log.debug("walks: %d of %d nodes are isolated and keep their own features",
+              int(isolated.sum()), g.num_nodes)
+    means = []
+    for length in sorted(cfg.lengths):
+        visited = _walks(g, cfg.seed, length)
+        acc = x[visited[:, 0]]
+        for k in range(1, length):
+            acc += x[visited[:, k]]
+        acc /= length
+        acc[isolated] = x[isolated]
+        means.append(acc)
     if cfg.aggr == "concat":
-        return np.concatenate([per_length[li] for li in range(len(lengths))], axis=1)
-    if cfg.aggr == "mean":
-        return per_length.mean(axis=0)
-    return per_length.sum(axis=0)
+        return np.concatenate(means, axis=1)
+    total = sum(means[1:], means[0])
+    return total / len(means) if cfg.aggr == "mean" else total
 
 
 def build_views(g: Graph, features: np.ndarray, cfg: WalkConfig) -> ViewPair:

@@ -343,6 +343,13 @@ def _pair_embedding_rows(rows):
     return case
 
 
+def _eval_node_seed_negative(ds, tmp):
+    from mvge.data import save_matrix_binary
+
+    save_matrix_binary(np.ones((60, 4)), tmp / "h.bin")
+    return ["eval-node", ds, "--embeddings", tmp / "h.bin", "--seed", -1], "seed"
+
+
 MALFORMED = {
     "meta_not_json": _meta_not_json,
     "num_nodes_not_int": _num_nodes_not_int,
@@ -350,6 +357,11 @@ MALFORMED = {
     "non_numeric_features": _non_numeric_features,
     "config_epochs_str": _config_value({"epochs": "ten"}),
     "config_walk_lengths_int": _config_value({"walk_lengths": 5}),
+    "config_epochs_float": _config_value({"epochs": 2.5}),
+    "seed_negative": lambda ds, tmp: (["embed", ds, "--seed", -1, "--out", tmp / "o"], "seed"),
+    "synth_seed_negative": lambda ds, tmp: (
+        ["synth", "--n", 20, "--c", 2, "--h", "0.5", "--seed", -1, "--out", tmp / "s"], "seed"),
+    "eval_node_seed_negative": _eval_node_seed_negative,
     "non_numeric_embedding_csv": _non_numeric_embedding_csv,
     "pair_embedding_rows_10": _pair_embedding_rows(10),
     "pair_embedding_rows_61": _pair_embedding_rows(61),
@@ -367,3 +379,11 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, synth_dir, case):
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ") and named in r.stderr
+
+
+def test_diverged_training_exits_3_without_traceback(synth_dir, tmp_path):
+    r = run_cli("embed", synth_dir, "--epochs", 5, "--lr", "1e300", "--out", tmp_path / "o")
+    assert r.returncode == 3, r.stderr
+    assert "Traceback" not in r.stderr
+    errors = [line for line in r.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: non-finite loss nan at epoch 1"]

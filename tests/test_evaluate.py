@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -318,6 +319,12 @@ def test_link_split_deterministic():
     assert not np.array_equal(a.test_pos, c.test_pos)
 
 
+@pytest.mark.parametrize("task", ["node", "link", "pair"])
+def test_split_spec_rejects_negative_seed(task):
+    with pytest.raises(ValidationError, match="seed"):
+        SplitSpec(task, seed=-1)
+
+
 def test_link_split_complete_graph_rejected():
     g, _ = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     with pytest.raises(ValidationError, match="non-edge"):
@@ -408,10 +415,13 @@ def assert_same_draw(sample, reference, pool, data):
     """Same pairs, same error message and the same RNG state afterwards.
 
     Counts are drawn both below pool / 4 (the rejection loop) and up to
-    pool + 2 (the enumeration fallback and the too-many message)."""
+    pool + 2 (the enumeration fallback and the too-many message). The
+    enumeration's block budget is drawn too, from one row per block to
+    all rows in one."""
     count = data.draw(st.one_of(st.integers(min_value=0, max_value=pool // 4),
                                 st.integers(min_value=0, max_value=pool + 2)))
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    block = data.draw(st.integers(min_value=1, max_value=3000))
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     try:
         want = reference(count, rng_ref)
@@ -420,7 +430,8 @@ def assert_same_draw(sample, reference, pool, data):
             sample(count, rng_new)
         assert str(got.value) == str(e)
         return
-    out = sample(count, rng_new)
+    with patch("mvge.evaluate._PAIR_BLOCK", block):
+        out = sample(count, rng_new)
     assert out.dtype == want.dtype and np.array_equal(out, want)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 

@@ -623,6 +623,22 @@ def test_config_validation_errors():
         MVGEConfig(epochs=-1)
 
 
+@pytest.mark.parametrize("name", ["epochs", "dim_ego", "dim_agg", "hidden_dim", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_config_integer_fields_reject_other_types(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        MVGEConfig(**{name: value})
+    assert getattr(MVGEConfig(**{name: np.int64(3)}), name) == 3
+
+
+def test_config_seed_must_fit_uint64():
+    with pytest.raises(ValidationError, match="seed"):
+        MVGEConfig(seed=-1)
+    with pytest.raises(ValidationError, match="seed"):
+        MVGEConfig(seed=2**64)
+    assert MVGEConfig(seed=2**64 - 1).walk_config().seed == 2**64 - 1
+
+
 def test_config_embedding_dim():
     assert MVGEConfig().embedding_dim == 128
     assert MVGEConfig(merge_fn="sum").embedding_dim == 64

@@ -132,6 +132,11 @@ def test_bad_homophily_range_rejected():
         spec_with(target_homophily=-0.1)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValidationError, match="seed"):
+        spec_with(seed=-1)
+
+
 def test_dataset_name_encodes_parameters():
     ds = generate_synthetic(spec_with(num_nodes=200, target_homophily=0.25))
     assert "0.25" in ds.name and "200" in ds.name
