@@ -3,9 +3,11 @@
 Subcommands: stats, synth, embed, eval-node, eval-link, eval-pair,
 gridsearch, diag. Reports are JSON, tables are CSV with headers, and
 every training subcommand writes a run manifest capturing the fully
-resolved configuration, seed, dataset checksum, tool version, and
-duration. Re-running a command with the same flags and seed rewrites
-primary outputs byte for byte (the manifest differs only in duration).
+resolved configuration, seed, dataset checksum, tool version, the
+environment (python, numpy, scipy, BLAS and its threads, CPUs, adjacency
+loss workers) and duration. Re-running a command with the same flags and
+seed rewrites primary outputs byte for byte (on one machine the manifest
+differs only in duration).
 
 Exit codes: 0 success, 2 usage or validation failure, 3 numerical
 failure during training.
@@ -17,11 +19,13 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from mvge import __version__
 from mvge.data import (
@@ -44,10 +48,12 @@ from mvge.homophily import homophily_report
 from mvge.model import (
     MVGEConfig,
     TrainingDivergedError,
+    adjacency_workers,
     embedding_dim_std,
     grid_search_alpha_beta,
     train,
 )
+from mvge.numerics import blas_info, usable_cpus
 from mvge.synth import SynthSpec, generate_synthetic
 
 EXIT_OK = 0
@@ -172,6 +178,7 @@ def _manifest(command: str, cfg: MVGEConfig | None, seed: int,
         "seed": seed,
         "duration_seconds": time.time() - started,
         "outputs": sorted(outputs),
+        "env": _environment(),
     }
     if cfg is not None:
         m["resolved_config"] = _config_to_dict(cfg)
@@ -183,6 +190,20 @@ def _manifest(command: str, cfg: MVGEConfig | None, seed: int,
     if extra:
         m.update(extra)
     return m
+
+
+def _environment() -> dict:
+    """What the run's speed and threading depend on; outputs do not."""
+    blas, threads = blas_info()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas,
+        "blas_threads": threads,
+        "cpus": usable_cpus(),
+        "adjacency_workers": adjacency_workers(),
+    }
 
 
 def _load_matrix(path: str) -> np.ndarray:

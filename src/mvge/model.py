@@ -15,6 +15,9 @@ Gradients are computed in closed form for this fixed graph; see
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +28,7 @@ from mvge.graph import Graph, NormalizedAdjacency, ValidationError, normalized_a
 from mvge.numerics import (
     Adam,
     Param,
+    blas_info,
     glorot,
     relu,
     relu_backward,
@@ -33,6 +37,7 @@ from mvge.numerics import (
     softplus,
     spmm,
     spmm_backward,
+    usable_cpus,
 )
 from mvge.walks import ViewPair, WalkConfig, build_views
 
@@ -42,13 +47,37 @@ EGO_ENCODERS = ("linear", "gcn")
 ADJ_LOSS_MODES = ("auto", "full", "sampled")
 
 # node count above which "auto" switches the adjacency loss to sampling; full mode
-# needs O(block * N) memory, so this bounds its O(N^2) time per epoch, not memory
-FULL_ADJ_MAX_NODES = 5000
+# needs O(block * N) memory, so this bounds its O(N^2) time per epoch, not memory.
+# train() seconds and node_f1 (10-repeat probe) of the default config at seed 1,
+# 1 BLAS thread (so two full-mode workers), 2-vCPU Xeon VM, on synth graphs with
+# 5 classes, avg degree 4 and 32 features:
+#      N    h   full s  sampled s  full f1  sampled f1
+#   2000  0.2    29.6     23.0     0.3667    0.3678
+#   2000  0.8    26.8     21.9     0.5401    0.5414
+#   3500  0.2    64.8     40.1     0.4156    0.4149
+#   3500  0.8    59.8     40.0     0.5995    0.6002
+#   5000  0.2   100.1     52.1     0.4143    0.4145
+#   5000  0.8    95.3     48.3     0.6339    0.6346
+#   8000  0.2   232.9     87.6     0.4531    0.4534
+#   8000  0.8   224.7     88.7     0.6454    0.6450
+# F1 agrees within 0.0013 throughout, and sampling trains 1.2-1.3x faster at
+# 2000, 1.5-1.6x at 3500, 1.9-2.0x at 5000 and 2.5-2.7x at 8000. The switch
+# sits at 3500, past which sampling saves the most; below it full mode keeps the
+# exact objective where it costs least, cora (2708 nodes) and citeseer (3327)
+# included
+FULL_ADJ_MAX_NODES = 3500
 
-# bytes of the widest float64 strip of H H^T in the full adjacency loss (its
-# rows times N); median ms per call at 1/2/4/8 MB, d=128, 1 BLAS thread, 2 MB
-# L2: 45/44/48/57 at N=1490 and 577/487/473/420 at N=5000
+# per-part budget, in bytes, for the widest float64 strip of H H^T in the full
+# adjacency loss (its rows times N); each of the two parts holds one strip, so a
+# call holds at most two. Median ms per call of the one-part loop at 1/2/4/8 MB,
+# d=128, 1 BLAS thread, 2 MB L2: 45/44/48/57 at N=1490, 577/487/473/420 at
+# N=5000. With two parts on one worker at N=5000, 2 MB gave 542-614 ms against
+# 532-561 ms at 4 MB
 _ADJ_BLOCK_BYTES = 4 << 20
+
+# bytes of the buffer each part takes its |z| and softplus sums through, in
+# row chunks of one strip (at least one row)
+_ADJ_SUMS_BYTES = 256 << 10
 
 # rounds of the sampled-mode negative rejection loop before it gives up
 _NEG_MAX_ROUNDS = 1000
@@ -331,26 +360,30 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
         ah = g.adjacency @ h
         col = h.sum(axis=0)
         block = max(1, _ADJ_BLOCK_BYTES // (8 * n))
-        abs_sum = log_sum = 0.0
+        sums_rows = max(1, _ADJ_SUMS_BYTES // (8 * n))
+        k = _split_row(n, block)
         # d_h = (2 / n^2) (sigmoid(z) - A) H with sigmoid(z) = (1 + tanh(z / 2)) / 2:
-        # t collects tanh(z / 2) H, and the 1 adds col to every row
-        t = np.zeros_like(h)
-        for s0 in range(0, n, block):
-            s1 = min(s0 + block, n)
-            b = s1 - s0
-            # z is symmetric: strip [s0, s1) x [s0, n) scores each unordered pair
-            # once; its diagonal tile counts once and the rest twice
-            z = h[s0:s1] @ h[s0:].T
-            e = np.abs(z)
-            abs_sum += 2.0 * e.sum() - e[:, :b].sum()
-            np.negative(e, out=e)
-            np.exp(e, out=e)
-            np.log1p(e, out=e)
-            log_sum += 2.0 * e.sum() - e[:, :b].sum()
-            z *= 0.5
-            np.tanh(z, out=z)
-            t[s0:s1] += z @ h[s0:]
-            t[s1:] += z[:, b:].T @ h[s0:s1]
+        # t collects tanh(z / 2) H, and the 1 adds col to every row. Each part gets
+        # its own buffers, all allocated here so that no worker thread keeps freed
+        # strips in an arena of its own
+        t, t_b = np.zeros_like(h), np.zeros_like(h)
+        part_a, part_b = (
+            (h, lo, hi, block, np.empty(min(block, hi - lo) * (n - lo)),
+             np.empty(sums_rows * n), np.empty((n - lo, h.shape[1])), t_part)
+            for lo, hi, t_part in ((0, k, t), (k, n, t_b)))
+        if adjacency_workers() == 2:
+            # numpy's errstate is context-local; the worker runs in a copy of ours
+            future = _pool().submit(contextvars.copy_context().run, _adjacency_part, *part_b)
+            try:
+                abs_a, log_a = _adjacency_part(*part_a)
+            finally:
+                abs_b, log_b = future.result()
+        else:
+            abs_a, log_a = _adjacency_part(*part_a)
+            abs_b, log_b = _adjacency_part(*part_b)
+        # A's results before B's, so the bits do not depend on the worker count
+        t += t_b
+        abs_sum, log_sum = abs_a + abs_b, log_a + log_b
         loss = (0.5 * (col @ col + abs_sum) + log_sum - (h * ah).sum()) / (n * n)
         t += col
         t -= 2.0 * ah
@@ -396,6 +429,76 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
         shape=(n, n),
     )
     return float(loss), coef @ h
+
+
+def _adjacency_part(h, lo, hi, block, strip, chunk_buf, prod, t):
+    """Row strips [lo, hi) of the upper triangle of z = H H^T, each at most
+    ``block`` rows: returns the sums of |z| and of log1p(exp(-|z|)) over the
+    unordered node pairs they hold, and adds tanh(z / 2) H into ``t``. Writes
+    only into the buffers it is given, so that it can run on a worker thread."""
+    n = h.shape[0]
+    abs_sum = log_sum = 0.0
+    for s0 in range(lo, hi, block):
+        s1 = min(s0 + block, hi)
+        b, w = s1 - s0, n - s0
+        # z is symmetric: strip [s0, s1) x [s0, n) scores each unordered pair
+        # once; its diagonal tile counts once and the rest twice
+        z = strip[:b * w].reshape(b, w)
+        np.matmul(h[s0:s1], h[s0:].T, out=z)
+        step = chunk_buf.size // w
+        for r0 in range(0, b, step):
+            e = chunk_buf[:min(step, b - r0) * w].reshape(-1, w)
+            np.abs(z[r0:r0 + step], out=e)
+            abs_sum += 2.0 * e.sum() - e[:, :b].sum()
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            np.log1p(e, out=e)
+            log_sum += 2.0 * e.sum() - e[:, :b].sum()
+        z *= 0.5
+        np.tanh(z, out=z)
+        t[s0:s1] += np.matmul(z, h[s0:], out=prod[:b])
+        t[s1:] += np.matmul(z[:, b:].T, h[s0:s1], out=prod[:n - s1])
+    return abs_sum, log_sum
+
+
+def _split_row(n: int, block: int) -> int:
+    """The first row of part B: the k in [0, n] at which the strip cost
+    sum b * (n - s0) of rows [0, k) and of rows [k, n) is most even, near
+    n (1 - 1/sqrt 2). It depends on n and the strip height only."""
+    def cost(lo, hi):
+        return sum(min(block, hi - s0) * (n - s0) for s0 in range(lo, hi, block))
+
+    lo, hi = 0, n
+    while lo < hi:  # the first k where A costs at least B; A grows with k, B shrinks
+        mid = (lo + hi) // 2
+        if cost(0, mid) < cost(mid, n):
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo > 0 and max(cost(0, lo - 1), cost(lo - 1, n)) <= max(cost(0, lo), cost(lo, n)):
+        return lo - 1
+    return lo
+
+
+def adjacency_workers() -> int:
+    """Threads the full-mode adjacency loss runs on: 2 only when the loaded
+    BLAS reports exactly one thread and the process may use 2 or more CPUs,
+    else 1. Two workers over a multi-threaded BLAS oversubscribe the cores."""
+    return 2 if blas_info()[1] == 1 and usable_cpus() >= 2 else 1
+
+
+_POOL: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The one worker thread of part B, made on first use. A pool inherited
+    across fork has no live thread, so a new process id gets a new pool. Two
+    threads racing here may each make one; the pool that is not kept is
+    collected, and its thread exits."""
+    global _POOL
+    if _POOL is None or _POOL[0] != os.getpid():
+        _POOL = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="mvge-adjacency"))
+    return _POOL[1]
 
 
 def total_loss(l_ego: float, l_agg: float, l_s: float,
@@ -466,17 +569,20 @@ def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
     opt = Adam(model.params, lr=cfg.lr)
 
     trace = np.zeros((cfg.epochs, 4), dtype=np.float64)
-    for epoch in range(cfg.epochs):
-        l_e, l_a, l_s, l_t = _train_step(model, views, s, g, p_ego, p_agg,
-                                         adj_mode, neg_rng)
-        trace[epoch] = (l_e, l_a, l_s, l_t)
-        if not np.isfinite(l_t):
-            raise TrainingDivergedError(
-                epoch, f"non-finite loss {l_t!r} at epoch {epoch}"
-            )
-        opt.step()
+    # a diverging run overflows before its loss turns non-finite; the checks
+    # below raise for it, so numpy's warnings would only repeat them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            l_e, l_a, l_s, l_t = _train_step(model, views, s, g, p_ego, p_agg,
+                                             adj_mode, neg_rng)
+            trace[epoch] = (l_e, l_a, l_s, l_t)
+            if not np.isfinite(l_t):
+                raise TrainingDivergedError(
+                    epoch, f"non-finite loss {l_t!r} at epoch {epoch}"
+                )
+            opt.step()
 
-    emb = model.embeddings(views, s)
+        emb = model.embeddings(views, s)
     if not (np.isfinite(emb.h).all() and np.isfinite(emb.h_ego).all()
             and np.isfinite(emb.h_agg).all()):
         raise TrainingDivergedError(cfg.epochs, "non-finite embeddings after training")

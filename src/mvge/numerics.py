@@ -1,5 +1,6 @@
 """Dense layer primitives with explicit backward rules, the Adam
-optimizer, and finite-difference gradient checking.
+optimizer, finite-difference gradient checking, and readers of the BLAS
+threads and CPUs a process may use.
 
 All matrices are float64 numpy arrays. The backward pass is written
 per operation for the fixed network rather than through a general
@@ -8,7 +9,11 @@ autodiff tape.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +41,45 @@ class Param:
 def child_seed(seed: int, *key: int) -> int:
     """Derive an independent integer seed from a root seed and a key path."""
     return int(np.random.SeedSequence([int(seed), *map(int, key)]).generate_state(1)[0])
+
+
+@functools.cache
+def _openblas():
+    """(file name, thread-count getter) of the first loaded OpenBLAS that has
+    a getter, in path order, or (None, None). In a wheel install numpy's own
+    copy (numpy.libs) sorts before scipy's (scipy.libs)."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None, None
+    libs = {line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}
+    for lib in sorted(libs):
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:  # a mapping whose file is gone, "... (deleted)"
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(dll, sym, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return Path(lib).name, fn
+    return None, None
+
+
+def blas_info() -> tuple[str | None, int | None]:
+    """Name of the loaded OpenBLAS library and the threads it runs now, asked
+    of the library itself; (None, None) when none is found."""
+    name, get_threads = _openblas()
+    return name, None if get_threads is None else int(get_threads())
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, exit codes, artifacts, replay."""
 
 import json
+import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from mvge.data import load_matrix_binary, load_matrix_csv
+from mvge.model import adjacency_workers
+from mvge.numerics import blas_info, usable_cpus
 
 
 def run_cli(*args, cwd=None):
@@ -141,6 +146,45 @@ def test_embed_manifest_resolved_config(embed_run):
     assert cfg["seed"] == 3
     assert manifest["outputs"]
     assert manifest["duration_seconds"] >= 0.0
+
+
+# each manifest env field against the same reader run in this process, which
+# inherits the same environment as the CLI child
+MANIFEST_ENV = {
+    "python": platform.python_version,
+    "numpy": lambda: np.__version__,
+    "scipy": lambda: scipy.__version__,
+    "blas": lambda: blas_info()[0],
+    "blas_threads": lambda: blas_info()[1],
+    "cpus": usable_cpus,
+    "adjacency_workers": adjacency_workers,
+}
+
+
+def test_embed_manifest_env_fields(embed_run):
+    manifest = json.loads((embed_run / "run_manifest.json").read_text())
+    assert sorted(manifest["env"]) == sorted(MANIFEST_ENV)
+
+
+@pytest.mark.parametrize("field", sorted(MANIFEST_ENV))
+def test_embed_manifest_env_value(embed_run, field):
+    manifest = json.loads((embed_run / "run_manifest.json").read_text())
+    assert manifest["env"][field] == MANIFEST_ENV[field]()
+
+
+def test_manifest_env_follows_blas_thread_pin(tmp_path, synth_dir):
+    if blas_info()[1] is None:
+        pytest.skip("no OpenBLAS thread count to pin")
+    out = tmp_path / "pinned"
+    r = subprocess.run(
+        [sys.executable, "-m", "mvge", "embed", str(synth_dir), "--epochs", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert r.returncode == 0, r.stderr
+    env = json.loads((out / "run_manifest.json").read_text())["env"]
+    assert env["blas_threads"] == 1
+    assert env["adjacency_workers"] == (2 if env["cpus"] >= 2 else 1)
 
 
 def test_embed_byte_identical_rerun(tmp_path, synth_dir, embed_run):
@@ -387,3 +431,9 @@ def test_diverged_training_exits_3_without_traceback(synth_dir, tmp_path):
     assert "Traceback" not in r.stderr
     errors = [line for line in r.stderr.splitlines() if line.startswith("error:")]
     assert errors == ["error: non-finite loss nan at epoch 1"]
+
+
+def test_diverged_training_prints_no_numpy_warnings(synth_dir, tmp_path):
+    r = run_cli("embed", synth_dir, "--epochs", 5, "--lr", "1e300", "--out", tmp_path / "o")
+    assert r.returncode == 3, r.stderr
+    assert "RuntimeWarning" not in r.stderr

@@ -1,11 +1,15 @@
 """Encoders, losses, training loop, and the alpha/beta grid search."""
 
 import dataclasses
+import multiprocessing
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mvge.model
@@ -392,9 +396,123 @@ def test_full_adjacency_peak_allocation_is_block_sized():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # two live strips (z and its scratch) plus the next z as it is computed,
-    # and a few N x d arrays; the dense N x N matrix alone would be 32 MB
+    # one strip per part, each part's sums buffer, and a few N x d arrays;
+    # the dense N x N matrix alone would be 32 MB
     assert peak <= 3 * mvge.model._ADJ_BLOCK_BYTES + 4 * h.nbytes < 8 * n * n
+
+
+def test_full_adjacency_peak_allocation_is_block_sized_on_two_workers(monkeypatch):
+    force_workers(monkeypatch, 2)
+    test_full_adjacency_peak_allocation_is_block_sized()
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(mvge.model, "adjacency_workers", lambda: workers)
+
+
+@given(edge_lists(max_nodes=40, max_edges=80),
+       st.integers(min_value=1, max_value=41),
+       st.integers(min_value=1, max_value=41),
+       st.integers(min_value=0, max_value=2 ** 16))
+@example(graph=(1, []), rows=1, sums_rows=1, seed=0)  # part A is empty
+@example(graph=(12, []), rows=5, sums_rows=1, seed=1)  # edgeless
+@example(graph=(10, [(0, 3), (3, 4), (4, 9), (1, 3)]), rows=3, sums_rows=2, seed=2)  # isolated
+@settings(max_examples=80, deadline=None)
+def test_full_adjacency_same_bits_on_one_or_two_workers(graph, rows, sums_rows, seed):
+    n, edges = graph
+    g, _ = Graph.from_edges(n, edges)
+    h = np.random.default_rng(seed).normal(size=(n, 4))
+    got = []
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            set_block_rows(mp, n, rows)
+            mp.setattr(mvge.model, "_ADJ_SUMS_BYTES", 8 * n * sums_rows)
+            force_workers(mp, workers)
+            got.append(mvge.model._adjacency_terms(h, g, "full"))
+    assert got[0][0] == got[1][0]
+    assert got[0][1].tobytes() == got[1][1].tobytes()
+    want = dense_adjacency_oracle(h, g)
+    for terms in got:
+        assert_adjacency_matches(terms, want)
+
+
+@pytest.mark.parametrize("threads", [None, 1, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_adjacency_workers_two_only_at_one_blas_thread_and_two_cpus(monkeypatch, threads, cpus):
+    monkeypatch.setattr(mvge.model, "blas_info", lambda: ("libopenblas.so", threads))
+    monkeypatch.setattr(mvge.model, "usable_cpus", lambda: cpus)
+    want = 2 if threads == 1 and cpus >= 2 else 1
+    assert mvge.model.adjacency_workers() == want
+
+
+def test_full_adjacency_concurrent_callers_share_the_worker(monkeypatch):
+    # more calling threads than cores, switching often, through a pool made
+    # under the race; each must get the bits of a lone call
+    force_workers(monkeypatch, 2)
+    g = ADJ_GRAPHS["random"]()
+    h = np.random.default_rng(29).normal(size=(10, 5))
+    set_block_rows(monkeypatch, 10, 2)
+    want = mvge.model._adjacency_terms(h, g, "full")
+    monkeypatch.setattr(mvge.model, "_POOL", None)
+    got = []
+
+    def call():
+        for _ in range(50):
+            got.append(mvge.model._adjacency_terms(h, g, "full"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 200
+    assert all(loss == want[0] and d_h.tobytes() == want[1].tobytes() for loss, d_h in got)
+
+
+def _train_digest(ds, cfg, conn):
+    _, emb, _ = train(ds, cfg)
+    conn.send(emb.h.tobytes())
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_trains_on_two_workers_after_parent_did(monkeypatch):
+    force_workers(monkeypatch, 2)
+    ds = random_dataset(np.random.default_rng(27), n=30, p_edge=0.2)
+    cfg = toy_cfg(epochs=3, adj_loss_mode="full")
+    _, emb, _ = train(ds, cfg)  # starts the worker thread in this process
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_train_digest, args=(ds, cfg, send))
+    child.start()
+    send.close()
+    try:
+        # a pool inherited across fork has no live thread: submit would hang
+        assert recv.poll(60), "forked child did not finish training within 60 s"
+        assert recv.recv() == emb.h.tobytes()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+
+
+def test_diverging_train_on_two_workers_warns_nothing(monkeypatch):
+    force_workers(monkeypatch, 2)
+    ds = random_dataset(np.random.default_rng(28), n=30, p_edge=0.2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingDivergedError):
+            train(ds, toy_cfg(epochs=5, lr=1e300, adj_loss_mode="full"))
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("mode", ["auto", "full"])

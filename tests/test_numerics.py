@@ -1,5 +1,9 @@
 """Dense/sparse ops, activations, Adam, and the gradient checker."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from mvge.graph import Graph, normalized_adjacency
 from mvge.numerics import (
     Adam,
     Param,
+    blas_info,
     child_seed,
     glorot,
     grad_check,
@@ -18,6 +23,7 @@ from mvge.numerics import (
     softplus,
     spmm,
     spmm_backward,
+    usable_cpus,
 )
 
 from conftest import feature_matrices
@@ -228,3 +234,28 @@ def test_grad_check_restores_gradients():
 
     grad_check(loss, {"w": p})
     assert np.allclose(p.grad, p.value)
+
+
+# -- environment readers -----------------------------------------------------
+
+def test_blas_info_names_the_loaded_openblas():
+    name, threads = blas_info()
+    if name is None:
+        pytest.skip("no OpenBLAS loaded")
+    assert "openblas" in name.lower()
+    assert threads >= 1
+
+
+def test_blas_info_reads_the_thread_pin():
+    if blas_info()[1] is None:
+        pytest.skip("no OpenBLAS loaded")
+    r = subprocess.run(
+        [sys.executable, "-c", "from mvge.numerics import blas_info; print(blas_info()[1])"],
+        capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "1"
+
+
+def test_usable_cpus_within_cpu_count():
+    assert 1 <= usable_cpus() <= (os.cpu_count() or 1)
