@@ -7,7 +7,7 @@ ships the homophily diagnostics, synthetic-graph generator, and
 downstream evaluation protocols that go with them.
 """
 
-from mvge.graph import Graph, NormalizedAdjacency, normalized_adjacency
+from mvge.graph import Graph, normalized_adjacency
 from mvge.data import (
     Dataset,
     EmbeddingSet,

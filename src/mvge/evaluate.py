@@ -31,8 +31,8 @@ _LINK_MODEL_TAG = 2**32 + 19
 
 _STD_FLOOR = 1e-8
 
-# candidate pairs per block when _sample_pairs enumerates; with fewer than
-# 4 * count kept pairs, its memory is O(count + _PAIR_BLOCK), not O(n^2)
+# candidate pairs per block of kept_pairs, which the samplers here and in
+# mvge.synth enumerate through when rejection would crawl
 _PAIR_BLOCK = 1 << 20
 
 
@@ -261,6 +261,19 @@ class LinkSplit:
     test_neg: np.ndarray
 
 
+def kept_pairs(n: int, keep) -> np.ndarray:
+    """Every pair u < v of n >= 1 nodes with ``keep(u, v)`` true, u-major, as
+    shape (k, 2). The candidates go through ``keep`` in row blocks of about
+    ``_PAIR_BLOCK`` pairs, so memory is O(k + _PAIR_BLOCK), not O(n^2)."""
+    rows, kept = max(1, _PAIR_BLOCK // n), []
+    for r0 in range(0, n, rows):
+        iu, iv = np.nonzero(np.arange(n) > np.arange(r0, min(r0 + rows, n))[:, None])
+        iu += r0
+        mask = keep(iu, iv)
+        kept.append(np.stack([iu[mask], iv[mask]], axis=1))
+    return np.concatenate(kept)
+
+
 def _sample_pairs(n: int, count: int, pool: int, kind: str, keep,
                   rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` distinct unordered pairs u < v with ``keep(u, v)`` true,
@@ -270,14 +283,8 @@ def _sample_pairs(n: int, count: int, pool: int, kind: str, keep,
     if count == 0:
         return np.empty((0, 2), dtype=np.int64)
     if count * 4 > pool:
-        # dense enough that rejection would crawl: enumerate kept pairs u-major, in row blocks
-        rows, kept = max(1, _PAIR_BLOCK // n), []
-        for r0 in range(0, n, rows):
-            iu, iv = np.nonzero(np.arange(n) > np.arange(r0, min(r0 + rows, n))[:, None])
-            iu += r0
-            mask = keep(iu, iv)
-            kept.append(np.stack([iu[mask], iv[mask]], axis=1))
-        kept = np.concatenate(kept)
+        # dense enough that rejection would crawl: pick among all kept pairs
+        kept = kept_pairs(n, keep)
         return kept[rng.choice(len(kept), size=count, replace=False)]
     taken: set[int] = set()
     out = np.empty((count, 2), dtype=np.int64)

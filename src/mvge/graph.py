@@ -158,25 +158,15 @@ class Graph:
         return (keys[idx] == q) & (u != v)
 
 
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Sparse operator D^{-1/2} (A + I) D^{-1/2} with D = deg + 1.
-
-    Stored as a scipy CSR matrix with sorted indices, so the (row, col,
+def normalized_adjacency(g: Graph) -> sp.csr_matrix:
+    """The symmetrically normalized operator D^{-1/2} (A + I) D^{-1/2} with
+    D = deg + 1, as a CSR matrix with sorted indices, so the (row, col,
     weight) triples have a deterministic order.
-    """
-
-    matrix: sp.csr_matrix
-
-
-def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
-    """Build the symmetrically normalized operator over A + I.
 
     Isolated nodes get only the diagonal entry with weight 1.
     """
     a_tilde = g.adjacency + sp.identity(g.num_nodes, dtype=np.float64, format="csr")
     dinv = 1.0 / np.sqrt(g.degrees + 1.0)
-    s = sp.diags(dinv) @ a_tilde @ sp.diags(dinv)
-    s = sp.csr_matrix(s)
+    s = sp.csr_matrix(sp.diags(dinv) @ a_tilde @ sp.diags(dinv))
     s.sort_indices()
-    return NormalizedAdjacency(s)
+    return s

@@ -24,14 +24,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from mvge.data import Dataset, EmbeddingSet
-from mvge.graph import Graph, NormalizedAdjacency, ValidationError, normalized_adjacency
+from mvge.graph import Graph, ValidationError, normalized_adjacency
 from mvge.numerics import (
     Adam,
     Param,
     blas_info,
     glorot,
-    relu,
-    relu_backward,
     sigmoid,
     softmax_rows,
     softplus,
@@ -221,18 +219,18 @@ class MVGEModel:
         p["dec_agg_b"] = Param(np.zeros((1, f_agg)))
         self.params = p
 
-    def encode_ego(self, x: np.ndarray, s: NormalizedAdjacency | None = None):
+    def encode_ego(self, x: np.ndarray, s: sp.csr_matrix | None = None):
         """Forward the raw-feature branch; returns (h_ego, cache)."""
         return self._encode("ego", x, s)
 
-    def encode_agg(self, x_agg: np.ndarray, s: NormalizedAdjacency):
+    def encode_agg(self, x_agg: np.ndarray, s: sp.csr_matrix):
         """Forward the walk-feature branch; returns (h_agg, cache)."""
         return self._encode("agg", x_agg, s)
 
     def _is_linear(self, name: str) -> bool:
         return name == "ego" and self.cfg.ego_encoder == "linear"
 
-    def _encode(self, name: str, x: np.ndarray, s: NormalizedAdjacency | None):
+    def _encode(self, name: str, x: np.ndarray, s: sp.csr_matrix | None):
         """One branch: a linear layer or two graph convolutions, then a dense
         skip layer over [x, inner]; returns (h, cache)."""
         p = self.params
@@ -241,21 +239,21 @@ class MVGEModel:
             raise ValidationError(f"expected {f} {name} features, got {x.shape[1]}")
         if self._is_linear(name):
             a1 = x @ p["ego_w1"].value + p["ego_b1"].value
-            inner = relu(a1)
+            inner = np.maximum(a1, 0.0)
             cache = {"x": x, "a1": a1}
         else:
             if s is None:
                 raise ValidationError(f"gcn {name} encoder needs the normalized adjacency")
             s1 = spmm(s, x @ p[f"{name}_w1"].value)
-            g1 = relu(s1)
+            g1 = np.maximum(s1, 0.0)
             s2 = spmm(s, g1 @ p[f"{name}_w2"].value)
-            inner = relu(s2)
+            inner = np.maximum(s2, 0.0)
             cache = {"x": x, "s1": s1, "g1": g1, "s2": s2, "s_op": s}
         cache["c"] = np.concatenate([x, inner], axis=1)
         h = cache["c"] @ p[f"{name}_skip_w"].value + p[f"{name}_skip_b"].value
         return h, cache
 
-    def embeddings(self, views: ViewPair, s: NormalizedAdjacency) -> EmbeddingSet:
+    def embeddings(self, views: ViewPair, s: sp.csr_matrix) -> EmbeddingSet:
         h_ego, _ = self.encode_ego(views.x_ego, s)
         h_agg, _ = self.encode_agg(views.x_agg, s)
         return EmbeddingSet(
@@ -276,15 +274,15 @@ class MVGEModel:
         p[f"{name}_skip_b"].grad += d_h.sum(axis=0, keepdims=True)
         d_inner = (d_h @ skip_w.value.T)[:, cache["x"].shape[1]:]
         if self._is_linear(name):
-            d_a1 = relu_backward(d_inner, cache["a1"])
+            d_a1 = d_inner * (cache["a1"] > 0.0)
             p["ego_w1"].grad += cache["x"].T @ d_a1
             p["ego_b1"].grad += d_a1.sum(axis=0, keepdims=True)
             return
-        d_s2 = relu_backward(d_inner, cache["s2"])
+        d_s2 = d_inner * (cache["s2"] > 0.0)
         d_b2 = spmm_backward(cache["s_op"], d_s2)
         p[f"{name}_w2"].grad += cache["g1"].T @ d_b2
         d_g1 = d_b2 @ p[f"{name}_w2"].value.T
-        d_s1 = relu_backward(d_g1, cache["s1"])
+        d_s1 = d_g1 * (cache["s1"] > 0.0)
         d_b1 = spmm_backward(cache["s_op"], d_s1)
         p[f"{name}_w1"].grad += cache["x"].T @ d_b1
 
@@ -511,7 +509,7 @@ def total_loss(l_ego: float, l_agg: float, l_s: float,
     return beta * (alpha * e + (1.0 - alpha) * a) + (1.0 - beta) * s
 
 
-def _train_step(model: MVGEModel, views: ViewPair, s: NormalizedAdjacency,
+def _train_step(model: MVGEModel, views: ViewPair, s: sp.csr_matrix,
                 g: Graph, p_ego: np.ndarray, p_agg: np.ndarray,
                 adj_mode: str, neg_rng: np.random.Generator):
     """One forward/backward pass; gradients are left in model.params."""

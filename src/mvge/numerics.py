@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-from mvge.graph import NormalizedAdjacency
+import scipy.sparse as sp
 
 
 @dataclass
@@ -88,24 +87,13 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def spmm(s: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
+def spmm(s: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """Sparse-dense product Y[v] = sum_u w(v, u) X[u]."""
-    if s.matrix.shape[1] != x.shape[0]:
-        raise ValueError(f"spmm shape mismatch: {s.matrix.shape} x {x.shape}")
-    return s.matrix @ x
+    return s @ x
 
 
-def spmm_backward(s: NormalizedAdjacency, d_out: np.ndarray) -> np.ndarray:
-    # the operator is symmetric, so S^T dY == S dY
-    return s.matrix @ d_out
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def relu_backward(d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return d_out * (x > 0.0)
+# the operator is symmetric, so S^T dY == S dY
+spmm_backward = spmm
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

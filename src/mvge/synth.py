@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvge.data import Dataset
+from mvge.evaluate import kept_pairs
 from mvge.graph import Graph, ValidationError
 
 
@@ -55,14 +56,15 @@ def _sample_pairs(
     budget: int,
     labels: np.ndarray,
     intra: bool,
-    taken: set[tuple[int, int]],
-) -> list[tuple[int, int]]:
-    """Draw ``budget`` new node pairs of one edge type.
+) -> np.ndarray:
+    """Draw ``budget`` distinct node pairs u < v of one edge type, shape
+    (budget, 2).
 
     Rejection sampling: pick u uniformly, then v uniformly among valid
-    partners, retrying on self-pairs and already-taken pairs. Falls back
-    to exhaustive enumeration when the remaining pool is small relative
-    to the budget, which keeps near-saturated specs from spinning.
+    partners, retrying on self-pairs and already-drawn pairs. Falls back
+    to exhaustive enumeration when the pool is small relative to the
+    budget, which keeps near-saturated specs from spinning. Intra and
+    inter pairs never coincide, so the two calls need no shared record.
     """
     n = len(labels)
     by_class = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
@@ -77,18 +79,11 @@ def _sample_pairs(
         )
 
     if budget * 4 > pool:
-        # dense fallback: enumerate every candidate pair of this type
-        u, v = np.triu_indices(n, k=1)
-        mask = (labels[u] == labels[v]) == intra
-        cands = list(zip(u[mask].tolist(), v[mask].tolist()))
-        cands = [p for p in cands if p not in taken]
-        picked = rng.permutation(len(cands))[:budget]
-        out = [cands[i] for i in picked]
-        taken.update(out)
-        return out
+        cands = kept_pairs(n, lambda u, v: (labels[u] == labels[v]) == intra)
+        return cands[rng.permutation(len(cands))[:budget]]
 
-    out: list[tuple[int, int]] = []
-    while len(out) < budget:
+    taken: set[tuple[int, int]] = set()
+    while len(taken) < budget:
         u = int(rng.integers(n))
         mates = by_class[labels[u]]
         if intra:
@@ -99,14 +94,9 @@ def _sample_pairs(
             v = int(rng.integers(n))
             if labels[v] == labels[u]:
                 continue
-        if u == v:
-            continue
-        pair = (min(u, v), max(u, v))
-        if pair in taken:
-            continue
-        taken.add(pair)
-        out.append(pair)
-    return out
+        if u != v:
+            taken.add((min(u, v), max(u, v)))
+    return np.array(sorted(taken), dtype=np.int64).reshape(-1, 2)
 
 
 def generate_synthetic(spec: SynthSpec) -> Dataset:
@@ -124,10 +114,9 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
 
     m = spec.num_edges
     intra_flags = rng.random(m) < spec.target_homophily
-    taken: set[tuple[int, int]] = set()
-    pairs = _sample_pairs(rng, int(intra_flags.sum()), labels, True, taken)
-    pairs += _sample_pairs(rng, int((~intra_flags).sum()), labels, False, taken)
-    graph, _ = Graph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    pairs = np.concatenate([_sample_pairs(rng, int(intra_flags.sum()), labels, True),
+                            _sample_pairs(rng, int((~intra_flags).sum()), labels, False)])
+    graph, _ = Graph.from_edges(n, pairs)
 
     means = np.zeros((c, f))
     means[np.arange(c), np.arange(c) % f] = spec.class_separation

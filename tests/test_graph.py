@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mvge.graph import (
     Graph,
-    NormalizedAdjacency,
     ValidationError,
     canonicalize_edges,
     normalized_adjacency,
@@ -79,7 +78,7 @@ def test_has_edge_mask_on_edgeless_graph():
 
 
 def test_single_node_adjacency_is_identity(single_node):
-    m = normalized_adjacency(single_node).matrix
+    m = normalized_adjacency(single_node)
     assert m.indptr.tolist() == [0, 1]
     assert m.indices.tolist() == [0]
     assert m.data.tolist() == [1.0]
@@ -88,7 +87,7 @@ def test_single_node_adjacency_is_identity(single_node):
 def test_one_edge_adjacency_weights():
     g, _ = Graph.from_edges(2, [(0, 1)])
     s = normalized_adjacency(g)
-    dense = s.matrix.toarray()
+    dense = s.toarray()
     # both nodes have degree 1, every entry is 1/(1+1)
     assert np.allclose(dense, 0.5)
 
@@ -96,7 +95,7 @@ def test_one_edge_adjacency_weights():
 def test_path_adjacency_off_diagonal():
     g, _ = Graph.from_edges(3, [(0, 1), (1, 2)])
     s = normalized_adjacency(g)
-    dense = s.matrix.toarray()
+    dense = s.toarray()
     # deg(0)=1, deg(1)=2 so the 0-1 weight is 1/sqrt(2*3)
     assert dense[0, 1] == pytest.approx(1.0 / np.sqrt(6.0))
     assert dense[1, 0] == pytest.approx(1.0 / np.sqrt(6.0))
@@ -105,7 +104,7 @@ def test_path_adjacency_off_diagonal():
 
 def test_regular_graph_rows_sum_to_one(triangle):
     s = normalized_adjacency(triangle)
-    sums = np.asarray(s.matrix.sum(axis=1)).ravel()
+    sums = np.asarray(s.sum(axis=1)).ravel()
     assert np.allclose(sums, 1.0)
 
 
@@ -113,7 +112,7 @@ def test_adjacency_row_sum_formula():
     g, _ = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     s = normalized_adjacency(g)
     deg = g.degrees.astype(np.float64)
-    sums = np.asarray(s.matrix.sum(axis=1)).ravel()
+    sums = np.asarray(s.sum(axis=1)).ravel()
     for v in range(4):
         expected = 1.0 / (deg[v] + 1.0)
         for u in g.neighbors_of(v):
@@ -122,7 +121,7 @@ def test_adjacency_row_sum_formula():
 
 
 def test_normalized_adjacency_triples_sorted(star5):
-    m = normalized_adjacency(star5).matrix
+    m = normalized_adjacency(star5)
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
     same_row = np.diff(rows) == 0
     assert np.all(np.diff(m.indices)[same_row] > 0)
@@ -168,7 +167,7 @@ def test_cached_edge_arrays_match_references(ne):
 def test_normalized_adjacency_symmetric(ne):
     n, edges = ne
     g, _ = Graph.from_edges(n, edges)
-    m = normalized_adjacency(g).matrix
+    m = normalized_adjacency(g)
     assert (abs(m - m.T) > 1e-12).nnz == 0
     assert np.allclose(m.diagonal(), 1.0 / (g.degrees + 1.0))
 

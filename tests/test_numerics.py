@@ -16,8 +16,6 @@ from mvge.numerics import (
     child_seed,
     glorot,
     grad_check,
-    relu,
-    relu_backward,
     sigmoid,
     softmax_rows,
     softplus,
@@ -44,11 +42,6 @@ def test_spmm_single_edge_averages():
     out = spmm(s, np.array([[1.0], [3.0]]))
     # every weight is 1/2, so both rows become (1+3)/2
     assert np.allclose(out, [[2.0], [2.0]])
-
-
-def test_relu_clamps_negatives():
-    x = np.array([[-1.0, 0.0, 2.5]])
-    assert relu(x).tolist() == [[0.0, 0.0, 2.5]]
 
 
 def test_sigmoid_midpoint_and_symmetry():
@@ -118,13 +111,6 @@ def test_spmm_backward_matches_fd(triangle):
     dx = spmm_backward(s, w)
     fd = _fd_grad(lambda: float((spmm(s, x) * w).sum()), x)
     assert np.allclose(dx, fd, atol=1e-6)
-
-
-def test_relu_backward_masks():
-    x = np.array([[-1.0, 2.0, 0.0]])
-    d = relu_backward(np.array([[5.0, 5.0, 5.0]]), x)
-    # the gradient at exactly 0 is taken as 0
-    assert d.tolist() == [[0.0, 5.0, 0.0]]
 
 
 # -- rng helpers -------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Synthetic graph generator with controllable homophily."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mvge.data import save_dataset
-from mvge.graph import ValidationError
+from mvge.graph import Graph, ValidationError
 from mvge.homophily import global_homophily
 from mvge.synth import SynthSpec, generate_synthetic
 
@@ -140,3 +144,102 @@ def test_negative_seed_rejected():
 def test_dataset_name_encodes_parameters():
     ds = generate_synthetic(spec_with(num_nodes=200, target_homophily=0.25))
     assert "0.25" in ds.name and "200" in ds.name
+
+
+# -- the dense fallback against the enumeration it replaced ------------------
+
+def reference_pairs(rng, budget, labels, intra, taken, dense_calls):
+    """The pair sampler as first written: np.triu_indices over all n^2 / 2
+    pairs in the dense fallback, and one ``taken`` set shared by both calls."""
+    n = len(labels)
+    by_class = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+    intra_pool = sum(len(m) * (len(m) - 1) // 2 for m in by_class)
+    pool = intra_pool if intra else n * (n - 1) // 2 - intra_pool
+    if budget > pool:
+        kind = "intra" if intra else "inter"
+        raise ValidationError(f"cannot place {budget} {kind}-class edges; only {pool} pairs exist")
+    if budget * 4 > pool:
+        dense_calls.append(intra)
+        u, v = np.triu_indices(n, k=1)
+        mask = (labels[u] == labels[v]) == intra
+        cands = [p for p in zip(u[mask].tolist(), v[mask].tolist()) if p not in taken]
+        out = [cands[i] for i in rng.permutation(len(cands))[:budget]]
+        taken.update(out)
+        return out
+    out = []
+    while len(out) < budget:
+        u = int(rng.integers(n))
+        mates = by_class[labels[u]]
+        if intra:
+            if len(mates) < 2:
+                continue
+            v = int(mates[rng.integers(len(mates))])
+        else:
+            v = int(rng.integers(n))
+            if labels[v] == labels[u]:
+                continue
+        pair = (min(u, v), max(u, v))
+        if u == v or pair in taken:
+            continue
+        taken.add(pair)
+        out.append(pair)
+    return out
+
+
+def reference_synthetic(spec, dense_calls):
+    rng = np.random.default_rng(spec.seed)
+    n, c, f = spec.num_nodes, spec.num_classes, spec.feature_dim
+    labels = np.arange(n, dtype=np.int64) % c
+    intra_flags = rng.random(spec.num_edges) < spec.target_homophily
+    taken = set()
+    pairs = reference_pairs(rng, int(intra_flags.sum()), labels, True, taken, dense_calls)
+    pairs += reference_pairs(rng, int((~intra_flags).sum()), labels, False, taken, dense_calls)
+    graph, _ = Graph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    means = np.zeros((c, f))
+    means[np.arange(c), np.arange(c) % f] = spec.class_separation
+    return graph, means[labels] + rng.normal(0.0, spec.noise_sigma, size=(n, f))
+
+
+@st.composite
+def dense_specs(draw):
+    """Specs that fill over a quarter of all pairs, so that at least one of the
+    two edge types has fewer than 4 * budget candidates."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    c = draw(st.integers(min_value=1, max_value=n))
+    h = 1.0 if c == 1 else draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    fill = draw(st.floats(min_value=0.26, max_value=1.0))
+    return SynthSpec(num_nodes=n, num_classes=c, target_homophily=h,
+                     avg_degree=fill * (n - 1), feature_dim=3,
+                     seed=draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+@given(dense_specs())
+@settings(max_examples=150, deadline=None)
+def test_dense_fallback_matches_reference(spec):
+    dense_calls = []
+    try:
+        want_graph, want_features = reference_synthetic(spec, dense_calls)
+    except ValidationError as e:
+        with pytest.raises(ValidationError) as got:
+            generate_synthetic(spec)
+        assert str(got.value) == str(e)
+        return
+    assume(dense_calls)
+    ds = generate_synthetic(spec)
+    assert np.array_equal(ds.graph.offsets, want_graph.offsets)
+    assert np.array_equal(ds.graph.neighbors, want_graph.neighbors)
+    assert np.array_equal(ds.features, want_features)
+
+
+def test_dense_fallback_memory_is_bounded():
+    # 300 classes of 10 nodes hold 13,500 intra pairs for 6,000 edges, so the
+    # fallback runs; enumerating all 4.5M pairs at once peaked at 142 MB
+    spec = SynthSpec(num_nodes=3000, num_classes=300, target_homophily=1.0,
+                     avg_degree=4.0, feature_dim=4)
+    tracemalloc.start()
+    try:
+        generate_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
