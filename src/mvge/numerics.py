@@ -97,12 +97,8 @@ spmm_backward = spmm
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) as (1 + tanh(x / 2)) / 2, which cannot overflow."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvge.graph import Graph, normalized_adjacency
 from mvge.numerics import (
@@ -55,6 +56,24 @@ def test_sigmoid_extreme_inputs_finite():
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(0.0, abs=1e-12)
     assert out[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def masked_sigmoid(x):
+    """The boolean-mask sigmoid first used, kept as a reference."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@given(st.lists(st.floats(), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_sigmoid_matches_masked_form(values):
+    x = np.array(values + [-800.0, 800.0, -np.inf, np.inf, np.nan, 0.0])
+    # NaN maps to NaN in both, at the same places
+    np.testing.assert_allclose(sigmoid(x), masked_sigmoid(x), rtol=0.0, atol=1e-15)
 
 
 def test_softmax_uniform_row():
