@@ -131,8 +131,10 @@ class MVGEConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1], got {v}")
-        if self.lr <= 0.0:
-            raise ValidationError(f"lr must be positive, got {self.lr}")
+        for name in ("lr", "sample_ratio"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0.0):
+                raise ValidationError(f"{name} must be finite and positive, got {v}")
         self.walk_config()  # lengths, aggr and seed
         for name, choices in (("merge_fn", MERGE_FNS), ("ego_encoder", EGO_ENCODERS),
                               ("adj_loss_mode", ADJ_LOSS_MODES)):
@@ -148,8 +150,6 @@ class MVGEConfig:
             raise ValidationError(f"unknown tasks in task_mask: {sorted(bad)}")
         if not self.task_mask:
             raise ValidationError("task_mask must enable at least one task")
-        if self.sample_ratio <= 0.0:
-            raise ValidationError(f"sample_ratio must be positive, got {self.sample_ratio}")
 
     @property
     def embedding_dim(self) -> int:

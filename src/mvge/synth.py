@@ -32,8 +32,12 @@ class SynthSpec:
             raise ValidationError("need num_nodes >= num_classes >= 1")
         if not 0.0 <= self.target_homophily <= 1.0:
             raise ValidationError("target homophily must lie in [0, 1]")
-        if self.avg_degree < 0:
-            raise ValidationError("avg_degree must be non-negative")
+        for name in ("avg_degree", "noise_sigma"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v >= 0.0):
+                raise ValidationError(f"{name} must be finite and non-negative, got {v}")
+        if not np.isfinite(self.class_separation):
+            raise ValidationError(f"class_separation must be finite, got {self.class_separation}")
         n = self.num_nodes
         if self.num_edges > n * (n - 1) // 2:
             raise ValidationError("requested degree exceeds the complete graph")

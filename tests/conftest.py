@@ -90,3 +90,25 @@ def feature_matrices(draw, max_rows=12, max_cols=6):
         )
     )
     return np.asarray(flat, dtype=np.float64).reshape(rows, cols)
+
+
+@st.composite
+def hostile_datasets(draw, max_nodes=16, plain_features=False):
+    """Small unlabeled datasets with isolated nodes, disconnected parts and
+    near-complete or complete edge sets. Feature columns are random, all zero
+    or constant; with ``plain_features`` every column is random."""
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    fill = draw(st.sampled_from([0.0, 0.15, 0.5, 0.9, 1.0]))
+    parts = draw(st.integers(min_value=1, max_value=4))
+    isolated = draw(st.integers(min_value=0, max_value=n))
+    u, v = np.triu_indices(n, k=1)
+    # edges only inside a part (node mod parts), none at nodes below `isolated`
+    keep = (rng.random(u.size) < fill) & (u % parts == v % parts) & (u >= isolated)
+    g, _ = Graph.from_edges(n, np.stack([u[keep], v[keep]], axis=1))
+    f = draw(st.integers(min_value=1, max_value=4))
+    x = rng.normal(size=(n, f))
+    if not plain_features:
+        for j in range(f):
+            x[:, j] = draw(st.sampled_from([x[:, j], 0.0, 2.5]))
+    return make_dataset(g, x)

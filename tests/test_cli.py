@@ -387,6 +387,16 @@ def _pair_embedding_rows(rows):
     return case
 
 
+def _embed_value(flag, value, named):
+    return lambda ds, tmp: (["embed", ds, "--adj-loss-mode", "sampled", flag, value,
+                             "--out", tmp / "o"], named)
+
+
+def _synth_value(flag, value, named):
+    return lambda ds, tmp: (["synth", "--n", 20, "--c", 2, "--h", "0.5", flag, value,
+                             "--out", tmp / "s"], named)
+
+
 def _eval_node_seed_negative(ds, tmp):
     from mvge.data import save_matrix_binary
 
@@ -409,6 +419,15 @@ MALFORMED = {
     "non_numeric_embedding_csv": _non_numeric_embedding_csv,
     "pair_embedding_rows_10": _pair_embedding_rows(10),
     "pair_embedding_rows_61": _pair_embedding_rows(61),
+    "lr_nan": _embed_value("--lr", "nan", "lr must be finite"),
+    "lr_inf": _embed_value("--lr", "inf", "lr must be finite"),
+    "sample_ratio_nan": _embed_value("--sample-ratio", "nan", "sample_ratio"),
+    "sample_ratio_inf": _embed_value("--sample-ratio", "inf", "sample_ratio"),
+    "synth_avg_degree_nan": _synth_value("--avg-degree", "nan", "avg_degree"),
+    "synth_avg_degree_inf": _synth_value("--avg-degree", "inf", "avg_degree"),
+    "synth_noise_sigma_negative": _synth_value("--noise-sigma", -1, "noise_sigma"),
+    "synth_noise_sigma_nan": _synth_value("--noise-sigma", "nan", "noise_sigma"),
+    "synth_class_separation_nan": _synth_value("--class-separation", "nan", "class_separation"),
 }
 
 

@@ -5,6 +5,7 @@ import multiprocessing
 import sys
 import threading
 import warnings
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import mvge.model
 from mvge.graph import Graph, ValidationError, normalized_adjacency
 from mvge.model import (
+    EGO_ENCODERS,
     MVGEConfig,
     MVGEModel,
     TrainingDivergedError,
@@ -30,7 +32,8 @@ from mvge.numerics import grad_check, sigmoid, softmax_rows, softplus
 from mvge.synth import SynthSpec, generate_synthetic
 from mvge.walks import ViewPair, build_views
 
-from conftest import edge_lists, feature_matrices, make_dataset, random_dataset
+from conftest import (edge_lists, feature_matrices, hostile_datasets, make_dataset,
+                      random_dataset)
 
 
 def toy_cfg(**kw):
@@ -589,12 +592,13 @@ def test_total_loss_affine_coefficients(alpha, beta):
 
 # -- gradients ---------------------------------------------------------------
 
-def grad_check_toy(**cfg_kw):
+def grad_check_toy(ds=None, **cfg_kw):
     """grad_check over every parameter of the combined loss on a toy graph."""
     from mvge.model import _train_step
     from mvge.graph import normalized_adjacency as na
 
-    ds = random_dataset(np.random.default_rng(3), n=8, f=2, c=2, p_edge=0.4)
+    if ds is None:
+        ds = random_dataset(np.random.default_rng(3), n=8, f=2, c=2, p_edge=0.4)
     cfg = toy_cfg(dim_ego=3, dim_agg=3, hidden_dim=4, **cfg_kw)
     views = build_views(ds.graph, ds.features, cfg.walk_config())
     s = na(ds.graph)
@@ -636,6 +640,21 @@ def test_gradients_sampled_adjacency():
 def test_gradients_single_task_masks():
     assert grad_check_toy(task_mask=frozenset({"ego"})) < 1e-4
     assert grad_check_toy(task_mask=frozenset({"adj"})) < 1e-4
+
+
+# 60 examples take about 4 s on a 2-vCPU VM; the deadline catches a path
+# that spins, such as a negative-sampling loop without its bound
+@given(hostile_datasets(plain_features=True), st.sampled_from(["full", "sampled"]),
+       st.sampled_from(EGO_ENCODERS))
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+def test_gradients_on_hostile_graphs(ds, mode, encoder):
+    # zero or constant features put ReLU inputs exactly on the kink, where
+    # finite differences disagree, so the features here are random
+    try:
+        worst = grad_check_toy(ds, adj_loss_mode=mode, ego_encoder=encoder)
+    except ValidationError:  # no node, no edge, or no negative pair to sample
+        return
+    assert worst < 1e-4
 
 
 # -- training loop -----------------------------------------------------------
@@ -710,6 +729,22 @@ def test_sampled_mode_trains(tmp_path):
     _, emb, trace = train(ds, toy_cfg(epochs=4, adj_loss_mode="sampled"))
     assert np.all(np.isfinite(trace.l_s))
     assert np.all(np.isfinite(emb.h))
+
+
+# 150 examples take about 2 s on a 2-vCPU VM
+@given(hostile_datasets(), st.sampled_from(["full", "sampled"]),
+       st.sampled_from(EGO_ENCODERS))
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+def test_train_on_hostile_graphs_is_finite_or_a_clean_error(ds, mode, encoder):
+    cfg = toy_cfg(dim_ego=3, dim_agg=3, hidden_dim=4, epochs=3, walk_lengths=(2, 3),
+                  adj_loss_mode=mode, ego_encoder=encoder)
+    try:
+        _, emb, trace = train(ds, cfg)
+    except (ValidationError, TrainingDivergedError):
+        return
+    assert np.isfinite(trace.l_total).all() and np.isfinite(trace.l_s).all()
+    for h in (emb.h, emb.h_ego, emb.h_agg):
+        assert h.shape[0] == ds.num_nodes and np.isfinite(h).all()
 
 
 def test_diverged_error_carries_epoch():
