@@ -93,11 +93,12 @@ def feature_matrices(draw, max_rows=12, max_cols=6):
 
 
 @st.composite
-def hostile_datasets(draw, max_nodes=16, plain_features=False):
-    """Small unlabeled datasets with isolated nodes, disconnected parts and
-    near-complete or complete edge sets. Feature columns are random, all zero
-    or constant; with ``plain_features`` every column is random."""
-    n = draw(st.integers(min_value=0, max_value=max_nodes))
+def hostile_datasets(draw, plain_features=False):
+    """Unlabeled datasets of at most 16 nodes with isolated nodes, disconnected
+    parts and near-complete or complete edge sets. Feature columns are
+    random, all zero or constant; with ``plain_features`` every column is
+    random."""
+    n = draw(st.integers(min_value=0, max_value=16))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     fill = draw(st.sampled_from([0.0, 0.15, 0.5, 0.9, 1.0]))
     parts = draw(st.integers(min_value=1, max_value=4))
