@@ -1,11 +1,15 @@
 """Smoke runs of the helper scripts, so a renamed mvge name they import
 fails here instead of at the next real-data run."""
 
+import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mvge.data import load_dataset, save_dataset
 from mvge.synth import SynthSpec, generate_synthetic
@@ -13,9 +17,9 @@ from mvge.synth import SynthSpec, generate_synthetic
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, *args):
+def run_script(name, *args, env=None):
     r = subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, args)],
-                       capture_output=True, text=True, timeout=300)
+                       capture_output=True, text=True, timeout=300, env=env)
     assert r.returncode == 0, r.stderr
     return r.stdout
 
@@ -65,3 +69,26 @@ def test_benchmark_real(tmp_path):
     out = run_script("benchmark_real.py", tmp_path / "toy", "--epochs", 2, "--repeats", 1)
     tasks = [line.split()[1] for line in out.splitlines()[1:]]
     assert tasks == ["node", "link", "pair"]
+
+
+def test_output_digest_same_on_one_or_two_workers():
+    # at one BLAS thread the script's process runs a second worker thread
+    # when it may use two CPUs; pinned to one CPU, every part runs on one thread
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    free = run_script("output_digest.py", "--tiny", env=env)
+    rows = [line.split("  ") for line in free.splitlines()]
+    assert all(re.fullmatch("[0-9a-f]{64}", sha) for sha, _ in rows)
+    names = [name for _, name in rows]
+    assert len(names) == 2 * 3 * 2 * 3 + 6
+    assert names[0] == "train/linear/concat/full/all"
+    assert names[36:] == ["synth", "sample_non_edges", "sample_label_pairs",
+                          "report/node", "report/link", "report/pair"]
+    taskset = shutil.which("taskset")
+    if taskset is None or not hasattr(os, "sched_getaffinity"):
+        pytest.skip("needs taskset to pin a run to one CPU")
+    pinned = subprocess.run([taskset, "-c", str(min(os.sched_getaffinity(0))), sys.executable,
+                             str(SCRIPTS / "output_digest.py"), "--tiny"],
+                            capture_output=True, text=True, timeout=300, env=env)
+    assert pinned.returncode == 0, pinned.stderr
+    assert "adjacency workers: 1" in pinned.stderr
+    assert pinned.stdout == free
