@@ -237,18 +237,17 @@ class MVGEModel:
         f = self.f_ego if name == "ego" else self.f_agg
         if x.shape[1] != f:
             raise ValidationError(f"expected {f} {name} features, got {x.shape[1]}")
+        # the cache keeps only what _backward reads: relu(v) > 0 exactly where
+        # v > 0 (NaN and -0.0 included), so the ReLU outputs give the masks
         if self._is_linear(name):
-            a1 = x @ p["ego_w1"].value + p["ego_b1"].value
-            inner = np.maximum(a1, 0.0)
-            cache = {"x": x, "a1": a1}
+            inner = np.maximum(x @ p["ego_w1"].value + p["ego_b1"].value, 0.0)
+            cache = {"x": x}
         else:
             if s is None:
                 raise ValidationError(f"gcn {name} encoder needs the normalized adjacency")
-            s1 = spmm(s, x @ p[f"{name}_w1"].value)
-            g1 = np.maximum(s1, 0.0)
-            s2 = spmm(s, g1 @ p[f"{name}_w2"].value)
-            inner = np.maximum(s2, 0.0)
-            cache = {"x": x, "s1": s1, "g1": g1, "s2": s2, "s_op": s}
+            g1 = np.maximum(spmm(s, x @ p[f"{name}_w1"].value), 0.0)
+            inner = np.maximum(spmm(s, g1 @ p[f"{name}_w2"].value), 0.0)
+            cache = {"x": x, "g1": g1, "s_op": s}
         cache["c"] = np.concatenate([x, inner], axis=1)
         h = cache["c"] @ p[f"{name}_skip_w"].value + p[f"{name}_skip_b"].value
         return h, cache
@@ -272,18 +271,18 @@ class MVGEModel:
         skip_w = p[f"{name}_skip_w"]
         skip_w.grad += cache["c"].T @ d_h
         p[f"{name}_skip_b"].grad += d_h.sum(axis=0, keepdims=True)
-        d_inner = (d_h @ skip_w.value.T)[:, cache["x"].shape[1]:]
+        f = cache["x"].shape[1]
+        d_inner = (d_h @ skip_w.value.T)[:, f:]
+        d_inner *= cache["c"][:, f:] > 0.0
         if self._is_linear(name):
-            d_a1 = d_inner * (cache["a1"] > 0.0)
-            p["ego_w1"].grad += cache["x"].T @ d_a1
-            p["ego_b1"].grad += d_a1.sum(axis=0, keepdims=True)
+            p["ego_w1"].grad += cache["x"].T @ d_inner
+            p["ego_b1"].grad += d_inner.sum(axis=0, keepdims=True)
             return
-        d_s2 = d_inner * (cache["s2"] > 0.0)
-        d_b2 = spmm_backward(cache["s_op"], d_s2)
+        d_b2 = spmm_backward(cache["s_op"], d_inner)
         p[f"{name}_w2"].grad += cache["g1"].T @ d_b2
         d_g1 = d_b2 @ p[f"{name}_w2"].value.T
-        d_s1 = d_g1 * (cache["s1"] > 0.0)
-        d_b1 = spmm_backward(cache["s_op"], d_s1)
+        d_g1 *= cache["g1"] > 0.0
+        d_b1 = spmm_backward(cache["s_op"], d_g1)
         p[f"{name}_w1"].grad += cache["x"].T @ d_b1
 
     def _decode(self, name: str, h: np.ndarray, p: np.ndarray, w: float,
