@@ -253,8 +253,8 @@ class MVGEModel:
         return h, cache
 
     def embeddings(self, views: ViewPair, s: sp.csr_matrix) -> EmbeddingSet:
-        h_ego, _ = self.encode_ego(views.x_ego, s)
-        h_agg, _ = self.encode_agg(views.x_agg, s)
+        (h_ego, _), (h_agg, _) = _side_by_side(lambda: self.encode_ego(views.x_ego, s),
+                                               lambda: self.encode_agg(views.x_agg, s))
         return EmbeddingSet(
             h_ego=h_ego, h_agg=h_agg,
             h=merge_embeddings(h_ego, h_agg, self.cfg.merge_fn),
@@ -368,16 +368,8 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
             (h, lo, hi, block, np.empty(min(block, hi - lo) * (n - lo)),
              np.empty(sums_rows * n), np.empty((n - lo, h.shape[1])), t_part)
             for lo, hi, t_part in ((0, k, t), (k, n, t_b)))
-        if adjacency_workers() == 2:
-            # numpy's errstate is context-local; the worker runs in a copy of ours
-            future = _pool().submit(contextvars.copy_context().run, _adjacency_part, *part_b)
-            try:
-                abs_a, log_a = _adjacency_part(*part_a)
-            finally:
-                abs_b, log_b = future.result()
-        else:
-            abs_a, log_a = _adjacency_part(*part_a)
-            abs_b, log_b = _adjacency_part(*part_b)
+        (abs_b, log_b), (abs_a, log_a) = _side_by_side(lambda: _adjacency_part(*part_b),
+                                                       lambda: _adjacency_part(*part_a))
         # A's results before B's, so the bits do not depend on the worker count
         t += t_b
         abs_sum, log_sum = abs_a + abs_b, log_a + log_b
@@ -478,23 +470,39 @@ def _split_row(n: int, block: int) -> int:
 
 
 def adjacency_workers() -> int:
-    """Threads the full-mode adjacency loss runs on: 2 only when the loaded
-    BLAS reports exactly one thread and the process may use 2 or more CPUs,
-    else 1. Two workers over a multi-threaded BLAS oversubscribe the cores."""
+    """Threads a training step runs on: 2 only when the loaded BLAS reports
+    exactly one thread and the process may use 2 or more CPUs, else 1. Two
+    workers over a multi-threaded BLAS oversubscribe the cores."""
     return 2 if blas_info()[1] == 1 and usable_cpus() >= 2 else 1
+
+
+def _side_by_side(first, second):
+    """Returns (first(), second()). On two workers ``first`` runs on the worker
+    thread while the calling thread runs ``second``; on one, first then second.
+    The two must touch disjoint outputs, and ``first`` must not call this
+    function itself: the one worker thread would wait on its own queue."""
+    if adjacency_workers() == 1:
+        return first(), second()
+    # numpy's errstate is context-local; the worker runs in a copy of ours
+    future = _pool().submit(contextvars.copy_context().run, first)
+    try:
+        b = second()
+    finally:
+        a = future.result()
+    return a, b
 
 
 _POOL: tuple[int, ThreadPoolExecutor] | None = None
 
 
 def _pool() -> ThreadPoolExecutor:
-    """The one worker thread of part B, made on first use. A pool inherited
-    across fork has no live thread, so a new process id gets a new pool. Two
-    threads racing here may each make one; the pool that is not kept is
-    collected, and its thread exits."""
+    """The one worker thread of ``_side_by_side``, made on first use. A pool
+    inherited across fork has no live thread, so a new process id gets a new
+    pool. Two threads racing here may each make one; the pool that is not kept
+    is collected, and its thread exits."""
     global _POOL
     if _POOL is None or _POOL[0] != os.getpid():
-        _POOL = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="mvge-adjacency"))
+        _POOL = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="mvge-worker"))
     return _POOL[1]
 
 
@@ -514,18 +522,21 @@ def _train_step(model: MVGEModel, views: ViewPair, s: sp.csr_matrix,
     """One forward/backward pass; gradients are left in model.params."""
     cfg = model.cfg
     mask = cfg.task_mask
-    h_ego, cache_ego = model.encode_ego(views.x_ego, s)
-    h_agg, cache_agg = model.encode_agg(views.x_agg, s)
+
+    def branch(name, encode, x, p, w):
+        """Encode one view and decode it; the two branches share no output."""
+        h_view, cache = encode(x, s)
+        d_h_view = np.zeros_like(h_view)
+        loss = model._decode(name, h_view, p, w, d_h_view) if name in mask else 0.0
+        return h_view, cache, d_h_view, loss
+
+    (h_ego, cache_ego, d_h_ego, l_ego), (h_agg, cache_agg, d_h_agg, l_agg) = _side_by_side(
+        lambda: branch("ego", model.encode_ego, views.x_ego, p_ego, cfg.beta * cfg.alpha),
+        lambda: branch("agg", model.encode_agg, views.x_agg, p_agg,
+                       cfg.beta * (1.0 - cfg.alpha)))
     h = merge_embeddings(h_ego, h_agg, cfg.merge_fn)
 
-    l_ego = l_agg = l_s = 0.0
-    d_h_ego = np.zeros_like(h_ego)
-    d_h_agg = np.zeros_like(h_agg)
-
-    if "ego" in mask:
-        l_ego = model._decode("ego", h_ego, p_ego, cfg.beta * cfg.alpha, d_h_ego)
-    if "agg" in mask:
-        l_agg = model._decode("agg", h_agg, p_agg, cfg.beta * (1.0 - cfg.alpha), d_h_agg)
+    l_s = 0.0
     if "adj" in mask:
         l_s, d_h_adj = _adjacency_terms(h, g, adj_mode, rng=neg_rng,
                                         sample_ratio=cfg.sample_ratio)
@@ -540,8 +551,8 @@ def _train_step(model: MVGEModel, views: ViewPair, s: sp.csr_matrix,
                 d_h_ego += share
                 d_h_agg += share
 
-    model._backward_ego(d_h_ego, cache_ego)
-    model._backward_agg(d_h_agg, cache_agg)
+    _side_by_side(lambda: model._backward_ego(d_h_ego, cache_ego),
+                  lambda: model._backward_agg(d_h_agg, cache_agg))
     return l_ego, l_agg, l_s, total_loss(l_ego, l_agg, l_s, cfg.alpha, cfg.beta, mask)
 
 
