@@ -143,6 +143,17 @@ class Graph:
         e = self.edge_array()
         return np.sort(e[:, 0] * self.num_nodes + e[:, 1])
 
+    @cached_property
+    def edge_ids(self) -> np.ndarray:
+        """The row of ``edge_array()`` that each ``neighbors`` entry is one
+        direction of, so a value per undirected edge ``x`` lies on the CSR
+        pattern as ``x[edge_ids]``."""
+        lo = np.minimum(self.sources, self.neighbors)
+        hi = np.maximum(self.sources, self.neighbors)
+        ids = np.searchsorted(self._edge_keys, lo * self.num_nodes + hi)
+        ids.setflags(write=False)
+        return ids
+
     def edge_array(self) -> np.ndarray:
         """Undirected edges as an (E, 2) array with u < v, sorted."""
         mask = self.sources < self.neighbors
