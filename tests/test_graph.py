@@ -156,9 +156,13 @@ def test_cached_edge_arrays_match_references(ne):
     dense[e[:, 0], e[:, 1]] = dense[e[:, 1], e[:, 0]] = 1.0
     assert g.adjacency.dtype == np.float64
     np.testing.assert_array_equal(g.adjacency.toarray(), dense)
+    # each CSR entry names its undirected edge, in either direction
+    np.testing.assert_array_equal(e[g.edge_ids, 0], np.minimum(g.sources, g.neighbors))
+    np.testing.assert_array_equal(e[g.edge_ids, 1], np.maximum(g.sources, g.neighbors))
+    assert not g.edge_ids.flags.writeable
     # each cache is built once, and none of them is a dataclass field
     assert g.sources is g.sources and g.adjacency is g.adjacency
-    assert g._edge_keys is g._edge_keys
+    assert g._edge_keys is g._edge_keys and g.edge_ids is g.edge_ids
     assert g == fresh and repr(g) == repr(fresh)
 
 

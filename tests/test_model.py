@@ -10,13 +10,15 @@ from datetime import timedelta
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mvge.model
 from mvge.graph import Graph, ValidationError, normalized_adjacency
 from mvge.model import (
     EGO_ENCODERS,
+    MERGE_FNS,
+    TASKS,
     MVGEConfig,
     MVGEModel,
     TrainingDivergedError,
@@ -530,13 +532,59 @@ def test_train_on_empty_graph_raises_validation_error(mode):
 
 @pytest.mark.parametrize("graph", ["random", "isolated"])
 @pytest.mark.parametrize("ratio", [0.5, 1.0, 3.0])
-def test_sampled_adjacency_matches_scatter_oracle(graph, ratio):
+def test_sampled_adjacency_matches_scatter_oracle(monkeypatch, graph, ratio):
     g = ADJ_GRAPHS[graph]()
     h = np.random.default_rng(22).normal(size=(10, 5))
-    got = mvge.model._adjacency_terms(h, g, "sampled", rng=np.random.default_rng(5),
-                                      sample_ratio=ratio)
     want = sampled_adjacency_oracle(h, g, np.random.default_rng(5), ratio)
-    assert_adjacency_matches(got, want)
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        got = mvge.model._adjacency_terms(h, g, "sampled", rng=np.random.default_rng(5),
+                                          sample_ratio=ratio)
+        assert_adjacency_matches(got, want)
+
+
+@given(edge_lists(max_nodes=16, max_edges=60),
+       st.integers(min_value=1, max_value=3),
+       st.sampled_from([0.5, 1.0, 3.0]),
+       st.integers(min_value=0, max_value=2 ** 16))
+@example(graph=(10, [(0, 3), (3, 4), (4, 9), (1, 3)]), rows=2, ratio=1.0, seed=0)  # isolated
+@example(graph=(6, [(2, 4)]), rows=1, ratio=3.0, seed=1)  # one edge
+@settings(max_examples=80, deadline=None)
+def test_sampled_adjacency_chunks_match_scatter_oracle(graph, rows, ratio, seed):
+    n, edges = graph
+    g, _ = Graph.from_edges(n, edges)
+    # at most half the pairs are edges, so the negatives fill well within the round cap
+    assume(0 < 2 * g.num_edges <= n * (n - 1) // 2)
+    h = np.random.default_rng(seed).normal(size=(n, 4))
+    got = []
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mvge.model, "_PAIR_CHUNK_ROWS", rows)
+            force_workers(mp, workers)
+            got.append(mvge.model._adjacency_terms(h, g, "sampled", rng=np.random.default_rng(seed),
+                                                   sample_ratio=ratio))
+    assert got[0][0] == got[1][0]
+    assert got[0][1].tobytes() == got[1][1].tobytes()
+    assert_adjacency_matches(got[0], sampled_adjacency_oracle(h, g, np.random.default_rng(seed),
+                                                              ratio))
+
+
+def test_sampled_adjacency_peak_allocation_has_no_edge_by_dim_gathers():
+    import tracemalloc
+
+    n, d = 5000, 128
+    g, _ = Graph.from_edges(n, np.random.default_rng(25).integers(0, n, size=(4 * n, 2)))
+    h = np.random.default_rng(26).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        mvge.model._adjacency_terms(h, g, "sampled", rng=np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few N x d arrays and up to 32 float64 or int64 arrays per directed edge;
+    # one (E, d) gather of the pair embeddings alone is 41 MB here
+    n_dir = g.neighbors.size
+    assert peak <= 4 * h.nbytes + 32 * 8 * n_dir < 8 * n_dir * d
 
 
 def near_complete_graph(n=10):
@@ -745,6 +793,31 @@ def test_train_on_hostile_graphs_is_finite_or_a_clean_error(ds, mode, encoder):
     assert np.isfinite(trace.l_total).all() and np.isfinite(trace.l_s).all()
     for h in (emb.h, emb.h_ego, emb.h_agg):
         assert h.shape[0] == ds.num_nodes and np.isfinite(h).all()
+
+
+@given(hostile_datasets(), st.sampled_from(EGO_ENCODERS), st.sampled_from(MERGE_FNS),
+       st.sampled_from(["full", "sampled"]),
+       st.sampled_from([TASKS, ("agg", "adj"), ("ego", "adj")]),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+def test_train_same_bits_on_one_or_two_workers(ds, encoder, merge, mode, tasks, rows):
+    cfg = toy_cfg(dim_ego=3, dim_agg=3, hidden_dim=4, epochs=3, walk_lengths=(2, 3),
+                  adj_loss_mode=mode, ego_encoder=encoder, merge_fn=merge,
+                  task_mask=frozenset(tasks))
+    got = []
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            force_workers(mp, workers)
+            set_block_rows(mp, max(ds.num_nodes, 1), rows)
+            mp.setattr(mvge.model, "_PAIR_CHUNK_ROWS", rows)
+            try:
+                _, emb, trace = train(ds, cfg)
+            except (ValidationError, TrainingDivergedError) as exc:
+                got.append(repr(exc))
+                continue
+        got.append([a.tobytes() for a in (emb.h, emb.h_ego, emb.h_agg, trace.l_ego,
+                                          trace.l_agg, trace.l_s, trace.l_total)])
+    assert got[0] == got[1]
 
 
 def test_diverged_error_carries_epoch():
