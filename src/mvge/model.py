@@ -126,7 +126,6 @@ class MVGEConfig:
     sample_ratio: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "walk_lengths", tuple(int(x) for x in self.walk_lengths))
         object.__setattr__(self, "task_mask", frozenset(self.task_mask))
         for name, low in (("dim_ego", 1), ("dim_agg", 1), ("hidden_dim", 1),
                           ("epochs", 0), ("seed", 0)):
@@ -135,6 +134,10 @@ class MVGEConfig:
                 raise ValidationError(f"{name} must be an integer, got {v!r}")
             if v < low:
                 raise ValidationError(f"{name} must be >= {low}, got {v}")
+        for name in ("alpha", "beta", "lr", "sample_ratio"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise ValidationError(f"{name} must be a real number, got {v!r}")
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -143,7 +146,8 @@ class MVGEConfig:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0.0):
                 raise ValidationError(f"{name} must be finite and positive, got {v}")
-        self.walk_config()  # lengths, aggr and seed
+        # checks the lengths, aggr and seed, and gives the lengths as ints
+        object.__setattr__(self, "walk_lengths", self.walk_config().lengths)
         for name, choices in (("merge_fn", MERGE_FNS), ("ego_encoder", EGO_ENCODERS),
                               ("adj_loss_mode", ADJ_LOSS_MODES)):
             if getattr(self, name) not in choices:

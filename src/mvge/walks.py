@@ -37,7 +37,11 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        lengths = tuple(int(x) for x in self.lengths)
+        lengths = tuple(self.lengths)
+        for x in lengths:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValidationError(f"walk lengths must be integers, got {x!r}")
+        lengths = tuple(int(x) for x in lengths)
         object.__setattr__(self, "lengths", lengths)
         if not lengths:
             raise ValidationError("lengths must be non-empty")

@@ -365,10 +365,10 @@ def _non_numeric_features(ds, tmp):
     return ["stats", ds], "features.csv"
 
 
-def _config_value(value):
+def _config_value(value, named="cfg.json"):
     def case(ds, tmp):
         (tmp / "cfg.json").write_text(json.dumps(value))
-        return ["embed", ds, "--config", tmp / "cfg.json", "--out", tmp / "o"], "cfg.json"
+        return ["embed", ds, "--config", tmp / "cfg.json", "--out", tmp / "o"], named
     return case
 
 
@@ -412,6 +412,15 @@ MALFORMED = {
     "config_epochs_str": _config_value({"epochs": "ten"}),
     "config_walk_lengths_int": _config_value({"walk_lengths": 5}),
     "config_epochs_float": _config_value({"epochs": 2.5}),
+    "config_walk_lengths_float": _config_value({"walk_lengths": [3.7, 5]},
+                                               "walk lengths must be integers, got 3.7"),
+    "config_walk_lengths_str": _config_value({"walk_lengths": ["3"]},
+                                             "walk lengths must be integers, got '3'"),
+    "config_walk_lengths_bool": _config_value({"walk_lengths": [True, 2]},
+                                              "walk lengths must be integers, got True"),
+    "config_alpha_bool": _config_value({"alpha": True}, "alpha must be a real number, got True"),
+    "config_lr_bool": _config_value({"lr": True}, "lr must be a real number, got True"),
+    "config_lr_str": _config_value({"lr": "0.1"}, "lr must be a real number, got '0.1'"),
     "seed_negative": lambda ds, tmp: (["embed", ds, "--seed", -1, "--out", tmp / "o"], "seed"),
     "synth_seed_negative": lambda ds, tmp: (
         ["synth", "--n", 20, "--c", 2, "--h", "0.5", "--seed", -1, "--out", tmp / "s"], "seed"),
