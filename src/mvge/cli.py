@@ -11,6 +11,10 @@ differs only in duration).
 
 Exit codes: 0 success, 2 usage or validation failure, 3 numerical
 failure during training.
+
+``-v`` logs to stderr at INFO: edge repairs on load, and the adjacency
+mode and worker count of each training. ``-vv`` adds DEBUG: the
+sampled-mode negative acceptance rate and the isolated nodes of the walks.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import logging
 import platform
 import sys
 import time
@@ -367,6 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-view graph embeddings: train, evaluate, diagnose.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("-v", "--verbose", action="count", default=0,
+                        help="log to stderr: -v at INFO, -vv at DEBUG")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, out_help: str) -> None:
@@ -447,6 +454,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "needs_out", False) and not args.out:
         parser.error(f"{args.command} requires --out")
+    if args.verbose:
+        logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("mvge").setLevel(logging.INFO if args.verbose == 1 else logging.DEBUG)
     try:
         return args.func(args)
     except (TrainingDivergedError, FloatingPointError) as exc:

@@ -629,6 +629,8 @@ def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
     p_ego = softmax_rows(views.x_ego)
     p_agg = softmax_rows(views.x_agg)
     adj_mode = cfg.resolve_adj_mode(g.num_nodes)
+    log.info("training on %d nodes: %s adjacency loss (adj_loss_mode %s), %d worker thread(s)",
+             g.num_nodes, adj_mode, cfg.adj_loss_mode, adjacency_workers())
     neg_rng = np.random.default_rng([cfg.seed, _NEG_TAG])
     opt = Adam(model.params, lr=cfg.lr)
 

@@ -465,3 +465,31 @@ def test_diverged_training_prints_no_numpy_warnings(synth_dir, tmp_path):
     r = run_cli("embed", synth_dir, "--epochs", 5, "--lr", "1e300", "--out", tmp_path / "o")
     assert r.returncode == 3, r.stderr
     assert "RuntimeWarning" not in r.stderr
+
+
+def test_verbose_flags_log_to_stderr(synth_dir, tmp_path):
+    import shutil
+
+    ds = tmp_path / "ds"
+    shutil.copytree(synth_dir, ds)
+    with open(ds / "edges.tsv", "a") as f:
+        f.write("0\t0\n")  # a self-loop, dropped on load
+    runs = {}
+    for flags in ((), ("-v",), ("-vv",)):
+        r = run_cli(*flags, "embed", ds, "--epochs", 2, "--adj-loss-mode", "sampled",
+                    "--format", "binary", "--out", tmp_path / f"o{len(flags)}")
+        assert r.returncode == 0, r.stderr
+        runs[flags] = r.stderr.splitlines()
+        emb = (tmp_path / f"o{len(flags)}" / "embeddings.bin").read_bytes()
+        assert emb == (tmp_path / "o0" / "embeddings.bin").read_bytes()
+    assert runs[()] == []
+    info = runs[("-v",)]
+    assert "INFO mvge.data: ds: dropped 1 self-loops, 0 duplicate edges" in info
+    assert any(line.startswith("INFO mvge.model: training on 60 nodes: sampled adjacency loss "
+                               "(adj_loss_mode sampled), ") for line in info)
+    assert all(line.startswith("INFO ") for line in info)
+    debug = runs[("-vv",)]
+    assert set(info) < set(debug)
+    assert any(line.startswith("DEBUG mvge.walks: walks: ") for line in debug)
+    assert sum(line.startswith("DEBUG mvge.model: sampled adjacency loss: ")
+               and "drawn pairs were non-edges" in line for line in debug) == 2  # one per epoch
