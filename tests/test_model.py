@@ -480,6 +480,37 @@ def test_full_adjacency_concurrent_callers_share_the_worker(monkeypatch):
     assert all(loss == want[0] and d_h.tobytes() == want[1].tobytes() for loss, d_h in got)
 
 
+@pytest.mark.parametrize("mode", ["full", "sampled"])
+def test_concurrent_trainings_share_the_worker(monkeypatch, mode):
+    # as above, for whole trainings on one graph whose cached edge arrays are
+    # first built under the race; each must get the bits of a lone training
+    force_workers(monkeypatch, 2)
+    base = random_dataset(np.random.default_rng(30), n=30, p_edge=0.2)
+    cfg = toy_cfg(epochs=3, adj_loss_mode=mode)
+    want = train(base, cfg)[1].h.tobytes()
+    g = base.graph
+    ds = make_dataset(Graph(g.num_nodes, g.offsets, g.neighbors), base.features)
+    monkeypatch.setattr(mvge.model, "_POOL", None)
+    got = []
+
+    def call():
+        for _ in range(5):
+            got.append(train(ds, cfg)[1].h.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 20
+
+
 def _train_digest(ds, cfg, conn):
     _, emb, _ = train(ds, cfg)
     conn.send(emb.h.tobytes())
