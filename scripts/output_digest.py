@@ -19,7 +19,11 @@ The groups, one line each:
       whose edge budget takes the dense fallback;
   sample_non_edges, sample_label_pairs  both evaluate samplers, on their
       rejection and their dense paths;
-  report/node, report/link, report/pair  the protocol scores.
+  report/node, report/link, report/pair  the protocol scores;
+  cli/<command>     every file that synth, stats, embed, eval-node, eval-pair,
+      gridsearch and diag write when run through ``mvge.cli.main`` on one small
+      graph, with each run manifest's duration, env block and dataset path left
+      out.
 
 The worker count goes to stderr, so it does not enter the diff. The default
 trains on 1000 nodes (multi-strip full mode, several sampled row chunks) and
@@ -27,15 +31,20 @@ takes about 5 s on a 2-vCPU VM; --tiny uses 40 nodes and takes about 1 s.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from mvge.cli import main as mvge_main
 from mvge.evaluate import (SplitSpec, _sample_label_pairs, _sample_non_edges,
                            link_prediction_eval, node_classification_eval, pairwise_eval)
 from mvge.graph import ValidationError
@@ -115,6 +124,49 @@ def report_lines(n: int, epochs: int):
     yield "report/pair", digest(np.asarray(pair.scores))
 
 
+def file_digest(path: Path) -> str:
+    """sha256 of a file; of a run manifest without the fields a rerun changes."""
+    data = path.read_bytes()
+    if path.name == "run_manifest.json":
+        m = json.loads(data)
+        del m["duration_seconds"], m["env"]
+        m.get("dataset", {}).pop("path", None)
+        data = json.dumps(m, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_lines(n: int, epochs: int):
+    """Each subcommand in-process, on one synth graph, into a directory of its own."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data, emb = tmp / "synth", tmp / "embed" / "embeddings"
+        model = ("--dim-ego", 8, "--dim-agg", 8, "--hidden-dim", 16, "--epochs", epochs,
+                 "--walk-lengths", "2,4", "--seed", 3)
+        runs = {
+            "synth": ("synth", "--n", n, "--c", 3, "--h", 0.6, "--feature-dim", 8,
+                      "--seed", 1, "--out", data),
+            "stats": ("stats", data, "--local-csv", tmp / "stats" / "local.csv",
+                      "--out", tmp / "stats" / "report.json"),
+            "embed": ("embed", data, *model, "--format", "both", "--out", tmp / "embed"),
+            "eval-node": ("eval-node", data, "--embeddings", f"{emb}.bin", "--repeats", 3,
+                          "--seed", 6, "--out", tmp / "eval-node"),
+            "eval-pair": ("eval-pair", data, *model, "--embeddings", f"{emb}.csv",
+                          "--repeats", 2, "--out", tmp / "eval-pair"),
+            "gridsearch": ("gridsearch", data, *model, "--grid-step", 0.5,
+                           "--out", tmp / "gridsearch"),
+            "diag": ("diag", "--embeddings", f"{emb}.bin", "--out", tmp / "diag" / "sigma.csv"),
+        }
+        for command, argv in runs.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = mvge_main([str(a) for a in argv])
+            if code != 0:
+                raise SystemExit(f"mvge {command} exited with {code}")
+            out = data if command == "synth" else tmp / command
+            files = sorted(p for p in out.iterdir() if p.is_file())
+            lines = "".join(f"{file_digest(p)}  {p.name}\n" for p in files)
+            yield f"cli/{command}", hashlib.sha256(lines.encode()).hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tiny", action="store_true",
@@ -123,7 +175,7 @@ def main() -> int:
     n, epochs, synth_sizes = (40, 2, (12, 30)) if args.tiny else (1000, 5, (12, 30, 120))
     print(f"adjacency workers: {adjacency_workers()}", file=sys.stderr)
     lines = itertools.chain(training_lines(n, epochs), [synth_line(synth_sizes)],
-                            sampler_lines(n), report_lines(n, epochs))
+                            sampler_lines(n), report_lines(n, epochs), cli_lines(n, epochs))
     for name, sha in lines:
         print(f"{sha}  {name}", flush=True)
     return 0

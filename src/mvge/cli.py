@@ -34,16 +34,19 @@ import scipy
 
 from mvge import __version__
 from mvge.data import (
-    _atomic_write,
+    DATASET_FILES,
+    embedding_path,
     load_dataset,
-    load_matrix_binary,
-    load_matrix_csv,
+    load_matrix,
     read_json_object,
     save_dataset,
     save_embeddings,
+    write_json,
+    write_lines,
 )
 from mvge.evaluate import (
     SplitSpec,
+    grid_search_alpha_beta,
     link_prediction_eval,
     node_classification_eval,
     pairwise_eval,
@@ -51,27 +54,28 @@ from mvge.evaluate import (
 from mvge.graph import ValidationError
 from mvge.homophily import homophily_report
 from mvge.model import (
+    ADJ_LOSS_MODES,
+    EGO_ENCODERS,
+    MERGE_FNS,
     MVGEConfig,
     TrainingDivergedError,
     adjacency_workers,
     embedding_dim_std,
-    grid_search_alpha_beta,
     train,
 )
 from mvge.numerics import blas_info, usable_cpus
 from mvge.synth import SynthSpec, generate_synthetic
+from mvge.walks import AGGREGATORS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-_DATASET_FILES = ("meta.json", "edges.tsv", "features.csv", "labels.txt")
-
 
 def _dataset_checksum(directory: Path) -> str:
     """sha256 over the dataset files, in fixed order."""
     digest = hashlib.sha256()
-    for name in _DATASET_FILES:
+    for name in DATASET_FILES:
         path = directory / name
         if path.is_file():
             digest.update(name.encode())
@@ -82,7 +86,6 @@ def _dataset_checksum(directory: Path) -> str:
 
 def _config_to_dict(cfg: MVGEConfig) -> dict:
     d = dataclasses.asdict(cfg)
-    d["walk_lengths"] = list(cfg.walk_lengths)
     d["task_mask"] = sorted(cfg.task_mask)
     return d
 
@@ -106,8 +109,6 @@ def _resolve_config(args: argparse.Namespace) -> MVGEConfig:
         if v is not None:
             d[name] = v
     try:
-        d["walk_lengths"] = tuple(d["walk_lengths"])
-        d["task_mask"] = frozenset(d["task_mask"])
         return MVGEConfig(**d)
     except (TypeError, ValueError) as exc:  # ValidationError, or a wrong JSON type
         where = f"bad value in config {args.config}: " if getattr(args, "config", None) else ""
@@ -125,13 +126,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float)
     p.add_argument("--walk-lengths", dest="walk_lengths", type=_int_list,
                    help="comma-separated walk lengths, e.g. 3,5,10")
-    p.add_argument("--aggr", choices=("concat", "mean", "sum"))
-    p.add_argument("--merge-fn", dest="merge_fn", choices=("concat", "sum", "mean"))
+    p.add_argument("--aggr", choices=AGGREGATORS)
+    p.add_argument("--merge-fn", dest="merge_fn", choices=MERGE_FNS)
     p.add_argument("--task-mask", dest="task_mask", type=_str_list,
                    help="comma-separated subset of ego,agg,adj")
-    p.add_argument("--ego-encoder", dest="ego_encoder", choices=("linear", "gcn"))
-    p.add_argument("--adj-loss-mode", dest="adj_loss_mode",
-                   choices=("auto", "full", "sampled"))
+    p.add_argument("--ego-encoder", dest="ego_encoder", choices=EGO_ENCODERS)
+    p.add_argument("--adj-loss-mode", dest="adj_loss_mode", choices=ADJ_LOSS_MODES)
     p.add_argument("--sample-ratio", dest="sample_ratio", type=float)
 
 
@@ -155,27 +155,22 @@ def _seed_of(args: argparse.Namespace) -> int:
     return 0 if args.seed is None else args.seed
 
 
-def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(str(x) for x in row) for row in rows)
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+def _write_csv(path: str | Path, header: str, rows) -> None:
+    write_lines(path, [header, *(",".join(map(str, row)) for row in rows)])
 
 
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
     if out:
-        _write_json(Path(out), obj)
+        write_json(out, obj)
     else:
-        print(text)
+        print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _manifest(command: str, cfg: MVGEConfig | None, seed: int,
-              dataset_dir: str | None, started: float, outputs: list[str],
-              extra: dict | None = None) -> dict:
+def _write_manifest(out: Path, command: str, cfg: MVGEConfig | None, seed: int,
+                    dataset_dir: str | None, started: float, outputs: list[str],
+                    extra: dict | None = None) -> None:
+    """Write ``out/run_manifest.json``: the command, its resolved config and
+    seed, the dataset checksum, the environment and the duration."""
     m = {
         "tool": "mvge",
         "version": __version__,
@@ -194,7 +189,7 @@ def _manifest(command: str, cfg: MVGEConfig | None, seed: int,
         }
     if extra:
         m.update(extra)
-    return m
+    write_json(out / "run_manifest.json", m)
 
 
 def _environment() -> dict:
@@ -211,13 +206,6 @@ def _environment() -> dict:
     }
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    p = Path(path)
-    if p.suffix == ".csv":
-        return load_matrix_csv(p)
-    return load_matrix_binary(p)
-
-
 def _load_labeled(args: argparse.Namespace, what: str):
     """The dataset at ``args.dataset``; ValidationError naming labels.txt if unlabeled."""
     ds = load_dataset(args.dataset)
@@ -231,7 +219,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     report = homophily_report(ds.graph, ds.labels, bins=args.bins)
     if args.local_csv:
         rows = [(v, repr(float(x))) for v, x in enumerate(report.local)]
-        _write_csv(Path(args.local_csv), "node,local_homophily", rows)
+        _write_csv(args.local_csv, "node,local_homophily", rows)
     _emit(report.to_dict(), args.out)
     return EXIT_OK
 
@@ -247,10 +235,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     ds = generate_synthetic(spec)
     out = Path(args.out)
     save_dataset(ds, out, extra_meta={"generator": dataclasses.asdict(spec)})
-    written = [p.name for p in out.iterdir() if p.name in _DATASET_FILES]
-    manifest = _manifest("synth", None, spec.seed, str(out), started, written,
-                         extra={"generator": dataclasses.asdict(spec)})
-    _write_json(out / "run_manifest.json", manifest)
+    written = [p.name for p in out.iterdir() if p.name in DATASET_FILES]
+    _write_manifest(out, "synth", None, spec.seed, str(out), started, written,
+                    extra={"generator": dataclasses.asdict(spec)})
     print(f"wrote {ds.name} to {out}")
     return EXIT_OK
 
@@ -261,21 +248,19 @@ def cmd_embed(args: argparse.Namespace) -> int:
     ds = load_dataset(args.dataset)
     _, emb, trace = train(ds, cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     written = save_embeddings(emb, out / "embeddings", fmt=args.format)
     _write_csv(out / "trace.csv", "epoch,l_ego,l_agg,l_s,l_total",
                [(i, repr(a), repr(b), repr(c), repr(d))
                 for i, a, b, c, d in trace.rows()])
     names = [p.name for p in written] + ["trace.csv"]
-    manifest = _manifest("embed", cfg, cfg.seed, args.dataset, started, names)
-    _write_json(out / "run_manifest.json", manifest)
+    _write_manifest(out, "embed", cfg, cfg.seed, args.dataset, started, names)
     print(f"embedded {ds.num_nodes} nodes into width {emb.h.shape[1]} at {out}")
     return EXIT_OK
 
 
 def cmd_eval_node(args: argparse.Namespace) -> int:
     ds = _load_labeled(args, "node evaluation")
-    h = _load_matrix(args.embeddings)
+    h = load_matrix(args.embeddings)
     spec = SplitSpec(task="node", train_fraction=args.train_fraction,
                      repeats=args.repeats, seed=_seed_of(args))
     report = node_classification_eval(h, ds.labels, spec)
@@ -299,7 +284,7 @@ def cmd_eval_pair(args: argparse.Namespace) -> int:
     started = time.time()
     cfg = _resolve_config(args)
     ds = load_dataset(args.dataset)
-    h = _load_matrix(args.embeddings) if args.embeddings else None
+    h = load_matrix(args.embeddings) if args.embeddings else None
     spec = SplitSpec(task="pair", train_fraction=args.train_fraction,
                      repeats=args.repeats, seed=cfg.seed)
     report = pairwise_eval(ds, cfg, spec, h=h)
@@ -311,18 +296,16 @@ def _write_reports(args: argparse.Namespace, report, cfg: MVGEConfig | None = No
                    splits: list | None = None, started: float | None = None) -> None:
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         names = ["report.json", "repeats.csv"]
-        _write_json(out / "report.json", report.to_dict())
+        write_json(out / "report.json", report.to_dict())
         _write_csv(out / "repeats.csv", f"repeat,{report.metric}",
                    [(i, repr(s)) for i, s in enumerate(report.scores)])
         if splits is not None:
-            _write_json(out / "splits.json", splits)
+            write_json(out / "splits.json", splits)
             names.append("splits.json")
         if cfg is not None:
-            _write_json(out / "run_manifest.json",
-                        _manifest(f"eval-{report.task}", cfg, cfg.seed,
-                                  args.dataset, started or time.time(), names))
+            _write_manifest(out, f"eval-{report.task}", cfg, cfg.seed, args.dataset,
+                            started or time.time(), names)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
 
 
@@ -334,14 +317,12 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         ds, cfg, grid_step=args.grid_step, val_fraction=args.val_fraction
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "grid.csv", "alpha,beta,score",
                [(repr(a), repr(b), repr(s)) for a, b, s in table])
     best_score = max(s for _, _, s in table)
-    _write_json(out / "best.json", {"alpha": alpha, "beta": beta, "score": best_score})
-    manifest = _manifest("gridsearch", cfg, cfg.seed, args.dataset, started,
-                         ["grid.csv", "best.json"])
-    _write_json(out / "run_manifest.json", manifest)
+    write_json(out / "best.json", {"alpha": alpha, "beta": beta, "score": best_score})
+    _write_manifest(out, "gridsearch", cfg, cfg.seed, args.dataset, started,
+                    ["grid.csv", "best.json"])
     print(f"best alpha={alpha} beta={beta} score={best_score}")
     return EXIT_OK
 
@@ -352,13 +333,13 @@ def cmd_diag(args: argparse.Namespace) -> int:
         base = base.with_suffix("")
     rows = []
     for view in ("ego", "agg"):
-        path = base.with_name(base.name + f".{view}.bin")
+        path = embedding_path(base, view, "binary")
         if not path.is_file():
             raise ValidationError(f"missing per-view embeddings: {path}")
-        sig = embedding_dim_std(load_matrix_binary(path))
+        sig = embedding_dim_std(load_matrix(path))
         rows.extend((view, i, repr(float(s))) for i, s in enumerate(sig))
     if args.out:
-        _write_csv(Path(args.out), "view,dim,sigma", rows)
+        _write_csv(args.out, "view,dim,sigma", rows)
     else:
         print("view,dim,sigma")
         for row in rows:
@@ -385,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--local-csv", dest="local_csv",
                    help="also write per-node local homophily to this CSV")
-    common(p, "write the JSON report here instead of stdout")
+    p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
@@ -443,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True,
                    help="embedding base path written by embed (expects "
                         "BASE.ego.bin and BASE.agg.bin)")
-    common(p, "write the CSV here instead of stdout")
+    p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_diag)
 
     return parser

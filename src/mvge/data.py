@@ -31,6 +31,9 @@ log = logging.getLogger(__name__)
 MAGIC = b"MVGE"
 BINARY_VERSION = 1
 
+# the files of a dataset directory, in the order its checksum reads them
+DATASET_FILES = ("meta.json", "edges.tsv", "features.csv", "labels.txt")
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -93,6 +96,16 @@ def _atomic_write(path: Path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    _atomic_write(Path(path), (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+
+
+def write_lines(path: str | Path, lines: list[str]) -> None:
+    """Write each line with a newline after it; no lines make an empty file."""
+    _atomic_write(Path(path), ("\n".join(lines) + "\n").encode() if lines else b"")
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
@@ -197,17 +210,12 @@ def load_dataset(directory: str | Path) -> Dataset:
 def save_dataset(ds: Dataset, directory: str | Path, extra_meta: dict | None = None) -> None:
     """Write a dataset directory; output is byte-deterministic."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    edges = ds.graph.edge_array()
-    lines = [f"{u}\t{v}" for u, v in edges]
-    _atomic_write(directory / "edges.tsv", ("\n".join(lines) + "\n").encode() if lines else b"")
+    write_lines(directory / "edges.tsv", [f"{u}\t{v}" for u, v in ds.graph.edge_array().tolist()])
     # repr() round-trips float64 exactly, keeping save -> load a fixed point
-    rows = (",".join(repr(float(x)) for x in row) for row in ds.features)
-    _atomic_write(directory / "features.csv", ("\n".join(rows) + "\n").encode())
+    rows = [",".join(map(repr, row.tolist())) for row in ds.features]
+    write_lines(directory / "features.csv", rows)
     if ds.labels is not None:
-        _atomic_write(
-            directory / "labels.txt", ("\n".join(str(int(y)) for y in ds.labels) + "\n").encode()
-        )
+        write_lines(directory / "labels.txt", list(map(str, ds.labels.tolist())))
     meta = {
         "name": ds.name,
         "num_nodes": ds.num_nodes,
@@ -216,9 +224,7 @@ def save_dataset(ds: Dataset, directory: str | Path, extra_meta: dict | None = N
     }
     if extra_meta:
         meta.update(extra_meta)
-    _atomic_write(
-        directory / "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()
-    )
+    write_json(directory / "meta.json", meta)
 
 
 def save_matrix_binary(m: np.ndarray, path: str | Path) -> None:
@@ -246,11 +252,10 @@ def load_matrix_binary(path: str | Path) -> np.ndarray:
 def save_matrix_csv(m: np.ndarray, path: str | Path) -> None:
     """Write one matrix as CSV with a "node,e0,..." header, 9 significant digits."""
     m = np.asarray(m, dtype=np.float64)
-    header = "node," + ",".join(f"e{j}" for j in range(m.shape[1]))
-    lines = [header]
-    for i, row in enumerate(m):
-        lines.append(str(i) + "," + ",".join(f"{x:.9g}" for x in row))
-    _atomic_write(Path(path), ("\n".join(lines) + "\n").encode())
+    row_fmt = ",".join(["%.9g"] * m.shape[1])
+    lines = ["node," + ",".join(f"e{j}" for j in range(m.shape[1]))]
+    lines.extend(f"{i},{row_fmt % tuple(row.tolist())}" for i, row in enumerate(m))
+    write_lines(path, lines)
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
@@ -271,7 +276,20 @@ def load_matrix_csv(path: str | Path) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, dim)
 
 
+def load_matrix(path: str | Path) -> np.ndarray:
+    """One matrix from a ``.csv`` file, or from any other in the binary format."""
+    return load_matrix_csv(path) if Path(path).suffix == ".csv" else load_matrix_binary(path)
+
+
 _VIEW_SUFFIX = {"ego": ".ego", "agg": ".agg", "merged": ""}
+_FORMAT_SUFFIX = {"binary": ".bin", "csv": ".csv"}
+
+
+def embedding_path(base: str | Path, view: str, fmt: str) -> Path:
+    """Where ``save_embeddings`` puts one view ("merged", "ego" or "agg") in
+    one format ("binary" or "csv"): ``{base}.bin``, ``{base}.ego.csv``, ..."""
+    base = Path(base)
+    return base.with_name(base.name + _VIEW_SUFFIX[view] + _FORMAT_SUFFIX[fmt])
 
 
 def save_embeddings(e: EmbeddingSet, base: str | Path, fmt: str = "binary") -> list[Path]:
@@ -282,33 +300,23 @@ def save_embeddings(e: EmbeddingSet, base: str | Path, fmt: str = "binary") -> l
     ``{base}.agg.bin``. ``fmt`` is "binary", "csv", or "both". Returns the
     written paths.
     """
-    base = Path(base)
-    written = []
-    views = {"merged": e.h, "ego": e.h_ego, "agg": e.h_agg}
-    for name, m in views.items():
-        stem = base.with_name(base.name + _VIEW_SUFFIX[name])
-        if fmt in ("binary", "both"):
-            p = stem.with_name(stem.name + ".bin")
-            save_matrix_binary(m, p)
-            written.append(p)
-        if fmt in ("csv", "both"):
-            p = stem.with_name(stem.name + ".csv")
-            save_matrix_csv(m, p)
-            written.append(p)
     if fmt not in ("binary", "csv", "both"):
         raise ValueError(f"unknown embedding format {fmt!r}")
+    written = []
+    for view, m in (("merged", e.h), ("ego", e.h_ego), ("agg", e.h_agg)):
+        for f, save in (("binary", save_matrix_binary), ("csv", save_matrix_csv)):
+            if fmt in (f, "both"):
+                written.append(embedding_path(base, view, f))
+                save(m, written[-1])
     return written
 
 
 def load_embeddings(base: str | Path, fmt: str = "binary") -> EmbeddingSet:
     """Load an embedding set written by save_embeddings."""
-    base = Path(base)
-    ext = {"binary": ".bin", "csv": ".csv"}[fmt]
-    loader = load_matrix_binary if fmt == "binary" else load_matrix_csv
     mats = {}
-    for name in ("merged", "ego", "agg"):
-        p = base.with_name(base.name + _VIEW_SUFFIX[name] + ext)
+    for view in ("merged", "ego", "agg"):
+        p = embedding_path(base, view, fmt)
         if not p.is_file():
             raise ValidationError(f"missing embedding file: {p}")
-        mats[name] = loader(p)
+        mats[view] = load_matrix(p)
     return EmbeddingSet(h_ego=mats["ego"], h_agg=mats["agg"], h=mats["merged"])

@@ -3,9 +3,14 @@
 Three protocols: node classification (logistic-regression probe,
 Micro-F1), link prediction (remove test edges, retrain embeddings on
 the rest, score pair features, ROC-AUC), and pairwise same-class
-classification (sampled same/different-class node pairs, ROC-AUC).
-Every split and sample is drawn from a seeded stream, so reports are
-reproducible end to end.
+classification (sampled same/different-class node pairs, ROC-AUC);
+plus the alpha/beta grid search, which scores the node probe on a
+validation split. Every split and sample is drawn from a seeded stream,
+so reports are reproducible end to end.
+
+Trainings go through the ``mvge.model`` module attribute, never a name
+bound here at import, so a wrapper installed on ``mvge.model.train``
+sees the protocols' retrains too.
 """
 
 from __future__ import annotations
@@ -15,25 +20,23 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+import mvge.model
 from mvge.data import Dataset
-from mvge.graph import Graph, ValidationError
+from mvge.graph import Graph, ValidationError, check_fields, kept_pairs
 from mvge.numerics import Adam, Param, child_seed, sigmoid
 
 TASK_NAMES = ("node", "link", "pair")
 TASK_METRICS = {"node": "micro_f1", "link": "roc_auc", "pair": "roc_auc"}
 DEFAULT_TRAIN_FRACTION = {"node": 0.3, "link": 0.85, "pair": 0.85}
 
-# stream tags, disjoint from the model module's
+# stream tags, disjoint from the model module's 2**32 + 1 and 2**32 + 2
+_VAL_TAG = 2**32 + 3
 _NODE_TAG = 2**32 + 16
 _SPLIT_TAG = 2**32 + 17
 _PAIR_TAG = 2**32 + 18
 _LINK_MODEL_TAG = 2**32 + 19
 
 _STD_FLOOR = 1e-8
-
-# candidate pairs per block of kept_pairs, which the samplers here and in
-# mvge.synth enumerate through when rejection would crawl
-_PAIR_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,7 @@ class SplitSpec:
             raise ValidationError(f"task must be one of {TASK_NAMES}, got {self.task!r}")
         if self.train_fraction is None:
             object.__setattr__(self, "train_fraction", DEFAULT_TRAIN_FRACTION[self.task])
+        check_fields(self, ints=("repeats", "seed"), reals=("train_fraction",))
         if not 0.0 < self.train_fraction < 1.0:
             raise ValidationError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
@@ -102,10 +106,11 @@ class LogRegModel:
     training set degenerates to always predicting that class.
     """
 
-    def __init__(self, lr: float = 0.1, iterations: int = 300, l2: float = 1e-4):
-        self.lr = lr
-        self.iterations = iterations
-        self.l2 = l2
+    LR = 0.1
+    ITERATIONS = 300
+    L2 = 1e-4
+
+    def __init__(self):
         self.num_classes: int | None = None
         self.degenerate_class: int | None = None
         self.mu: np.ndarray | None = None
@@ -142,12 +147,12 @@ class LogRegModel:
             "w": Param(np.zeros((x.shape[1], n_out))),
             "b": Param(np.zeros((1, n_out))),
         }
-        opt = Adam(params, lr=self.lr)
+        opt = Adam(params, lr=self.LR)
         n = xs.shape[0]
-        for _ in range(self.iterations):
+        for _ in range(self.ITERATIONS):
             z = xs @ params["w"].value + params["b"].value
             d_z = (sigmoid(z) - targets) / n
-            params["w"].grad += xs.T @ d_z + 2.0 * self.l2 * params["w"].value
+            params["w"].grad += xs.T @ d_z + 2.0 * self.L2 * params["w"].value
             params["b"].grad += d_z.sum(axis=0, keepdims=True)
             opt.step()
         self.weights = params["w"].value
@@ -156,13 +161,10 @@ class LogRegModel:
             raise FloatingPointError("non-finite classifier weights")
         return self
 
-    def _check_fitted(self) -> None:
-        if self.weights is None:
-            raise ValidationError("classifier is not fitted")
-
     def scores(self, x: np.ndarray) -> np.ndarray:
         """Per-class decision scores, shape (n, num_classes)."""
-        self._check_fitted()
+        if self.weights is None:
+            raise ValidationError("classifier is not fitted")
         x = np.asarray(x, dtype=np.float64)
         if self.degenerate_class is not None:
             out = np.zeros((x.shape[0], self.num_classes))
@@ -172,13 +174,6 @@ class LogRegModel:
         if self.weights.shape[1] == 1 and self.num_classes == 2:
             return np.concatenate([-z, z], axis=1)
         return z
-
-    def binary_scores(self, x: np.ndarray) -> np.ndarray:
-        """The positive-class score for a binary classifier, shape (n,)."""
-        self._check_fitted()
-        if self.num_classes != 2:
-            raise ValidationError("binary_scores needs a 2-class model")
-        return self.scores(x)[:, 1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.scores(x).argmax(axis=1).astype(np.int64)
@@ -225,6 +220,13 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def _probe_f1(h: np.ndarray, labels: np.ndarray, train_idx: np.ndarray,
+              test_idx: np.ndarray, num_classes: int | None) -> float:
+    """Micro-F1 on the test rows of a probe fitted on the train rows."""
+    clf = LogRegModel().fit(h[train_idx], labels[train_idx], num_classes=num_classes)
+    return micro_f1(labels[test_idx], clf.predict(h[test_idx]))
+
+
 def node_classification_eval(h: np.ndarray, labels: np.ndarray,
                              spec: SplitSpec) -> EvalReport:
     """Uniform train/test node splits, probe per repeat, Micro-F1."""
@@ -243,10 +245,7 @@ def node_classification_eval(h: np.ndarray, labels: np.ndarray,
     for r in range(spec.repeats):
         rng = np.random.default_rng([spec.seed, _NODE_TAG, r])
         perm = rng.permutation(n)
-        train_idx, test_idx = perm[:n_train], perm[n_train:]
-        clf = LogRegModel().fit(h[train_idx], labels[train_idx],
-                                num_classes=num_classes)
-        out.append(micro_f1(labels[test_idx], clf.predict(h[test_idx])))
+        out.append(_probe_f1(h, labels, perm[:n_train], perm[n_train:], num_classes))
     return _make_report("node", out)
 
 
@@ -259,19 +258,6 @@ class LinkSplit:
     train_neg: np.ndarray
     test_pos: np.ndarray
     test_neg: np.ndarray
-
-
-def kept_pairs(n: int, keep) -> np.ndarray:
-    """Every pair u < v of n >= 1 nodes with ``keep(u, v)`` true, u-major, as
-    shape (k, 2). The candidates go through ``keep`` in row blocks of about
-    ``_PAIR_BLOCK`` pairs, so memory is O(k + _PAIR_BLOCK), not O(n^2)."""
-    rows, kept = max(1, _PAIR_BLOCK // n), []
-    for r0 in range(0, n, rows):
-        iu, iv = np.nonzero(np.arange(n) > np.arange(r0, min(r0 + rows, n))[:, None])
-        iu += r0
-        mask = keep(iu, iv)
-        kept.append(np.stack([iu[mask], iv[mask]], axis=1))
-    return np.concatenate(kept)
 
 
 def _sample_pairs(n: int, count: int, pool: int, kind: str, keep,
@@ -367,10 +353,10 @@ def _pair_auc(h: np.ndarray, train_pos: np.ndarray, train_neg: np.ndarray,
     x_train, y_train = features_labels(train_pos, train_neg)
     x_test, y_test = features_labels(test_pos, test_neg)
     clf = LogRegModel().fit(x_train, y_train, num_classes=2)
-    return roc_auc(clf.binary_scores(x_test), y_test)
+    return roc_auc(clf.scores(x_test)[:, 1], y_test)
 
 
-def link_prediction_eval(ds: Dataset, cfg, spec: SplitSpec,
+def link_prediction_eval(ds: Dataset, cfg: mvge.model.MVGEConfig, spec: SplitSpec,
                          split_log: list | None = None) -> EvalReport:
     """Per repeat: resplit, retrain embeddings on the train graph only,
     fit the probe on train pair features, AUC on held-out pairs.
@@ -378,8 +364,6 @@ def link_prediction_eval(ds: Dataset, cfg, spec: SplitSpec,
     ``split_log`` (if a list) receives one dict of test pairs per
     repeat so the holdout is auditable.
     """
-    from mvge.model import train
-
     if spec.task != "link":
         raise ValidationError(f"expected a link SplitSpec, got {spec.task!r}")
     out = []
@@ -390,7 +374,7 @@ def link_prediction_eval(ds: Dataset, cfg, spec: SplitSpec,
             num_classes=ds.num_classes, name=ds.name,
         )
         cfg_r = replace(cfg, seed=child_seed(cfg.seed, _LINK_MODEL_TAG, r))
-        _, emb, _ = train(train_ds, cfg_r)
+        _, emb, _ = mvge.model.train(train_ds, cfg_r)
         out.append(_pair_auc(emb.h, split.train_pos, split.train_neg,
                              split.test_pos, split.test_neg))
         if split_log is not None:
@@ -414,7 +398,7 @@ def _sample_label_pairs(labels: np.ndarray, count: int, same: bool,
                          lambda u, v: (labels[u] == labels[v]) == same, rng)
 
 
-def pairwise_eval(ds: Dataset, cfg, spec: SplitSpec,
+def pairwise_eval(ds: Dataset, cfg: mvge.model.MVGEConfig, spec: SplitSpec,
                   h: np.ndarray | None = None) -> EvalReport:
     """Same-class-pair detection from one embedding of the full graph.
 
@@ -423,8 +407,6 @@ def pairwise_eval(ds: Dataset, cfg, spec: SplitSpec,
     85/15, fits the probe on the train portion, and scores AUC on the
     rest. Pass ``h`` to skip training and evaluate given embeddings.
     """
-    from mvge.model import train
-
     if spec.task != "pair":
         raise ValidationError(f"expected a pair SplitSpec, got {spec.task!r}")
     if ds.labels is None:
@@ -436,7 +418,7 @@ def pairwise_eval(ds: Dataset, cfg, spec: SplitSpec,
     if n_pairs < 2:
         raise ValidationError("pair evaluation needs at least 2 edges to size samples")
     if h is None:
-        _, emb, _ = train(ds, cfg)
+        _, emb, _ = mvge.model.train(ds, cfg)
         h = emb.h
     h = np.asarray(h, dtype=np.float64)
     if h.shape[0] != ds.num_nodes:
@@ -450,3 +432,42 @@ def pairwise_eval(ds: Dataset, cfg, spec: SplitSpec,
         neg = _sample_label_pairs(labels, n_pairs, False, rng)
         out.append(_pair_auc(h, pos[n_test:], neg[n_test:], pos[:n_test], neg[:n_test]))
     return _make_report("pair", out)
+
+
+def grid_search_alpha_beta(ds: Dataset, cfg: mvge.model.MVGEConfig, grid_step: float = 0.1,
+                           val_fraction: float = 0.7):
+    """Pick (alpha, beta) by validation Micro-F1 over the full grid.
+
+    Trains one model per grid point (walk features computed once and
+    shared), scores a logistic-regression probe on a fixed held-out
+    node split, and returns (best_alpha, best_beta, table) where the
+    table lists (alpha, beta, score) rows in grid order. Ties keep the
+    earliest point, so the lowest alpha and then the lowest beta.
+    """
+    if ds.labels is None:
+        raise ValidationError("grid search needs labels")
+    if not 0.0 < grid_step <= 1.0:
+        raise ValidationError(f"grid_step must be in (0, 1], got {grid_step}")
+    steps = int(round(1.0 / grid_step))
+    if abs(steps * grid_step - 1.0) > 1e-9:
+        raise ValidationError(f"grid_step {grid_step} must divide 1 evenly")
+    if not 0.0 < val_fraction < 1.0:
+        raise ValidationError(f"val_fraction must be in (0, 1), got {val_fraction}")
+
+    views = mvge.model.build_views(ds.graph, ds.features, cfg.walk_config())
+    n = ds.num_nodes
+    perm = np.random.default_rng([cfg.seed, _VAL_TAG]).permutation(n)
+    n_train = min(max(int(round((1.0 - val_fraction) * n)), 1), n - 1)
+
+    values = [i / steps for i in range(steps + 1)]
+    table: list[tuple[float, float, float]] = []
+    best = (-1.0, 0.0, 0.0)
+    for a in values:
+        for b in values:
+            _, emb, _ = mvge.model.train(ds, replace(cfg, alpha=a, beta=b), views=views)
+            score = _probe_f1(emb.h, ds.labels, perm[:n_train], perm[n_train:],
+                              ds.num_classes)
+            table.append((a, b, score))
+            if score > best[0]:
+                best = (score, a, b)
+    return best[1], best[2], table

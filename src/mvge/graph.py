@@ -1,5 +1,6 @@
-"""Undirected graph in compressed sparse row form plus the symmetrically
-normalized propagation operator used by the GCN branch."""
+"""Undirected graph in compressed sparse row form, the symmetrically
+normalized propagation operator used by the GCN branch, the blocked
+enumerator of node pairs, and the input checks the other modules share."""
 
 from __future__ import annotations
 
@@ -12,6 +13,18 @@ import scipy.sparse as sp
 
 class ValidationError(ValueError):
     """Raised when input data violates a structural contract."""
+
+
+def check_fields(obj, ints: tuple[str, ...] = (), reals: tuple[str, ...] = ()) -> None:
+    """Raise ValidationError unless each attribute of ``obj`` named in ``ints``
+    holds an integer and each named in ``reals`` a real number; a bool is
+    neither."""
+    for names, kinds, kind in ((ints, (int, np.integer), "an integer"),
+                               (reals, (int, float, np.integer, np.floating), "a real number")):
+        for name in names:
+            v = getattr(obj, name)
+            if isinstance(v, bool) or not isinstance(v, kinds):
+                raise ValidationError(f"{name} must be {kind}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -167,6 +180,24 @@ class Graph:
             return np.zeros(np.shape(q), dtype=bool)
         idx = np.clip(np.searchsorted(keys, q), 0, len(keys) - 1)
         return (keys[idx] == q) & (u != v)
+
+
+# candidate pairs per block of kept_pairs, which the pair samplers of
+# mvge.evaluate and mvge.synth enumerate through when rejection would crawl
+_PAIR_BLOCK = 1 << 20
+
+
+def kept_pairs(n: int, keep) -> np.ndarray:
+    """Every pair u < v of n >= 1 nodes with ``keep(u, v)`` true, u-major, as
+    shape (k, 2). The candidates go through ``keep`` in row blocks of about
+    ``_PAIR_BLOCK`` pairs, so memory is O(k + _PAIR_BLOCK), not O(n^2)."""
+    rows, kept = max(1, _PAIR_BLOCK // n), []
+    for r0 in range(0, n, rows):
+        iu, iv = np.nonzero(np.arange(n) > np.arange(r0, min(r0 + rows, n))[:, None])
+        iu += r0
+        mask = keep(iu, iv)
+        kept.append(np.stack([iu[mask], iv[mask]], axis=1))
+    return np.concatenate(kept)
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:

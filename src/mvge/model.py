@@ -19,13 +19,13 @@ import contextvars
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from mvge.data import Dataset, EmbeddingSet
-from mvge.graph import Graph, ValidationError, normalized_adjacency
+from mvge.graph import Graph, ValidationError, check_fields, normalized_adjacency
 from mvge.numerics import (
     Adam,
     Param,
@@ -86,11 +86,11 @@ _NEG_MAX_ROUNDS = 1000
 # 128, 256, 512 and 1024 rows, 256 was fastest at N=20000, d=128
 _PAIR_CHUNK_ROWS = 256
 
-# default_rng([seed, tag]) stream tags for init, negatives and validation;
-# walks draw from no Generator (they hash seed, node, length and step)
+# default_rng([seed, tag]) stream tags for init and negatives (mvge.evaluate
+# holds the others); walks draw from no Generator (they hash seed, node, length
+# and step)
 _INIT_TAG = 2**32 + 1
 _NEG_TAG = 2**32 + 2
-_VAL_TAG = 2**32 + 3
 
 _LOG_FLOOR = 1e-12
 
@@ -127,17 +127,13 @@ class MVGEConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "task_mask", frozenset(self.task_mask))
+        check_fields(self, ints=("dim_ego", "dim_agg", "hidden_dim", "epochs", "seed"),
+                     reals=("alpha", "beta", "lr", "sample_ratio"))
         for name, low in (("dim_ego", 1), ("dim_agg", 1), ("hidden_dim", 1),
                           ("epochs", 0), ("seed", 0)):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
             if v < low:
                 raise ValidationError(f"{name} must be >= {low}, got {v}")
-        for name in ("alpha", "beta", "lr", "sample_ratio"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-                raise ValidationError(f"{name} must be a real number, got {v!r}")
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -664,50 +660,3 @@ def embedding_dim_std(h: np.ndarray) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] < 2:
         raise ValidationError(f"need a matrix with >= 2 rows, got shape {h.shape}")
     return h.std(axis=0, ddof=0)
-
-
-def grid_search_alpha_beta(ds: Dataset, cfg: MVGEConfig, grid_step: float = 0.1,
-                           val_fraction: float = 0.7):
-    """Pick (alpha, beta) by validation Micro-F1 over the full grid.
-
-    Trains one model per grid point (walk features computed once and
-    shared), scores a logistic-regression probe on a fixed held-out
-    node split, and returns (best_alpha, best_beta, table) where the
-    table lists (alpha, beta, score) rows in grid order. Ties keep the
-    earliest point, so the lowest alpha and then the lowest beta.
-    """
-    from mvge.evaluate import LogRegModel, micro_f1
-
-    if ds.labels is None:
-        raise ValidationError("grid search needs labels")
-    if not 0.0 < grid_step <= 1.0:
-        raise ValidationError(f"grid_step must be in (0, 1], got {grid_step}")
-    steps = int(round(1.0 / grid_step))
-    if abs(steps * grid_step - 1.0) > 1e-9:
-        raise ValidationError(f"grid_step {grid_step} must divide 1 evenly")
-    if not 0.0 < val_fraction < 1.0:
-        raise ValidationError(f"val_fraction must be in (0, 1), got {val_fraction}")
-
-    views = build_views(ds.graph, ds.features, cfg.walk_config())
-    n = ds.num_nodes
-    rng = np.random.default_rng([cfg.seed, _VAL_TAG])
-    perm = rng.permutation(n)
-    n_train = int(round((1.0 - val_fraction) * n))
-    n_train = min(max(n_train, 1), n - 1)
-    train_idx, val_idx = perm[:n_train], perm[n_train:]
-
-    values = [i / steps for i in range(steps + 1)]
-    table: list[tuple[float, float, float]] = []
-    best = (-1.0, 0.0, 0.0)
-    for a in values:
-        for b in values:
-            point = replace(cfg, alpha=a, beta=b)
-            _, emb, _ = train(ds, point, views=views)
-            clf = LogRegModel()
-            clf.fit(emb.h[train_idx], ds.labels[train_idx],
-                    num_classes=ds.num_classes)
-            score = micro_f1(ds.labels[val_idx], clf.predict(emb.h[val_idx]))
-            table.append((a, b, score))
-            if score > best[0]:
-                best = (score, a, b)
-    return best[1], best[2], table

@@ -117,27 +117,27 @@ def softplus(x: np.ndarray) -> np.ndarray:
 class Adam:
     """Adam with bias correction; grads are zeroed after each step."""
 
-    def __init__(self, params: dict[str, Param], lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPSILON = 1e-8
+
+    def __init__(self, params: dict[str, Param], lr: float = 0.01):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for k, p in self.params.items():
             g = p.grad
             self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
             self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
             m_hat = self.m[k] / (1.0 - b1 ** self.t)
             v_hat = self.v[k] / (1.0 - b2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPSILON)
             p.zero_grad()
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvge.data import Dataset
-from mvge.evaluate import kept_pairs
-from mvge.graph import Graph, ValidationError
+from mvge.graph import Graph, ValidationError, check_fields, kept_pairs
 
 
 @dataclass(frozen=True)
@@ -28,6 +27,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, ints=("num_nodes", "num_classes", "feature_dim", "seed"),
+                     reals=("target_homophily", "avg_degree", "class_separation",
+                            "noise_sigma"))
         if self.num_nodes < self.num_classes or self.num_classes < 1:
             raise ValidationError("need num_nodes >= num_classes >= 1")
         if not 0.0 <= self.target_homophily <= 1.0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvge.graph import Graph, ValidationError
+from mvge.graph import Graph, ValidationError, check_fields
 
 log = logging.getLogger(__name__)
 
@@ -51,6 +51,7 @@ class WalkConfig:
             raise ValidationError(f"walk lengths must be distinct, got {lengths}")
         if self.aggr not in AGGREGATORS:
             raise ValidationError(f"aggr must be one of {AGGREGATORS}, got {self.aggr!r}")
+        check_fields(self, ints=("seed",))
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
 

@@ -320,6 +320,14 @@ def test_diag_reports_view_sigmas(tmp_path, embed_run):
     assert len(lines) == 17  # header + 8 dims per view
 
 
+@pytest.mark.parametrize("command", ["stats", "diag"])
+def test_commands_without_randomness_take_no_seed(command, synth_dir):
+    args = [synth_dir] if command == "stats" else ["--embeddings", synth_dir / "e.bin"]
+    r = run_cli(command, *args, "--seed", 1)
+    assert r.returncode == 2
+    assert "unrecognized arguments: --seed 1" in r.stderr
+
+
 def test_missing_out_flag_is_usage_error(tmp_path, synth_dir):
     r = run_cli("embed", synth_dir)
     assert r.returncode == 2

@@ -161,6 +161,24 @@ def test_csv_matrix_roundtrip(tmp_path):
     assert np.allclose(back, m, rtol=1e-8)
 
 
+def test_text_writers_match_per_element_formatting(tmp_path):
+    """Rows formatted whole give the bytes of one f-string or repr() per value."""
+    special = [0.0, -0.0, 1e300, -1e-300, 5e-324, np.inf, -np.inf, np.nan, 1 / 3,
+               -2.5e-7, 123456789.123456789, 1e16]
+    m = np.array([special, special[::-1]])
+    save_matrix_csv(m, tmp_path / "m.csv")
+    want = ["node," + ",".join(f"e{j}" for j in range(m.shape[1]))]
+    want += [f"{i}," + ",".join(f"{x:.9g}" for x in row) for i, row in enumerate(m)]
+    assert (tmp_path / "m.csv").read_text() == "\n".join(want) + "\n"
+    g, _ = Graph.from_edges(2, [])
+    save_dataset(make_dataset(g, m, [1, 0], num_classes=2), tmp_path / "d")
+    want = [",".join(repr(float(x)) for x in row) for row in m]
+    assert (tmp_path / "d" / "features.csv").read_text() == "\n".join(want) + "\n"
+    assert (tmp_path / "d" / "labels.txt").read_text() == "1\n0\n"
+    # a graph without edges gets an empty edge list, not a blank line
+    assert (tmp_path / "d" / "edges.tsv").read_bytes() == b""
+
+
 def test_csv_rejects_ragged_row(tmp_path):
     save_matrix_csv(np.ones((2, 3)), tmp_path / "m.csv")
     lines = (tmp_path / "m.csv").read_text().splitlines()

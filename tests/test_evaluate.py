@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from datetime import timedelta
 from unittest.mock import patch
 
 import numpy as np
@@ -10,12 +11,14 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvge.model
 from mvge.evaluate import (
     EvalReport,
     LogRegModel,
     SplitSpec,
     _sample_label_pairs,
     _sample_non_edges,
+    grid_search_alpha_beta,
     link_prediction_eval,
     link_split,
     micro_f1,
@@ -28,7 +31,7 @@ from mvge.graph import Graph, ValidationError
 from mvge.model import MVGEConfig
 from mvge.synth import SynthSpec, generate_synthetic
 
-from conftest import labeled_graphs, make_dataset, random_dataset
+from conftest import hostile_datasets, labeled_graphs, make_dataset, random_dataset
 
 
 # -- logistic regression probe -----------------------------------------------
@@ -70,23 +73,21 @@ def test_logreg_scores_shape_binary_and_multiclass():
     x = rng.normal(size=(20, 3))
     clf2 = LogRegModel().fit(x, (x[:, 0] > 0).astype(np.int64), num_classes=2)
     assert clf2.scores(x).shape == (20, 2)
-    assert clf2.binary_scores(x).shape == (20,)
     y3 = rng.integers(0, 3, size=20)
     clf3 = LogRegModel().fit(x, y3, num_classes=3)
     assert clf3.scores(x).shape == (20, 3)
-    with pytest.raises(ValidationError):
-        clf3.binary_scores(x)
 
 
 @pytest.mark.parametrize("label", [0, 1])
 def test_logreg_binary_scores_positive_column(label):
+    # column 1 of a binary probe's scores is what the pair protocols rank by
     x = np.random.default_rng(3).normal(size=(12, 3))
     clf = LogRegModel().fit(x, (x[:, 0] > 0).astype(np.int64), num_classes=2)
     z = ((x - clf.mu) / clf.sd) @ clf.weights + clf.bias
-    np.testing.assert_array_equal(clf.binary_scores(x), z[:, 0])
+    np.testing.assert_array_equal(clf.scores(x)[:, 1], z[:, 0])
     # a single-class training set scores every pair by that class
     clf = LogRegModel().fit(x, np.full(12, label), num_classes=2)
-    assert clf.binary_scores(x).tolist() == [float(label)] * 12
+    assert clf.scores(x)[:, 1].tolist() == [float(label)] * 12
 
 
 def test_logreg_standardization_shift_invariant():
@@ -325,6 +326,21 @@ def test_split_spec_rejects_negative_seed(task):
         SplitSpec(task, seed=-1)
 
 
+@pytest.mark.parametrize("name", ["repeats", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_split_spec_integer_fields_reject_other_types(name, value):
+    # repeats=True ran one repeat, repeats=2.5 failed later in range()
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        SplitSpec("node", **{name: value})
+    assert getattr(SplitSpec("node", **{name: np.int64(3)}), name) == 3
+
+
+@pytest.mark.parametrize("value", [True, "0.3", [0.3]])
+def test_split_spec_train_fraction_rejects_other_types(value):
+    with pytest.raises(ValidationError, match="train_fraction must be a real number"):
+        SplitSpec("link", train_fraction=value)
+
+
 def test_link_split_complete_graph_rejected():
     g, _ = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     with pytest.raises(ValidationError, match="non-edge"):
@@ -430,7 +446,7 @@ def assert_same_draw(sample, reference, pool, data):
             sample(count, rng_new)
         assert str(got.value) == str(e)
         return
-    with patch("mvge.evaluate._PAIR_BLOCK", block):
+    with patch("mvge.graph._PAIR_BLOCK", block):
         out = sample(count, rng_new)
     assert out.dtype == want.dtype and np.array_equal(out, want)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
@@ -486,6 +502,65 @@ def fast_cfg(**kw):
                 walk_lengths=(3, 5), seed=0)
     base.update(kw)
     return MVGEConfig(**base)
+
+
+def test_protocols_train_through_the_model_module(monkeypatch):
+    """Every protocol training looks up mvge.model.train (and the grid search
+    mvge.model.build_views) when it runs, so a wrapper installed there, such
+    as a tracer's, sees it."""
+    calls = []
+
+    def counting(name):
+        real = getattr(mvge.model, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mvge.model, "train", counting("train"))
+    monkeypatch.setattr(mvge.model, "build_views", counting("build_views"))
+    ds = random_dataset(np.random.default_rng(11), n=30, c=2, p_edge=0.2)
+    cfg = fast_cfg(epochs=2)
+    link_prediction_eval(ds, cfg, SplitSpec("link", repeats=2))
+    pairwise_eval(ds, cfg, SplitSpec("pair", repeats=1))
+    # a training given no views builds them
+    assert calls == ["train", "build_views"] * 3
+    calls.clear()
+    grid_search_alpha_beta(ds, cfg, grid_step=1.0)
+    assert calls == ["build_views"] + ["train"] * 4
+
+
+@given(hostile_datasets(), st.data())
+@settings(max_examples=40, deadline=timedelta(seconds=5))
+def test_probes_on_one_to_four_classes(ds, data):
+    """With fewer than 2 classes present the node and pair probes raise
+    ValidationError; otherwise they score in [0, 1] (the pair probe may still
+    refuse a graph with too few edges or pairs). A probe fitted on one class
+    predicts it."""
+    n = ds.num_nodes
+    c = data.draw(st.integers(min_value=1, max_value=4))
+    labels = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)),
+                      dtype=np.int64)
+    ds = make_dataset(ds.graph, ds.features, labels, num_classes=c)
+    h = ds.features
+    present = np.unique(labels).size
+    for task in ("node", "pair"):
+        spec = SplitSpec(task, repeats=2)
+        try:
+            if task == "node":
+                report = node_classification_eval(h, labels, spec)
+            else:
+                report = pairwise_eval(ds, fast_cfg(), spec, h=h)
+        except ValidationError as exc:
+            assert present < 2 or (task == "pair" and "2 classes" not in str(exc))
+            continue
+        assert present >= 2
+        assert all(0.0 <= x <= 1.0 for x in report.scores)
+    if n:
+        one = labels == labels[0]
+        clf = LogRegModel().fit(h[one], labels[one], num_classes=c)
+        assert (clf.predict(h) == labels[0]).all()
 
 
 def test_pairwise_eval_with_one_hot_embeddings():

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mvge.model
+from mvge.evaluate import grid_search_alpha_beta
 from mvge.graph import Graph, ValidationError, normalized_adjacency
 from mvge.model import (
     EGO_ENCODERS,
@@ -24,7 +25,6 @@ from mvge.model import (
     TrainingDivergedError,
     adjacency_loss,
     embedding_dim_std,
-    grid_search_alpha_beta,
     kl_feature_loss,
     merge_embeddings,
     total_loss,

@@ -79,10 +79,12 @@ def test_output_digest_same_on_one_or_two_workers():
     rows = [line.split("  ") for line in free.splitlines()]
     assert all(re.fullmatch("[0-9a-f]{64}", sha) for sha, _ in rows)
     names = [name for _, name in rows]
-    assert len(names) == 2 * 3 * 2 * 3 + 6
+    assert len(names) == 2 * 3 * 2 * 3 + 6 + 7
     assert names[0] == "train/linear/concat/full/all"
     assert names[36:] == ["synth", "sample_non_edges", "sample_label_pairs",
-                          "report/node", "report/link", "report/pair"]
+                          "report/node", "report/link", "report/pair",
+                          "cli/synth", "cli/stats", "cli/embed", "cli/eval-node",
+                          "cli/eval-pair", "cli/gridsearch", "cli/diag"]
     taskset = shutil.which("taskset")
     if taskset is None or not hasattr(os, "sched_getaffinity"):
         pytest.skip("needs taskset to pin a run to one CPU")

@@ -141,6 +141,24 @@ def test_negative_seed_rejected():
         spec_with(seed=-1)
 
 
+@pytest.mark.parametrize("name", ["num_nodes", "num_classes", "feature_dim", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_spec_integer_fields_reject_other_types(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        spec_with(**{name: value})
+    default = getattr(spec_with(), name)
+    assert getattr(spec_with(**{name: np.int64(default)}), name) == default
+
+
+@pytest.mark.parametrize("name", ["target_homophily", "avg_degree", "class_separation",
+                                  "noise_sigma"])
+@pytest.mark.parametrize("value", [True, "0.5", None])
+def test_spec_real_fields_reject_other_types(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+        spec_with(**{name: value})
+    assert getattr(spec_with(**{name: np.float32(0.5)}), name) == 0.5
+
+
 def test_dataset_name_encodes_parameters():
     ds = generate_synthetic(spec_with(num_nodes=200, target_homophily=0.25))
     assert "0.25" in ds.name and "200" in ds.name

@@ -176,6 +176,14 @@ def test_walk_config_validation():
     assert set(AGGREGATORS) == {"concat", "mean", "sum"}
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_config_seed_rejects_other_types(value):
+    # a float seed was cast to uint64 by the walk hash
+    with pytest.raises(ValidationError, match=f"seed must be an integer, got {value!r}"):
+        WalkConfig(seed=value)
+    assert WalkConfig(seed=np.uint64(3)).seed == 3
+
+
 @given(edge_lists(max_nodes=15), st.integers(min_value=0, max_value=2 ** 16))
 @settings(max_examples=40, deadline=None)
 def test_aggregate_within_feature_bounds(ne, seed):
