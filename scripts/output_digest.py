@@ -19,6 +19,9 @@ The groups, one line each:
       whose edge budget takes the dense fallback;
   sample_non_edges, sample_label_pairs  both evaluate samplers, on their
       rejection and their dense paths;
+  probe/multiclass, probe/binary  the weights and bias of the logistic-regression
+      probe fitted on fixed seeded features, so a probe-only change shows
+      apart from the trainings;
   report/node, report/link, report/pair  the protocol scores;
   cli/<command>     every file that synth, stats, embed, eval-node, eval-pair,
       gridsearch and diag write when run through ``mvge.cli.main`` on one small
@@ -45,7 +48,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mvge.cli import main as mvge_main
-from mvge.evaluate import (SplitSpec, _sample_label_pairs, _sample_non_edges,
+from mvge.evaluate import (LogRegModel, SplitSpec, _sample_label_pairs, _sample_non_edges,
                            link_prediction_eval, node_classification_eval, pairwise_eval)
 from mvge.graph import ValidationError
 from mvge.model import EGO_ENCODERS, MERGE_FNS, MVGEConfig, adjacency_workers, train
@@ -109,6 +112,15 @@ def sampler_lines(n: int):
              for same, pool in ((True, same_pool), (False, n * (n - 1) // 2 - same_pool))
              for count in (1, pool // 8, pool // 2, pool)]
     yield "sample_label_pairs", digest(*pairs)
+
+
+def probe_lines(n: int):
+    rng = np.random.default_rng(9)
+    for name, classes in (("multiclass", 5), ("binary", 2)):
+        y = np.arange(n) % classes
+        x = rng.normal(size=(n, 32)) + rng.normal(size=(classes, 32))[y]
+        clf = LogRegModel().fit(x, y, num_classes=classes)
+        yield f"probe/{name}", digest(clf.weights, clf.bias)
 
 
 def report_lines(n: int, epochs: int):
@@ -175,7 +187,8 @@ def main() -> int:
     n, epochs, synth_sizes = (40, 2, (12, 30)) if args.tiny else (1000, 5, (12, 30, 120))
     print(f"adjacency workers: {adjacency_workers()}", file=sys.stderr)
     lines = itertools.chain(training_lines(n, epochs), [synth_line(synth_sizes)],
-                            sampler_lines(n), report_lines(n, epochs), cli_lines(n, epochs))
+                            sampler_lines(n), probe_lines(n), report_lines(n, epochs),
+                            cli_lines(n, epochs))
     for name, sha in lines:
         print(f"{sha}  {name}", flush=True)
     return 0

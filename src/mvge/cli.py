@@ -329,11 +329,12 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
 
 def cmd_diag(args: argparse.Namespace) -> int:
     base = Path(args.embeddings)
-    if base.suffix == ".bin":
+    fmt = "csv" if base.suffix == ".csv" else "binary"
+    if base.suffix in (".bin", ".csv"):
         base = base.with_suffix("")
     rows = []
     for view in ("ego", "agg"):
-        path = embedding_path(base, view, "binary")
+        path = embedding_path(base, view, fmt)
         if not path.is_file():
             raise ValidationError(f"missing per-view embeddings: {path}")
         sig = embedding_dim_std(load_matrix(path))
@@ -422,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diag", help="per-dimension deviations of saved embeddings")
     p.add_argument("--embeddings", required=True,
-                   help="embedding base path written by embed (expects "
-                        "BASE.ego.bin and BASE.agg.bin)")
+                   help="embedding path written by embed: BASE or BASE.bin reads "
+                        "BASE.ego.bin and BASE.agg.bin, BASE.csv the .csv views")
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_diag)
 

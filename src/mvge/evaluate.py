@@ -136,24 +136,30 @@ class LogRegModel:
             self.bias = np.zeros((1, 1))
             return self
         self.degenerate_class = None
-        xs = (x - self.mu) / self.sd
+        # one float32 layout per fit, features by rows (d x n), so both
+        # products stream it in order; weights, bias and Adam stay float64
+        xs = x - self.mu
+        xs /= self.sd
+        xs_t = xs.T.astype(np.float32, order="C")
+        del xs
         n_out = 1 if num_classes == 2 else num_classes
-        targets = (
-            (y == 1).astype(np.float64)[:, None]
+        targets_t = (
+            (y == 1).astype(np.float64)[None, :]
             if n_out == 1
-            else np.eye(num_classes)[y]
+            else np.eye(num_classes)[:, y]
         )
         params = {
             "w": Param(np.zeros((x.shape[1], n_out))),
             "b": Param(np.zeros((1, n_out))),
         }
         opt = Adam(params, lr=self.LR)
-        n = xs.shape[0]
+        n = xs_t.shape[1]
         for _ in range(self.ITERATIONS):
-            z = xs @ params["w"].value + params["b"].value
-            d_z = (sigmoid(z) - targets) / n
-            params["w"].grad += xs.T @ d_z + 2.0 * self.L2 * params["w"].value
-            params["b"].grad += d_z.sum(axis=0, keepdims=True)
+            w = params["w"].value
+            z_t = w.T.astype(np.float32) @ xs_t + params["b"].value.T
+            d_z_t = (sigmoid(z_t) - targets_t) / n
+            params["w"].grad += xs_t @ d_z_t.T.astype(np.float32) + 2.0 * self.L2 * w
+            params["b"].grad += d_z_t.sum(axis=1)[None, :]
             opt.step()
         self.weights = params["w"].value
         self.bias = params["b"].value

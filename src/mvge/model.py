@@ -323,19 +323,6 @@ def merge_embeddings(h_ego: np.ndarray, h_agg: np.ndarray, fn: str) -> np.ndarra
     return h_ego + h_agg if fn == "sum" else (h_ego + h_agg) / 2.0
 
 
-def kl_feature_loss(targets: np.ndarray, recon: np.ndarray) -> float:
-    """KL divergence between row-softmaxed targets and reconstructions.
-
-    The target distribution is treated as fixed; only the
-    reconstruction side carries gradient (which is softmax(recon) -
-    softmax(targets) with respect to the reconstruction logits).
-    """
-    if targets.shape != recon.shape:
-        raise ValidationError(f"shape mismatch: {targets.shape} vs {recon.shape}")
-    targets = np.asarray(targets, dtype=np.float64)
-    return _kl_terms(softmax_rows(targets), np.asarray(recon, dtype=np.float64))[0]
-
-
 def _kl_terms(p: np.ndarray, recon: np.ndarray):
     """Loss and logit gradient for a precomputed target distribution."""
     q = softmax_rows(recon)

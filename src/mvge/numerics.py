@@ -1,6 +1,5 @@
 """Dense layer primitives with explicit backward rules, the Adam
-optimizer, finite-difference gradient checking, and readers of the BLAS
-threads and CPUs a process may use.
+optimizer, and readers of the BLAS threads and CPUs a process may use.
 
 All matrices are float64 numpy arrays. The backward pass is written
 per operation for the fixed network rather than through a general
@@ -140,50 +139,3 @@ class Adam:
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPSILON)
             p.zero_grad()
 
-
-def grad_check(
-    loss_fn,
-    params: dict[str, Param],
-    epsilon: float = 1e-5,
-    max_entries_per_param: int = 40,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn()`` must recompute the loss from the current parameter
-    values and leave the full analytic gradient in each param's ``grad``.
-    A deterministic sample of entries per parameter is probed; the
-    relative error is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    """
-    rng = np.random.default_rng(seed)
-    base = loss_fn()
-    if not np.isfinite(base):
-        raise FloatingPointError(f"non-finite loss {base!r} in grad_check")
-    analytic = {k: p.grad.copy() for k, p in params.items()}
-    for p in params.values():
-        p.zero_grad()
-
-    worst = 0.0
-    for k, p in params.items():
-        flat = p.value.reshape(-1)
-        n = flat.size
-        idx = np.arange(n) if n <= max_entries_per_param else rng.choice(
-            n, size=max_entries_per_param, replace=False
-        )
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            plus = loss_fn()
-            flat[i] = orig - epsilon
-            minus = loss_fn()
-            flat[i] = orig
-            for q in params.values():
-                q.zero_grad()
-            if not (np.isfinite(plus) and np.isfinite(minus)):
-                raise FloatingPointError("non-finite loss during grad_check probe")
-            numeric = (plus - minus) / (2.0 * epsilon)
-            a = analytic[k].reshape(-1)[i]
-            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, err)
-    loss_fn()  # restore gradient state for the caller
-    return worst

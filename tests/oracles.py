@@ -1,0 +1,105 @@
+"""Reference implementations that only the tests call.
+
+- ``grad_check``: central differences against the hand-derived gradients.
+- ``kl_feature_loss``: the KL reconstruction loss from raw target features.
+- ``float64_logreg_fit``: the probe's all-float64 training loop, which
+  ``LogRegModel.fit`` ran before it moved to one float32 feature layout.
+"""
+
+import numpy as np
+
+from mvge.evaluate import _STD_FLOOR, LogRegModel
+from mvge.graph import ValidationError
+from mvge.model import _kl_terms
+from mvge.numerics import Adam, Param, sigmoid, softmax_rows
+
+
+def grad_check(
+    loss_fn,
+    params: dict[str, Param],
+    epsilon: float = 1e-5,
+    max_entries_per_param: int = 40,
+    seed: int = 0,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``loss_fn()`` must recompute the loss from the current parameter
+    values and leave the full analytic gradient in each param's ``grad``.
+    A deterministic sample of entries per parameter is probed; the
+    relative error is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    """
+    rng = np.random.default_rng(seed)
+    base = loss_fn()
+    if not np.isfinite(base):
+        raise FloatingPointError(f"non-finite loss {base!r} in grad_check")
+    analytic = {k: p.grad.copy() for k, p in params.items()}
+    for p in params.values():
+        p.zero_grad()
+
+    worst = 0.0
+    for k, p in params.items():
+        flat = p.value.reshape(-1)
+        n = flat.size
+        idx = np.arange(n) if n <= max_entries_per_param else rng.choice(
+            n, size=max_entries_per_param, replace=False
+        )
+        for i in idx:
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            plus = loss_fn()
+            flat[i] = orig - epsilon
+            minus = loss_fn()
+            flat[i] = orig
+            for q in params.values():
+                q.zero_grad()
+            if not (np.isfinite(plus) and np.isfinite(minus)):
+                raise FloatingPointError("non-finite loss during grad_check probe")
+            numeric = (plus - minus) / (2.0 * epsilon)
+            a = analytic[k].reshape(-1)[i]
+            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+            worst = max(worst, err)
+    loss_fn()  # restore gradient state for the caller
+    return worst
+
+
+def kl_feature_loss(targets: np.ndarray, recon: np.ndarray) -> float:
+    """KL divergence between row-softmaxed targets and reconstructions.
+
+    The target distribution is treated as fixed; only the
+    reconstruction side carries gradient (which is softmax(recon) -
+    softmax(targets) with respect to the reconstruction logits).
+    """
+    if targets.shape != recon.shape:
+        raise ValidationError(f"shape mismatch: {targets.shape} vs {recon.shape}")
+    targets = np.asarray(targets, dtype=np.float64)
+    return _kl_terms(softmax_rows(targets), np.asarray(recon, dtype=np.float64))[0]
+
+
+def float64_logreg_fit(x: np.ndarray, y: np.ndarray, num_classes: int):
+    """(weights, bias) of the float64 probe loop on a training set with at
+    least two classes, at ``LogRegModel``'s LR, ITERATIONS and L2."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0, ddof=0)
+    sd = np.where(sd < _STD_FLOOR, 1.0, sd)
+    xs = (x - mu) / sd
+    n_out = 1 if num_classes == 2 else num_classes
+    targets = (
+        (y == 1).astype(np.float64)[:, None]
+        if n_out == 1
+        else np.eye(num_classes)[y]
+    )
+    params = {
+        "w": Param(np.zeros((x.shape[1], n_out))),
+        "b": Param(np.zeros((1, n_out))),
+    }
+    opt = Adam(params, lr=LogRegModel.LR)
+    n = xs.shape[0]
+    for _ in range(LogRegModel.ITERATIONS):
+        z = xs @ params["w"].value + params["b"].value
+        d_z = (sigmoid(z) - targets) / n
+        params["w"].grad += xs.T @ d_z + 2.0 * LogRegModel.L2 * params["w"].value
+        params["b"].grad += d_z.sum(axis=0, keepdims=True)
+        opt.step()
+    return params["w"].value, params["b"].value

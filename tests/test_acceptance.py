@@ -25,11 +25,12 @@ from mvge.evaluate import (
 from mvge.graph import Graph, normalized_adjacency
 from mvge.homophily import global_homophily, local_homophily
 from mvge.model import MVGEConfig, MVGEModel, embedding_dim_std, train
-from mvge.numerics import grad_check, softmax_rows
+from mvge.numerics import softmax_rows
 from mvge.synth import SynthSpec, generate_synthetic
 from mvge.walks import build_views
 
 from conftest import random_dataset
+from oracles import grad_check
 
 DATA_ROOT = Path(__file__).resolve().parents[1] / "data"
 

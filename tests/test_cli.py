@@ -320,6 +320,22 @@ def test_diag_reports_view_sigmas(tmp_path, embed_run):
     assert len(lines) == 17  # header + 8 dims per view
 
 
+def test_diag_reads_csv_only_embeddings(tmp_path, synth_dir):
+    out = tmp_path / "emb"
+    r = run_cli("embed", synth_dir, "--epochs", 2, "--dim-ego", 4, "--dim-agg", 5,
+                "--hidden-dim", 8, "--walk-lengths", "3", "--seed", 3,
+                "--format", "csv", "--out", out)
+    assert r.returncode == 0, r.stderr
+    assert not list(out.glob("*.bin"))
+    r = run_cli("diag", "--embeddings", out / "embeddings.csv")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.strip().split("\n")
+    assert lines[0] == "view,dim,sigma"
+    rows = [l.split(",") for l in lines[1:]]
+    assert [(v, int(i)) for v, i, _ in rows] == (
+        [("ego", i) for i in range(4)] + [("agg", i) for i in range(5)])
+
+
 @pytest.mark.parametrize("command", ["stats", "diag"])
 def test_commands_without_randomness_take_no_seed(command, synth_dir):
     args = [synth_dir] if command == "stats" else ["--embeddings", synth_dir / "e.bin"]

@@ -25,17 +25,17 @@ from mvge.model import (
     TrainingDivergedError,
     adjacency_loss,
     embedding_dim_std,
-    kl_feature_loss,
     merge_embeddings,
     total_loss,
     train,
 )
-from mvge.numerics import grad_check, sigmoid, softmax_rows, softplus
+from mvge.numerics import sigmoid, softmax_rows, softplus
 from mvge.synth import SynthSpec, generate_synthetic
 from mvge.walks import ViewPair, build_views
 
 from conftest import (edge_lists, feature_matrices, hostile_datasets, make_dataset,
                       random_dataset)
+from oracles import grad_check, kl_feature_loss
 
 
 def toy_cfg(**kw):

@@ -1,4 +1,4 @@
-"""Dense/sparse ops, activations, Adam, and the gradient checker."""
+"""Dense/sparse ops, activations, Adam, and the test suite's gradient checker."""
 
 import os
 import subprocess
@@ -16,7 +16,6 @@ from mvge.numerics import (
     blas_info,
     child_seed,
     glorot,
-    grad_check,
     sigmoid,
     softmax_rows,
     softplus,
@@ -26,6 +25,7 @@ from mvge.numerics import (
 )
 
 from conftest import feature_matrices
+from oracles import grad_check
 
 
 # -- forward ops -------------------------------------------------------------
