@@ -130,12 +130,21 @@ class Adam:
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         for k, p in self.params.items():
-            g = p.grad
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            m_hat = self.m[k] / (1.0 - b1 ** self.t)
-            v_hat = self.v[k] / (1.0 - b2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPSILON)
+            g, m, v = p.grad, self.m[k], self.v[k]
+            # in place, in the order of m = b1 m + (1 - b1) g: the same bits
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            # lr (m / c1) / (sqrt(v / c2) + eps), through one temporary per term
+            den = np.divide(v, c2)
+            np.sqrt(den, out=den)
+            den += self.EPSILON
+            num = np.divide(m, c1)
+            num *= self.lr
+            num /= den
+            p.value -= num
             p.zero_grad()
 

@@ -197,6 +197,32 @@ def test_adam_deterministic():
     assert np.array_equal(run(), run())
 
 
+def test_adam_in_place_matches_rebinding_expression():
+    # Adam.step as first written, rebinding m and v each step; the in-place
+    # update must give the same bits over a long run of varied gradients
+    rng = np.random.default_rng(12)
+    shapes = {"w": (7, 3), "b": (1, 3), "s": (5,)}
+    params = {k: Param(rng.normal(size=s)) for k, s in shapes.items()}
+    values = {k: p.value.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    opt = Adam(params, lr=0.03)
+    b1, b2, eps = Adam.BETA1, Adam.BETA2, Adam.EPSILON
+    for t in range(1, 201):
+        for k, p in params.items():
+            g = rng.normal(size=shapes[k]) * 10.0 ** rng.integers(-8, 4)
+            p.grad += g
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            m_hat = m[k] / (1.0 - b1 ** t)
+            v_hat = v[k] / (1.0 - b2 ** t)
+            values[k] -= 0.03 * m_hat / (np.sqrt(v_hat) + eps)
+        opt.step()
+        for k, p in params.items():
+            assert p.value.tobytes() == values[k].tobytes(), (t, k)
+            assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes()
+
+
 # -- gradient checker --------------------------------------------------------
 
 def test_grad_check_accepts_correct_gradient():
