@@ -66,13 +66,22 @@ ADJ_LOSS_MODES = ("auto", "full", "sampled")
 # included
 FULL_ADJ_MAX_NODES = 3500
 
-# per-part budget, in bytes, for the widest float64 strip of H H^T in the full
-# adjacency loss (its rows times N); each of the two parts holds one strip, so a
-# call holds at most two. Median ms per call of the one-part loop at 1/2/4/8 MB,
+# per-part budget, in bytes, for the widest strip of H H^T in the full adjacency
+# loss (its rows times N times the strip itemsize); each of the two parts holds
+# one strip, so a call holds at most two. Median ms per call of the one-part loop at 1/2/4/8 MB,
 # d=128, 1 BLAS thread, 2 MB L2: 45/44/48/57 at N=1490, 577/487/473/420 at
 # N=5000. With two parts on one worker at N=5000, 2 MB gave 542-614 ms against
 # 532-561 ms at 4 MB
 _ADJ_BLOCK_BYTES = 4 << 20
+
+# dtype of the full adjacency loss's strips: H's copy, the products z = H H^T
+# and the |z|, exp, log1p and tanh passes. The |z| and softplus sums, t, the
+# loss and the gradient stay float64. float32 holds |z| up to 3.4e38, that is
+# row norms of H up to 1.8e19 (z_ii = |h_i|^2). Past that the cast or a product
+# overflows, and as every pair's |z| enters the |z| sum the loss comes out inf
+# or nan, never a wrong finite value. Finite differences cannot resolve a
+# float32 loss, so the gradient checks run with float64 here
+_ADJ_DTYPE = np.float32
 
 # bytes of the buffer each part takes its |z| and softplus sums through, in
 # row chunks of one strip (at least one row)
@@ -351,26 +360,32 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
         # sum(z) = |col|^2 with col the column sums of H
         ah = g.adjacency @ h
         col = h.sum(axis=0)
-        block = max(1, _ADJ_BLOCK_BYTES // (8 * n))
-        sums_rows = max(1, _ADJ_SUMS_BYTES // (8 * n))
+        item = np.dtype(_ADJ_DTYPE).itemsize
+        block = max(1, _ADJ_BLOCK_BYTES // (item * n))
+        sums_rows = max(1, _ADJ_SUMS_BYTES // (item * n))
         k = _split_row(n, block)
-        # d_h = (2 / n^2) (sigmoid(z) - A) H with sigmoid(z) = (1 + tanh(z / 2)) / 2:
-        # t collects tanh(z / 2) H, and the 1 adds col to every row. Each part gets
-        # its own buffers, all allocated here so that no worker thread keeps freed
-        # strips in an arena of its own
-        t, t_b = np.zeros_like(h), np.zeros_like(h)
-        part_a, part_b = (
-            (h, lo, hi, block, np.empty(min(block, hi - lo) * (n - lo)),
-             np.empty(sums_rows * n), np.empty((n - lo, h.shape[1])), t_part)
-            for lo, hi, t_part in ((0, k, t), (k, n, t_b)))
-        (abs_b, log_b), (abs_a, log_a) = _side_by_side(lambda: _adjacency_part(*part_b),
-                                                       lambda: _adjacency_part(*part_a))
-        # A's results before B's, so the bits do not depend on the worker count
-        t += t_b
-        abs_sum, log_sum = abs_a + abs_b, log_a + log_b
-        loss = (0.5 * (col @ col + abs_sum) + log_sum - (h * ah).sum()) / (n * n)
-        t += col
-        t -= 2.0 * ah
+        # past _ADJ_DTYPE's range the loss comes out non-finite, which is the
+        # caller's to report; the worker runs in a copy of this errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            hs = h.astype(_ADJ_DTYPE, copy=False)
+            # d_h = (2 / n^2) (sigmoid(z) - A) H with sigmoid(z) = (1 + tanh(z / 2)) / 2:
+            # t collects tanh(z / 2) H, and the 1 adds col to every row. Each part
+            # gets its own buffers, all allocated here so that no worker thread
+            # keeps freed strips in an arena of its own
+            t, t_b = np.zeros_like(h), np.zeros_like(h)
+            part_a, part_b = (
+                (hs, lo, hi, block, np.empty(min(block, hi - lo) * (n - lo), _ADJ_DTYPE),
+                 np.empty(sums_rows * n, _ADJ_DTYPE), np.empty((n - lo, h.shape[1]), _ADJ_DTYPE),
+                 t_part)
+                for lo, hi, t_part in ((0, k, t), (k, n, t_b)))
+            (abs_b, log_b), (abs_a, log_a) = _side_by_side(lambda: _adjacency_part(*part_b),
+                                                           lambda: _adjacency_part(*part_a))
+            # A's results before B's, so the bits do not depend on the worker count
+            t += t_b
+            abs_sum, log_sum = abs_a + abs_b, log_a + log_b
+            loss = (0.5 * (col @ col + abs_sum) + log_sum - (h * ah).sum()) / (n * n)
+            t += col
+            t -= 2.0 * ah
         return float(loss), t / (n * n)
     if mode != "sampled":
         raise ValidationError(f"adjacency loss mode must be full or sampled, got {mode!r}")
@@ -459,12 +474,13 @@ def _pair_dots(h, rows, cols, buf):
     return z
 
 
-def _adjacency_part(h, lo, hi, block, strip, chunk_buf, prod, t):
+def _adjacency_part(hs, lo, hi, block, strip, chunk_buf, prod, t):
     """Row strips [lo, hi) of the upper triangle of z = H H^T, each at most
-    ``block`` rows: returns the sums of |z| and of log1p(exp(-|z|)) over the
-    unordered node pairs they hold, and adds tanh(z / 2) H into ``t``. Writes
-    only into the buffers it is given, so that it can run on a worker thread."""
-    n = h.shape[0]
+    ``block`` rows, with H given as ``hs`` in the strip dtype: returns the
+    float64 sums of |z| and of log1p(exp(-|z|)) over the unordered node pairs
+    they hold, and adds tanh(z / 2) H into the float64 ``t``. Writes only into
+    the buffers it is given, so that it can run on a worker thread."""
+    n = hs.shape[0]
     abs_sum = log_sum = 0.0
     for s0 in range(lo, hi, block):
         s1 = min(s0 + block, hi)
@@ -472,20 +488,20 @@ def _adjacency_part(h, lo, hi, block, strip, chunk_buf, prod, t):
         # z is symmetric: strip [s0, s1) x [s0, n) scores each unordered pair
         # once; its diagonal tile counts once and the rest twice
         z = strip[:b * w].reshape(b, w)
-        np.matmul(h[s0:s1], h[s0:].T, out=z)
+        np.matmul(hs[s0:s1], hs[s0:].T, out=z)
         step = chunk_buf.size // w
         for r0 in range(0, b, step):
             e = chunk_buf[:min(step, b - r0) * w].reshape(-1, w)
             np.abs(z[r0:r0 + step], out=e)
-            abs_sum += 2.0 * e.sum() - e[:, :b].sum()
+            abs_sum += 2.0 * e.sum(dtype=np.float64) - e[:, :b].sum(dtype=np.float64)
             np.negative(e, out=e)
             np.exp(e, out=e)
             np.log1p(e, out=e)
-            log_sum += 2.0 * e.sum() - e[:, :b].sum()
+            log_sum += 2.0 * e.sum(dtype=np.float64) - e[:, :b].sum(dtype=np.float64)
         z *= 0.5
         np.tanh(z, out=z)
-        t[s0:s1] += np.matmul(z, h[s0:], out=prod[:b])
-        t[s1:] += np.matmul(z[:, b:].T, h[s0:s1], out=prod[:n - s1])
+        t[s0:s1] += np.matmul(z, hs[s0:], out=prod[:b])
+        t[s1:] += np.matmul(z[:, b:].T, hs[s0:s1], out=prod[:n - s1])
     return abs_sum, log_sum
 
 
