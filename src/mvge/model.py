@@ -49,29 +49,31 @@ ADJ_LOSS_MODES = ("auto", "full", "sampled")
 # needs O(block * N) memory, so this bounds its O(N^2) time per epoch, not memory.
 # train() seconds and node_f1 (10-repeat probe) of the default config at seed 1,
 # 1 BLAS thread (so two full-mode workers), 2-vCPU Xeon VM, on synth graphs with
-# 5 classes, avg degree 4 and 32 features:
+# 5 classes, avg degree 4 and 32 features. The 3500 and 5000 rows are from float32
+# strips and two-worker sampling; the 2000 and 8000 rows are older, from float64
+# strips and one-thread sampling, so compare the modes within a row only:
 #      N    h   full s  sampled s  full f1  sampled f1
 #   2000  0.2    29.6     23.0     0.3667    0.3678
 #   2000  0.8    26.8     21.9     0.5401    0.5414
-#   3500  0.2    64.8     40.1     0.4156    0.4149
-#   3500  0.8    59.8     40.0     0.5995    0.6002
-#   5000  0.2   100.1     52.1     0.4143    0.4145
-#   5000  0.8    95.3     48.3     0.6339    0.6346
+#   3500  0.2    39.8     18.6     0.4156    0.4149
+#   3500  0.8    33.7     18.3     0.5995    0.6002
+#   5000  0.2    64.5     38.7     0.4143    0.4145
+#   5000  0.8    53.7     31.7     0.6339    0.6346
 #   8000  0.2   232.9     87.6     0.4531    0.4534
 #   8000  0.8   224.7     88.7     0.6454    0.6450
 # F1 agrees within 0.0013 throughout, and sampling trains 1.2-1.3x faster at
-# 2000, 1.5-1.6x at 3500, 1.9-2.0x at 5000 and 2.5-2.7x at 8000. The switch
-# sits at 3500, past which sampling saves the most; below it full mode keeps the
-# exact objective where it costs least, cora (2708 nodes) and citeseer (3327)
-# included
+# 2000, 1.8-2.1x at 3500, 1.7x at 5000 and 2.5-2.7x at 8000. The switch sits at
+# 3500, past which sampling saves the most; below it full mode keeps the exact
+# objective where it costs least, cora (2708 nodes) and citeseer (3327) included
 FULL_ADJ_MAX_NODES = 3500
 
 # per-part budget, in bytes, for the widest strip of H H^T in the full adjacency
 # loss (its rows times N times the strip itemsize); each of the two parts holds
-# one strip, so a call holds at most two. Median ms per call of the one-part loop at 1/2/4/8 MB,
-# d=128, 1 BLAS thread, 2 MB L2: 45/44/48/57 at N=1490, 577/487/473/420 at
-# N=5000. With two parts on one worker at N=5000, 2 MB gave 542-614 ms against
-# 532-561 ms at 4 MB
+# one strip, so a call holds at most two. Median ms per call of the one-part
+# float32 loop at 2/4/8 MB, d=128, 1 BLAS thread, 2 MB L2: 26/28/29 at N=1490,
+# 230/197/198 at N=5000. Both parts at N=5000, two runs of 11 calls: 241-262,
+# 237-250 and 226-234 ms on one worker, 185-242, 146-242 and 137-158 ms on two.
+# 8 MB gains under 5% on one worker and doubles the strips' memory
 _ADJ_BLOCK_BYTES = 4 << 20
 
 # dtype of the full adjacency loss's strips: H's copy, the products z = H H^T
