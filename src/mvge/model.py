@@ -82,7 +82,7 @@ _ADJ_BLOCK_BYTES = 4 << 20
 # row norms of H up to 1.8e19 (z_ii = |h_i|^2). Past that the cast or a product
 # overflows, and as every pair's |z| enters the |z| sum the loss comes out inf
 # or nan, never a wrong finite value. Finite differences cannot resolve a
-# float32 loss, so the gradient checks run with float64 here
+# float32 loss, so the tests' gradient checks set this to float64
 _ADJ_DTYPE = np.float32
 
 # bytes of the buffer each part takes its |z| and softplus sums through, in
