@@ -23,10 +23,15 @@ The groups, one line each:
       probe fitted on fixed seeded features, so a probe-only change shows
       apart from the trainings;
   report/node, report/link, report/pair  the protocol scores;
-  cli/<command>     every file that synth, stats, embed, eval-node, eval-pair,
-      gridsearch and diag write when run through ``mvge.cli.main`` on one small
-      graph, with each run manifest's duration, env block and dataset path left
-      out.
+  cli/<command>     every file that synth, stats, embed, eval-node, eval-link,
+      eval-pair, gridsearch and diag write when run through ``mvge.cli.main`` on
+      one small graph, with each run manifest's duration, env block and dataset
+      path left out;
+  errors/<group>    the outcome of each of a fixed list of bad inputs, one bad
+      value at a time: the exception's type and message, or "ok" if it was
+      accepted. The groups are the fields of MVGEConfig, WalkConfig, SplitSpec
+      and SynthSpec, the keys of a dataset's meta.json, the formats of
+      save_embeddings, and embeddings with NaN or inf given to the protocols.
 
 The worker count goes to stderr, so it does not enter the diff. The default
 trains on 1000 nodes (multi-strip full mode, several sampled row chunks) and
@@ -48,11 +53,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mvge.cli import main as mvge_main
+from mvge.data import EmbeddingSet, load_dataset, save_dataset, save_embeddings
 from mvge.evaluate import (LogRegModel, SplitSpec, _sample_label_pairs, _sample_non_edges,
                            link_prediction_eval, node_classification_eval, pairwise_eval)
 from mvge.graph import ValidationError
 from mvge.model import EGO_ENCODERS, MERGE_FNS, MVGEConfig, adjacency_workers, train
 from mvge.synth import SynthSpec, generate_synthetic
+from mvge.walks import WalkConfig
 
 MASKS = {"all": ("ego", "agg", "adj"), "no-ego": ("agg", "adj"), "no-agg": ("ego", "adj")}
 
@@ -162,6 +169,8 @@ def cli_lines(n: int, epochs: int):
             "embed": ("embed", data, *model, "--format", "both", "--out", tmp / "embed"),
             "eval-node": ("eval-node", data, "--embeddings", f"{emb}.bin", "--repeats", 3,
                           "--seed", 6, "--out", tmp / "eval-node"),
+            "eval-link": ("eval-link", data, *model, "--repeats", 2,
+                          "--out", tmp / "eval-link"),
             "eval-pair": ("eval-pair", data, *model, "--embeddings", f"{emb}.csv",
                           "--repeats", 2, "--out", tmp / "eval-pair"),
             "gridsearch": ("gridsearch", data, *model, "--grid-step", 0.5,
@@ -179,6 +188,89 @@ def cli_lines(n: int, epochs: int):
             yield f"cli/{command}", hashlib.sha256(lines.encode()).hexdigest()
 
 
+def outcome(make) -> str:
+    """How one call ends: "ok", or its exception's type and message."""
+    try:
+        make()
+    except Exception as exc:  # a changed exception type is part of the output too
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def bad_fields(make, cases) -> list:
+    """The outcome of ``make(**{name: value})`` for each (name, value)."""
+    return [outcome(lambda: make(**{name: value})) for name, value in cases]
+
+
+def kinds(names, *values):
+    """(name, value) for every name and value."""
+    return [(name, v) for name in names for v in values]
+
+
+def errors_lines():
+    """One line per group of bad inputs; each input has one bad value."""
+    not_ints = (2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3", None, [3])
+    not_reals = (True, "0.5", None, [0.5])
+    synth = dict(num_nodes=20, num_classes=2, target_homophily=0.5, avg_degree=4.0)
+    groups = {
+        "MVGEConfig": bad_fields(MVGEConfig, [
+            *kinds(("dim_ego", "dim_agg", "hidden_dim", "epochs", "seed"), *not_ints),
+            *kinds(("dim_ego", "dim_agg", "hidden_dim"), -1, 0),
+            ("epochs", -1), ("seed", -1), ("seed", 2**64),
+            *kinds(("alpha", "beta", "lr", "sample_ratio"), *not_reals, float("nan")),
+            *kinds(("alpha", "beta"), -0.1, 1.5), *kinds(("lr", "sample_ratio"), 0.0, float("inf")),
+            *kinds(("merge_fn", "ego_encoder", "adj_loss_mode", "aggr"), "bogus", None, ["concat"]),
+            *kinds(("walk_lengths",), 5, (3.7,), ("3",), (True,), (), (0,), (3, 3)),
+            ("task_mask", {"ego", "adjacency"}), ("task_mask", frozenset()),
+        ]) + [outcome(lambda: MVGEConfig(merge_fn="sum", dim_ego=4, dim_agg=8))],
+        "WalkConfig": bad_fields(WalkConfig, [
+            *kinds(("lengths",), *((v,) for v in not_ints), (), (0,), (-2, 3), (3, 3)),
+            *kinds(("aggr",), "max", None), *kinds(("seed",), *not_ints, -1, 2**64),
+        ]),
+        "SplitSpec": [outcome(lambda: SplitSpec(task)) for task in ("nodes", None, "")]
+        + bad_fields(lambda **kw: SplitSpec("node", **kw), [
+            *kinds(("repeats", "seed"), *not_ints), ("repeats", 0), ("seed", -1),
+            *kinds(("train_fraction",), True, "0.5", [0.5], 0.0, 1.0, float("nan")),
+        ]),
+        "SynthSpec": bad_fields(lambda **kw: SynthSpec(**{**synth, **kw}), [
+            *kinds(("num_nodes", "num_classes", "feature_dim", "seed"), *not_ints),
+            ("num_nodes", 1), ("num_classes", 0), ("feature_dim", 0), ("feature_dim", -3),
+            ("seed", -1), *kinds(("target_homophily",), -0.1, 1.5, *not_reals),
+            *kinds(("avg_degree", "noise_sigma"), -1.0, float("nan"), float("inf"), *not_reals),
+            *kinds(("class_separation",), float("nan"), *not_reals), ("avg_degree", 40.0),
+        ]),
+    }
+    ds = dataset(12, seed=1)  # 12 nodes, 8 features, 3 classes
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_dataset(ds, tmp)
+        meta = json.loads((tmp / "meta.json").read_text())
+
+        def load(**values):
+            (tmp / "meta.json").write_text(json.dumps({**meta, **values}))
+            return load_dataset(tmp)
+        groups["meta.json"] = [
+            r.replace(str(tmp), "<dir>") for r in bad_fields(load, [
+                *((key, bad) for key, v in (("num_nodes", 12), ("num_features", 8),
+                                            ("num_classes", 3))
+                  for bad in (v + 0.5, float(v), True, str(v), None, [v], {"n": v})),
+                ("num_nodes", 11), ("num_nodes", 13), ("num_nodes", -1),
+                ("num_features", 7), ("num_classes", 1)])]
+        emb = EmbeddingSet(h_ego=ds.features, h_agg=ds.features, h=ds.features)
+        groups["save_embeddings"] = bad_fields(
+            lambda fmt: save_embeddings(emb, tmp / "e", fmt=fmt),
+            kinds(("fmt",), "xml", "BINARY", "", None))
+    ds, bad_h = dataset(40, seed=1), []
+    for value in (np.nan, np.inf, -np.inf):
+        h = ds.features.copy()
+        h[3, 1] = value
+        bad_h += [outcome(lambda: node_classification_eval(h, ds.labels, SplitSpec("node", repeats=1))),
+                  outcome(lambda: pairwise_eval(ds, MVGEConfig(), SplitSpec("pair", repeats=1), h=h))]
+    groups["embeddings"] = bad_h
+    for group, results in groups.items():
+        yield f"errors/{group}", hashlib.sha256("\n".join(results).encode()).hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tiny", action="store_true",
@@ -188,7 +280,7 @@ def main() -> int:
     print(f"adjacency workers: {adjacency_workers()}", file=sys.stderr)
     lines = itertools.chain(training_lines(n, epochs), [synth_line(synth_sizes)],
                             sampler_lines(n), probe_lines(n), report_lines(n, epochs),
-                            cli_lines(n, epochs))
+                            cli_lines(n, epochs), errors_lines())
     for name, sha in lines:
         print(f"{sha}  {name}", flush=True)
     return 0
