@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mvge.graph import EdgeRepairs, Graph, ValidationError
+from mvge.graph import EdgeRepairs, Graph, ValidationError, is_integer
 
 log = logging.getLogger(__name__)
 
@@ -120,10 +120,9 @@ def read_json_object(path: str | Path, what: str) -> dict:
 
 
 def _meta_int(meta: dict, key: str, path: Path) -> int:
-    try:
-        return int(meta[key])
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path}: {key} must be an integer, got {meta[key]!r}") from None
+    if not is_integer(meta[key]):
+        raise ValidationError(f"{path}: {key} must be an integer, got {meta[key]!r}")
+    return meta[key]
 
 
 def _parse_int(token: str, where: str) -> int:
@@ -181,10 +180,6 @@ def load_dataset(directory: str | Path) -> Dataset:
         features = np.loadtxt(feat_path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise ValidationError(f"{feat_path}: {exc}") from None
-    if features.shape[0] != n:
-        raise ValidationError(
-            f"feature row count {features.shape[0]} != node count {n}"
-        )
     if features.shape[1] != _meta_int(meta, "num_features", meta_path):
         raise ValidationError(
             f"feature column count {features.shape[1]} != "
@@ -301,7 +296,7 @@ def save_embeddings(e: EmbeddingSet, base: str | Path, fmt: str = "binary") -> l
     written paths.
     """
     if fmt not in ("binary", "csv", "both"):
-        raise ValueError(f"unknown embedding format {fmt!r}")
+        raise ValidationError(f"unknown embedding format {fmt!r}")
     written = []
     for view, m in (("merged", e.h), ("ego", e.h_ego), ("agg", e.h_agg)):
         for f, save in (("binary", save_matrix_binary), ("csv", save_matrix_csv)):

@@ -53,19 +53,13 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.task not in TASK_NAMES:
-            raise ValidationError(f"task must be one of {TASK_NAMES}, got {self.task!r}")
+        check_fields(self, choices=(("task", TASK_NAMES),))
         if self.train_fraction is None:
             object.__setattr__(self, "train_fraction", DEFAULT_TRAIN_FRACTION[self.task])
-        check_fields(self, ints=("repeats", "seed"), reals=("train_fraction",))
+        check_fields(self, ints=("repeats", "seed"), reals=("train_fraction",),
+                     at_least=(("repeats", 1), ("seed", 0)))
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValidationError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
-        if self.repeats < 1:
-            raise ValidationError(f"repeats must be >= 1, got {self.repeats}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+            raise ValidationError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
 @dataclass(frozen=True)
@@ -240,6 +234,8 @@ def node_classification_eval(h: np.ndarray, labels: np.ndarray,
         raise ValidationError(f"expected a node SplitSpec, got {spec.task!r}")
     h = np.asarray(h, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if not np.isfinite(h).all():
+        raise ValidationError("embeddings contain non-finite values")
     if h.shape[0] != labels.shape[0]:
         raise ValidationError("embedding and label row counts differ")
     if np.unique(labels).size < 2:
@@ -427,6 +423,8 @@ def pairwise_eval(ds: Dataset, cfg: mvge.model.MVGEConfig, spec: SplitSpec,
         _, emb, _ = mvge.model.train(ds, cfg)
         h = emb.h
     h = np.asarray(h, dtype=np.float64)
+    if not np.isfinite(h).all():
+        raise ValidationError("embeddings contain non-finite values")
     if h.shape[0] != ds.num_nodes:
         raise ValidationError(f"embedding rows {h.shape[0]} != num_nodes {ds.num_nodes}")
     n_test = _count_ceil((1.0 - spec.train_fraction) * n_pairs)

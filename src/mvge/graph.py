@@ -15,16 +15,32 @@ class ValidationError(ValueError):
     """Raised when input data violates a structural contract."""
 
 
-def check_fields(obj, ints: tuple[str, ...] = (), reals: tuple[str, ...] = ()) -> None:
-    """Raise ValidationError unless each attribute of ``obj`` named in ``ints``
-    holds an integer and each named in ``reals`` a real number; a bool is
-    neither."""
-    for names, kinds, kind in ((ints, (int, np.integer), "an integer"),
-                               (reals, (int, float, np.integer, np.floating), "a real number")):
-        for name in names:
-            v = getattr(obj, name)
-            if isinstance(v, bool) or not isinstance(v, kinds):
-                raise ValidationError(f"{name} must be {kind}, got {v!r}")
+def is_integer(v) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def check_fields(obj, ints: tuple[str, ...] = (), reals: tuple[str, ...] = (),
+                 at_least: tuple[tuple[str, int], ...] = (),
+                 choices: tuple[tuple[str, tuple], ...] = ()) -> None:
+    """Raise ValidationError unless, in this order, each attribute of ``obj``
+    named in ``ints`` is an integer (stored back as a Python int, which cannot
+    wrap), in ``reals`` a real number (a bool is neither), in ``at_least`` as
+    ``(name, low)`` at least low, and in ``choices`` as ``(name, options)`` one of them."""
+    for name in ints:
+        if not is_integer(getattr(obj, name)):
+            raise ValidationError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+        object.__setattr__(obj, name, int(getattr(obj, name)))
+    for name in reals:
+        v = getattr(obj, name)
+        if not (is_integer(v) or isinstance(v, (float, np.floating))):
+            raise ValidationError(f"{name} must be a real number, got {v!r}")
+    for name, low in at_least:
+        if getattr(obj, name) < low:
+            raise ValidationError(f"{name} must be >= {low}, got {getattr(obj, name)}")
+    for name, options in choices:
+        if getattr(obj, name) not in options:
+            raise ValidationError(f"{name} must be one of {options}, got {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -139,12 +139,11 @@ class MVGEConfig:
     def __post_init__(self):
         object.__setattr__(self, "task_mask", frozenset(self.task_mask))
         check_fields(self, ints=("dim_ego", "dim_agg", "hidden_dim", "epochs", "seed"),
-                     reals=("alpha", "beta", "lr", "sample_ratio"))
-        for name, low in (("dim_ego", 1), ("dim_agg", 1), ("hidden_dim", 1),
-                          ("epochs", 0), ("seed", 0)):
-            v = getattr(self, name)
-            if v < low:
-                raise ValidationError(f"{name} must be >= {low}, got {v}")
+                     reals=("alpha", "beta", "lr", "sample_ratio"),
+                     at_least=(("dim_ego", 1), ("dim_agg", 1), ("hidden_dim", 1),
+                               ("epochs", 0), ("seed", 0)),
+                     choices=(("merge_fn", MERGE_FNS), ("ego_encoder", EGO_ENCODERS),
+                              ("adj_loss_mode", ADJ_LOSS_MODES)))
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -155,10 +154,6 @@ class MVGEConfig:
                 raise ValidationError(f"{name} must be finite and positive, got {v}")
         # checks the lengths, aggr and seed, and gives the lengths as ints
         object.__setattr__(self, "walk_lengths", self.walk_config().lengths)
-        for name, choices in (("merge_fn", MERGE_FNS), ("ego_encoder", EGO_ENCODERS),
-                              ("adj_loss_mode", ADJ_LOSS_MODES)):
-            if getattr(self, name) not in choices:
-                raise ValidationError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.merge_fn in ("sum", "mean") and self.dim_ego != self.dim_agg:
             raise ValidationError(
                 f"merge_fn {self.merge_fn!r} needs dim_ego == dim_agg, "

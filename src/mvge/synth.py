@@ -29,7 +29,8 @@ class SynthSpec:
     def __post_init__(self):
         check_fields(self, ints=("num_nodes", "num_classes", "feature_dim", "seed"),
                      reals=("target_homophily", "avg_degree", "class_separation",
-                            "noise_sigma"))
+                            "noise_sigma"),
+                     at_least=(("feature_dim", 1), ("seed", 0)))
         if self.num_nodes < self.num_classes or self.num_classes < 1:
             raise ValidationError("need num_nodes >= num_classes >= 1")
         if not 0.0 <= self.target_homophily <= 1.0:
@@ -43,10 +44,6 @@ class SynthSpec:
         n = self.num_nodes
         if self.num_edges > n * (n - 1) // 2:
             raise ValidationError("requested degree exceeds the complete graph")
-        if self.feature_dim < 1:
-            raise ValidationError("feature_dim must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes == 1 and self.target_homophily < 1.0:
             raise ValidationError(
                 "inter-class edges are impossible with a single class"

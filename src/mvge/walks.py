@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvge.graph import Graph, ValidationError, check_fields
+from mvge.graph import Graph, ValidationError, check_fields, is_integer
 
 log = logging.getLogger(__name__)
 
@@ -39,7 +39,7 @@ class WalkConfig:
     def __post_init__(self):
         lengths = tuple(self.lengths)
         for x in lengths:
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            if not is_integer(x):
                 raise ValidationError(f"walk lengths must be integers, got {x!r}")
         lengths = tuple(int(x) for x in lengths)
         object.__setattr__(self, "lengths", lengths)
@@ -49,9 +49,7 @@ class WalkConfig:
             raise ValidationError(f"walk lengths must be >= 1, got {lengths}")
         if len(set(lengths)) != len(lengths):
             raise ValidationError(f"walk lengths must be distinct, got {lengths}")
-        if self.aggr not in AGGREGATORS:
-            raise ValidationError(f"aggr must be one of {AGGREGATORS}, got {self.aggr!r}")
-        check_fields(self, ints=("seed",))
+        check_fields(self, ints=("seed",), choices=(("aggr", AGGREGATORS),))
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
 

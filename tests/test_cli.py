@@ -375,6 +375,13 @@ def _num_nodes_not_int(ds, tmp):
     return ["stats", ds], "meta.json"
 
 
+def _meta_value(key, value):
+    def case(ds, tmp):
+        _set_meta(ds, **{key: value})
+        return ["stats", ds], f"meta.json: {key} must be an integer, got {value!r}"
+    return case
+
+
 def _ragged_features(ds, tmp):
     rows = (ds / "features.csv").read_text().splitlines()
     rows[2] = "1.0,2.0"
@@ -421,6 +428,15 @@ def _synth_value(flag, value, named):
                              "--out", tmp / "s"], named)
 
 
+def _eval_node_non_finite(ds, tmp):
+    from mvge.data import save_matrix_binary
+
+    h = np.ones((60, 4))
+    h[7, 2] = np.nan
+    save_matrix_binary(h, tmp / "h.bin")
+    return ["eval-node", ds, "--embeddings", tmp / "h.bin"], "embeddings contain non-finite values"
+
+
 def _eval_node_seed_negative(ds, tmp):
     from mvge.data import save_matrix_binary
 
@@ -431,6 +447,10 @@ def _eval_node_seed_negative(ds, tmp):
 MALFORMED = {
     "meta_not_json": _meta_not_json,
     "num_nodes_not_int": _num_nodes_not_int,
+    "meta_num_nodes_float": _meta_value("num_nodes", 60.5),
+    "meta_num_classes_float": _meta_value("num_classes", 2.5),
+    "meta_num_features_str": _meta_value("num_features", "6"),
+    "meta_num_nodes_bool": _meta_value("num_nodes", True),
     "ragged_features": _ragged_features,
     "non_numeric_features": _non_numeric_features,
     "config_epochs_str": _config_value({"epochs": "ten"}),
@@ -449,6 +469,7 @@ MALFORMED = {
     "synth_seed_negative": lambda ds, tmp: (
         ["synth", "--n", 20, "--c", 2, "--h", "0.5", "--seed", -1, "--out", tmp / "s"], "seed"),
     "eval_node_seed_negative": _eval_node_seed_negative,
+    "eval_node_non_finite": _eval_node_non_finite,
     "non_numeric_embedding_csv": _non_numeric_embedding_csv,
     "pair_embedding_rows_10": _pair_embedding_rows(10),
     "pair_embedding_rows_61": _pair_embedding_rows(61),

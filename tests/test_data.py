@@ -215,6 +215,13 @@ def test_load_embeddings_missing_view(tmp_path):
         load_embeddings(tmp_path / "emb", fmt="binary")
 
 
+def test_save_embeddings_rejects_unknown_format(tmp_path):
+    e = EmbeddingSet(h_ego=np.ones((2, 2)), h_agg=np.ones((2, 2)), h=np.ones((2, 4)))
+    with pytest.raises(ValidationError, match="^unknown embedding format 'xml'$"):
+        save_embeddings(e, tmp_path / "emb", fmt="xml")
+    assert not list(tmp_path.iterdir())
+
+
 def test_meta_json_is_sorted_and_versionable(tmp_path):
     save_dataset(small_ds(), tmp_path / "d", extra_meta={"generator": {"kind": "t"}})
     meta = json.loads((tmp_path / "d" / "meta.json").read_text())

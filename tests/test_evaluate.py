@@ -656,6 +656,19 @@ def test_pairwise_eval_rejects_wrong_row_count(rows):
         pairwise_eval(ds, fast_cfg(), SplitSpec("pair", repeats=1), h=np.ones((rows, 3)))
 
 
+@given(st.integers(0, 59), st.integers(0, 2), st.sampled_from([np.nan, np.inf, -np.inf]))
+@settings(max_examples=30, deadline=None)
+def test_non_finite_embeddings_rejected(row, col, value):
+    # a NaN slipped through the probe as a training failure, or scored at all
+    ds = random_dataset(np.random.default_rng(9), n=60, c=3, p_edge=0.1)
+    h = np.eye(3)[ds.labels]
+    h[row, col] = value
+    with pytest.raises(ValidationError, match="^embeddings contain non-finite values$"):
+        node_classification_eval(h, ds.labels, SplitSpec("node", repeats=1))
+    with pytest.raises(ValidationError, match="^embeddings contain non-finite values$"):
+        pairwise_eval(ds, fast_cfg(), SplitSpec("pair", repeats=1), h=h)
+
+
 def test_pairwise_eval_trains_when_no_embeddings_given():
     spec = SynthSpec(num_nodes=80, num_classes=2, target_homophily=0.9,
                      avg_degree=4.0, feature_dim=6, class_separation=3.0,
