@@ -260,13 +260,13 @@ def errors_lines():
         groups["save_embeddings"] = bad_fields(
             lambda fmt: save_embeddings(emb, tmp / "e", fmt=fmt),
             kinds(("fmt",), "xml", "BINARY", "", None))
-    ds, bad_h = dataset(40, seed=1), []
+    ds, node, pair = dataset(40, seed=1), SplitSpec("node", repeats=1), SplitSpec("pair", repeats=1)
+    groups["embeddings"] = []
     for value in (np.nan, np.inf, -np.inf):
         h = ds.features.copy()
         h[3, 1] = value
-        bad_h += [outcome(lambda: node_classification_eval(h, ds.labels, SplitSpec("node", repeats=1))),
-                  outcome(lambda: pairwise_eval(ds, MVGEConfig(), SplitSpec("pair", repeats=1), h=h))]
-    groups["embeddings"] = bad_h
+        groups["embeddings"] += [outcome(lambda: node_classification_eval(h, ds.labels, node)),
+                                 outcome(lambda: pairwise_eval(ds, MVGEConfig(), pair, h=h))]
     for group, results in groups.items():
         yield f"errors/{group}", hashlib.sha256("\n".join(results).encode()).hexdigest()
 

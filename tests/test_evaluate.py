@@ -659,7 +659,6 @@ def test_pairwise_eval_rejects_wrong_row_count(rows):
 @given(st.integers(0, 59), st.integers(0, 2), st.sampled_from([np.nan, np.inf, -np.inf]))
 @settings(max_examples=30, deadline=None)
 def test_non_finite_embeddings_rejected(row, col, value):
-    # a NaN slipped through the probe as a training failure, or scored at all
     ds = random_dataset(np.random.default_rng(9), n=60, c=3, p_edge=0.1)
     h = np.eye(3)[ds.labels]
     h[row, col] = value

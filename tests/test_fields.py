@@ -41,29 +41,26 @@ def _synth(**kw):
                         "avg_degree": 0.0, **kw})
 
 
-def _at_least(low, high=2**63 - 1):
-    return st.integers(low, high)
-
-
+I64, U64 = 2**63 - 1, 2**64 - 1  # the largest numpy int64 and uint64
 LENGTHS = "walk lengths must be integers"
 
-# (the message, build with value v, the values in range)
+# field: (the message's subject, build with value v, the least and largest v in range)
 FIELDS = {
-    "MVGEConfig.dim_ego": ("dim_ego", lambda v: MVGEConfig(dim_ego=v), _at_least(1)),
-    "MVGEConfig.dim_agg": ("dim_agg", lambda v: MVGEConfig(dim_agg=v), _at_least(1)),
-    "MVGEConfig.hidden_dim": ("hidden_dim", lambda v: MVGEConfig(hidden_dim=v), _at_least(1)),
-    "MVGEConfig.epochs": ("epochs", lambda v: MVGEConfig(epochs=v), _at_least(0)),
-    "MVGEConfig.seed": ("seed", lambda v: MVGEConfig(seed=v), _at_least(0, 2**64 - 1)),
-    "MVGEConfig.walk_lengths": (LENGTHS, lambda v: MVGEConfig(walk_lengths=(3, v)), _at_least(4)),
-    "WalkConfig.seed": ("seed", lambda v: WalkConfig(seed=v), _at_least(0, 2**64 - 1)),
-    "WalkConfig.lengths[0]": (LENGTHS, lambda v: WalkConfig(lengths=(v,)), _at_least(1)),
-    "WalkConfig.lengths[1]": (LENGTHS, lambda v: WalkConfig(lengths=(1, v, 3)), _at_least(4)),
-    "SplitSpec.repeats": ("repeats", lambda v: SplitSpec("node", repeats=v), _at_least(1)),
-    "SplitSpec.seed": ("seed", lambda v: SplitSpec("link", seed=v), _at_least(0)),
-    "SynthSpec.num_nodes": ("num_nodes", lambda v: _synth(num_nodes=v), _at_least(2)),
-    "SynthSpec.num_classes": ("num_classes", lambda v: _synth(num_classes=v), st.integers(1, 20)),
-    "SynthSpec.feature_dim": ("feature_dim", lambda v: _synth(feature_dim=v), _at_least(1)),
-    "SynthSpec.seed": ("seed", lambda v: _synth(seed=v), _at_least(0, 2**64 - 1)),
+    "MVGEConfig.dim_ego": ("dim_ego", lambda v: MVGEConfig(dim_ego=v), 1, I64),
+    "MVGEConfig.dim_agg": ("dim_agg", lambda v: MVGEConfig(dim_agg=v), 1, I64),
+    "MVGEConfig.hidden_dim": ("hidden_dim", lambda v: MVGEConfig(hidden_dim=v), 1, I64),
+    "MVGEConfig.epochs": ("epochs", lambda v: MVGEConfig(epochs=v), 0, I64),
+    "MVGEConfig.seed": ("seed", lambda v: MVGEConfig(seed=v), 0, U64),
+    "MVGEConfig.walk_lengths": (LENGTHS, lambda v: MVGEConfig(walk_lengths=(3, v)), 4, I64),
+    "WalkConfig.seed": ("seed", lambda v: WalkConfig(seed=v), 0, U64),
+    "WalkConfig.lengths[0]": (LENGTHS, lambda v: WalkConfig(lengths=(v,)), 1, I64),
+    "WalkConfig.lengths[1]": (LENGTHS, lambda v: WalkConfig(lengths=(1, v, 3)), 4, I64),
+    "SplitSpec.repeats": ("repeats", lambda v: SplitSpec("node", repeats=v), 1, I64),
+    "SplitSpec.seed": ("seed", lambda v: SplitSpec("link", seed=v), 0, I64),
+    "SynthSpec.num_nodes": ("num_nodes", lambda v: _synth(num_nodes=v), 2, I64),
+    "SynthSpec.num_classes": ("num_classes", lambda v: _synth(num_classes=v), 1, 20),
+    "SynthSpec.feature_dim": ("feature_dim", lambda v: _synth(feature_dim=v), 1, I64),
+    "SynthSpec.seed": ("seed", lambda v: _synth(seed=v), 0, U64),
 }
 
 
@@ -71,16 +68,16 @@ FIELDS = {
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_integer_fields_follow_one_rule(field, data):
-    message, build, in_range = FIELDS[field]
+    message, build, low, high = FIELDS[field]
     if message != LENGTHS:
         message = f"{message} must be an integer"
     bad = data.draw(not_integers, label="bad")
     with pytest.raises(ValidationError) as exc:
         build(bad)
     assert str(exc.value) == f"{message}, got {bad!r}"
-    v = data.draw(in_range, label="v")
+    v = data.draw(st.integers(low, high), label="v")
     build(v)
-    build(np.uint64(v) if v >= 2**63 else np.int64(v))
+    build(np.uint64(v) if v > I64 else np.int64(v))
     if v < 2**31:
         build(np.int32(v))
 
