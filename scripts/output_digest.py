@@ -26,7 +26,8 @@ The groups, one line each:
   cli/<command>     every file that synth, stats, embed, eval-node, eval-link,
       eval-pair, gridsearch and diag write when run through ``mvge.cli.main`` on
       one small graph, with each run manifest's duration, env block and dataset
-      path left out;
+      path left out; cli/<command>-defaults runs synth, eval-node and eval-pair
+      again with every optional setting flag left out;
   errors/<group>    the outcome of each of a fixed list of bad inputs, one bad
       value at a time: the exception's type and message, or "ok" if it was
       accepted. The groups are the fields of MVGEConfig, WalkConfig, SplitSpec
@@ -176,13 +177,20 @@ def cli_lines(n: int, epochs: int):
             "gridsearch": ("gridsearch", data, *model, "--grid-step", 0.5,
                            "--out", tmp / "gridsearch"),
             "diag": ("diag", "--embeddings", f"{emb}.bin", "--out", tmp / "diag" / "sigma.csv"),
+            # every optional setting flag left out, so its spec default applies
+            "synth-defaults": ("synth", "--n", n, "--c", 3, "--h", 0.6, "--seed", 1,
+                               "--out", tmp / "synth-defaults"),
+            "eval-node-defaults": ("eval-node", data, "--embeddings", f"{emb}.bin",
+                                   "--out", tmp / "eval-node-defaults"),
+            "eval-pair-defaults": ("eval-pair", data, *model, "--embeddings", f"{emb}.csv",
+                                   "--out", tmp / "eval-pair-defaults"),
         }
         for command, argv in runs.items():
             with contextlib.redirect_stdout(io.StringIO()):
                 code = mvge_main([str(a) for a in argv])
             if code != 0:
                 raise SystemExit(f"mvge {command} exited with {code}")
-            out = data if command == "synth" else tmp / command
+            out = tmp / command
             files = sorted(p for p in out.iterdir() if p.is_file())
             lines = "".join(f"{file_digest(p)}  {p.name}\n" for p in files)
             yield f"cli/{command}", hashlib.sha256(lines.encode()).hexdigest()
