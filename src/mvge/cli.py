@@ -90,9 +90,6 @@ def _config_to_dict(cfg: MVGEConfig) -> dict:
     return d
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(MVGEConfig)}
-
-
 def _resolve_config(args: argparse.Namespace) -> MVGEConfig:
     """defaults < --config JSON < explicit flags, then validate."""
     d = _config_to_dict(MVGEConfig())
@@ -100,39 +97,16 @@ def _resolve_config(args: argparse.Namespace) -> MVGEConfig:
         overlay = read_json_object(args.config, "config")
         # a run manifest doubles as a config via its resolved_config block
         overlay = overlay.get("resolved_config", overlay)
-        unknown = set(overlay) - _CONFIG_FIELDS
+        unknown = set(overlay) - set(d)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         d.update(overlay)
-    for name in _CONFIG_FIELDS:
-        v = getattr(args, name, None)
-        if v is not None:
-            d[name] = v
+    d.update(_given(MVGEConfig, args))
     try:
         return MVGEConfig(**d)
     except (TypeError, ValueError) as exc:  # ValidationError, or a wrong JSON type
         where = f"bad value in config {args.config}: " if getattr(args, "config", None) else ""
         raise ValidationError(f"{where}{exc}") from None
-
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config or run manifest to start from")
-    p.add_argument("--dim-ego", dest="dim_ego", type=int)
-    p.add_argument("--dim-agg", dest="dim_agg", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--walk-lengths", dest="walk_lengths", type=_int_list,
-                   help="comma-separated walk lengths, e.g. 3,5,10")
-    p.add_argument("--aggr", choices=AGGREGATORS)
-    p.add_argument("--merge-fn", dest="merge_fn", choices=MERGE_FNS)
-    p.add_argument("--task-mask", dest="task_mask", type=_str_list,
-                   help="comma-separated subset of ego,agg,adj")
-    p.add_argument("--ego-encoder", dest="ego_encoder", choices=EGO_ENCODERS)
-    p.add_argument("--adj-loss-mode", dest="adj_loss_mode", choices=ADJ_LOSS_MODES)
-    p.add_argument("--sample-ratio", dest="sample_ratio", type=float)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -146,13 +120,37 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
-def _add_eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
+# how a setting flag parses, by its field's annotation; str fields take choices
+_PARSERS = {"int": int, "float": float, "float | None": float,
+            "tuple[int, ...]": _int_list, "frozenset[str]": _str_list}
+_CHOICES = {"aggr": AGGREGATORS, "merge_fn": MERGE_FNS, "ego_encoder": EGO_ENCODERS,
+            "adj_loss_mode": ADJ_LOSS_MODES}
+_FLAG_NAMES = {"num_nodes": "--n", "num_classes": "--c", "target_homophily": "--h"}
 
 
-def _seed_of(args: argparse.Namespace) -> int:
-    return 0 if args.seed is None else args.seed
+def _add_fields(p: argparse.ArgumentParser, spec, skip: tuple[str, ...] = ()) -> None:
+    """One flag per field of the dataclass ``spec`` outside ``skip``, parsed per its
+    annotation: required if the field has no default, else None when left out, so the
+    default applies. --help shows the values of ``spec``, which may be an instance."""
+    for f in [f for f in dataclasses.fields(spec) if f.name not in skip]:
+        default = getattr(spec, f.name, dataclasses.MISSING)
+        if isinstance(default, (tuple, frozenset)):
+            default = ",".join(map(str, sorted(default)))
+        required = default is dataclasses.MISSING
+        p.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
+                       dest=f.name, type=_PARSERS.get(f.type), choices=_CHOICES.get(f.name),
+                       required=required, help=None if required else f"default: {default}")
+
+
+def _given(spec, args: argparse.Namespace) -> dict:
+    """The fields of ``spec`` whose flags were given."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(spec)
+            if getattr(args, f.name, None) is not None}
+
+
+def _spec(cls, args: argparse.Namespace, **fixed):
+    """``cls`` from the flags given for its fields, with ``fixed`` over them."""
+    return cls(**{**_given(cls, args), **fixed})
 
 
 def _write_csv(path: str | Path, header: str, rows) -> None:
@@ -226,12 +224,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     started = time.time()
-    spec = SynthSpec(
-        num_nodes=args.n, num_classes=args.c, target_homophily=args.h,
-        avg_degree=args.avg_degree, feature_dim=args.feature_dim,
-        class_separation=args.class_separation, noise_sigma=args.noise_sigma,
-        seed=_seed_of(args),
-    )
+    spec = _spec(SynthSpec, args)
     ds = generate_synthetic(spec)
     out = Path(args.out)
     save_dataset(ds, out, extra_meta={"generator": dataclasses.asdict(spec)})
@@ -261,8 +254,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_eval_node(args: argparse.Namespace) -> int:
     ds = _load_labeled(args, "node evaluation")
     h = load_matrix(args.embeddings)
-    spec = SplitSpec(task="node", train_fraction=args.train_fraction,
-                     repeats=args.repeats, seed=_seed_of(args))
+    spec = _spec(SplitSpec, args, task="node")
     report = node_classification_eval(h, ds.labels, spec)
     _write_reports(args, report)
     return EXIT_OK
@@ -272,8 +264,7 @@ def cmd_eval_link(args: argparse.Namespace) -> int:
     started = time.time()
     cfg = _resolve_config(args)
     ds = load_dataset(args.dataset)
-    spec = SplitSpec(task="link", train_fraction=args.train_fraction,
-                     repeats=args.repeats, seed=cfg.seed)
+    spec = _spec(SplitSpec, args, task="link", seed=cfg.seed)
     split_log: list = []
     report = link_prediction_eval(ds, cfg, spec, split_log=split_log)
     _write_reports(args, report, cfg=cfg, splits=split_log, started=started)
@@ -285,8 +276,7 @@ def cmd_eval_pair(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ds = load_dataset(args.dataset)
     h = load_matrix(args.embeddings) if args.embeddings else None
-    spec = SplitSpec(task="pair", train_fraction=args.train_fraction,
-                     repeats=args.repeats, seed=cfg.seed)
+    spec = _spec(SplitSpec, args, task="pair", seed=cfg.seed)
     report = pairwise_eval(ds, cfg, spec, h=h)
     _write_reports(args, report, cfg=cfg, started=started)
     return EXIT_OK
@@ -358,9 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log to stderr: -v at INFO, -vv at DEBUG")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_help: str) -> None:
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", help=out_help)
+    config_help = "JSON config or run manifest to start from"
+    report_help = "report directory (stdout only if omitted)"
 
     p = sub.add_parser("stats", help="homophily report for a dataset directory")
     p.add_argument("dataset")
@@ -371,54 +360,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
-    p.add_argument("--n", type=int, required=True, help="number of nodes")
-    p.add_argument("--c", type=int, required=True, help="number of classes")
-    p.add_argument("--h", type=float, required=True, help="target homophily")
-    p.add_argument("--avg-degree", dest="avg_degree", type=float, default=4.0)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int, default=32)
-    p.add_argument("--class-separation", dest="class_separation",
-                   type=float, default=1.0)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=1.0)
-    common(p, "output dataset directory")
+    _add_fields(p, SynthSpec)
+    p.add_argument("--out", help="output dataset directory")
     p.set_defaults(func=cmd_synth, needs_out=True)
 
     p = sub.add_parser("embed", help="train and write embeddings")
     p.add_argument("dataset")
-    _add_config_flags(p)
+    p.add_argument("--config", help=config_help)
+    _add_fields(p, MVGEConfig)
     p.add_argument("--format", choices=("binary", "csv", "both"), default="both")
-    common(p, "output directory")
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_embed, needs_out=True)
 
     p = sub.add_parser("eval-node", help="node classification from saved embeddings")
     p.add_argument("dataset")
     p.add_argument("--embeddings", required=True,
                    help="embedding matrix file (.bin or .csv)")
-    _add_eval_flags(p)
-    common(p, "report directory (stdout only if omitted)")
+    _add_fields(p, SplitSpec("node"), skip=("task",))
+    p.add_argument("--out", help=report_help)
     p.set_defaults(func=cmd_eval_node)
 
     p = sub.add_parser("eval-link", help="link prediction (retrains per repeat)")
     p.add_argument("dataset")
-    _add_config_flags(p)
-    _add_eval_flags(p)
-    common(p, "report directory (stdout only if omitted)")
+    p.add_argument("--config", help=config_help)
+    _add_fields(p, MVGEConfig)
+    _add_fields(p, SplitSpec("link"), skip=("task", "seed"))
+    p.add_argument("--out", help=report_help)
     p.set_defaults(func=cmd_eval_link)
 
     p = sub.add_parser("eval-pair", help="same-class pair detection")
     p.add_argument("dataset")
     p.add_argument("--embeddings",
                    help="optional embedding matrix file; trains if omitted")
-    _add_config_flags(p)
-    _add_eval_flags(p)
-    common(p, "report directory (stdout only if omitted)")
+    p.add_argument("--config", help=config_help)
+    _add_fields(p, MVGEConfig)
+    _add_fields(p, SplitSpec("pair"), skip=("task", "seed"))
+    p.add_argument("--out", help=report_help)
     p.set_defaults(func=cmd_eval_pair)
 
     p = sub.add_parser("gridsearch", help="alpha/beta grid search")
     p.add_argument("dataset")
-    _add_config_flags(p)
+    p.add_argument("--config", help=config_help)
+    _add_fields(p, MVGEConfig)
     p.add_argument("--grid-step", dest="grid_step", type=float, default=0.1)
     p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.7)
-    common(p, "output directory")
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_gridsearch, needs_out=True)
 
     p = sub.add_parser("diag", help="per-dimension deviations of saved embeddings")

@@ -53,11 +53,10 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, choices=(("task", TASK_NAMES),))
+        check_fields(self, at_least=(("repeats", 1), ("seed", 0)),
+                     choices=(("task", TASK_NAMES),))
         if self.train_fraction is None:
             object.__setattr__(self, "train_fraction", DEFAULT_TRAIN_FRACTION[self.task])
-        check_fields(self, ints=("repeats", "seed"), reals=("train_fraction",),
-                     at_least=(("repeats", 1), ("seed", 0)))
         if not 0.0 < self.train_fraction < 1.0:
             raise ValidationError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 

@@ -4,6 +4,7 @@ enumerator of node pairs, and the input checks the other modules share."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,21 +21,26 @@ def is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def check_fields(obj, ints: tuple[str, ...] = (), reals: tuple[str, ...] = (),
-                 at_least: tuple[tuple[str, int], ...] = (),
+def check_fields(obj, at_least: tuple[tuple[str, int], ...] = (),
                  choices: tuple[tuple[str, tuple], ...] = ()) -> None:
-    """Raise ValidationError unless, in this order, each attribute of ``obj``
-    named in ``ints`` is an integer (stored back as a Python int, which cannot
-    wrap), in ``reals`` a real number (a bool is neither), in ``at_least`` as
-    ``(name, low)`` at least low, and in ``choices`` as ``(name, options)`` one of them."""
-    for name in ints:
-        if not is_integer(getattr(obj, name)):
-            raise ValidationError(f"{name} must be an integer, got {getattr(obj, name)!r}")
-        object.__setattr__(obj, name, int(getattr(obj, name)))
-    for name in reals:
-        v = getattr(obj, name)
-        if not (is_integer(v) or isinstance(v, (float, np.floating))):
-            raise ValidationError(f"{name} must be a real number, got {v!r}")
+    """Raise ValidationError unless, in this order, each field of the dataclass
+    ``obj`` annotated ``int`` is an integer (stored back as a Python int, which
+    cannot wrap), each annotated ``float`` or, when not None, ``float | None`` a
+    real number (a bool is neither), each named in ``at_least`` as ``(name, low)``
+    at least low, and each in ``choices`` as ``(name, options)`` one of them."""
+    fields = dataclasses.fields(obj)
+    for f in fields:
+        if f.type in ("int", int):
+            v = getattr(obj, f.name)
+            if not is_integer(v):
+                raise ValidationError(f"{f.name} must be an integer, got {v!r}")
+            object.__setattr__(obj, f.name, int(v))
+    for f in fields:
+        v = getattr(obj, f.name)
+        real = f.type in ("float", float) or (f.type in ("float | None", float | None)
+                                               and v is not None)
+        if real and not (is_integer(v) or isinstance(v, (float, np.floating))):
+            raise ValidationError(f"{f.name} must be a real number, got {v!r}")
     for name, low in at_least:
         if getattr(obj, name) < low:
             raise ValidationError(f"{name} must be >= {low}, got {getattr(obj, name)}")

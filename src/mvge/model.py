@@ -138,10 +138,8 @@ class MVGEConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "task_mask", frozenset(self.task_mask))
-        check_fields(self, ints=("dim_ego", "dim_agg", "hidden_dim", "epochs", "seed"),
-                     reals=("alpha", "beta", "lr", "sample_ratio"),
-                     at_least=(("dim_ego", 1), ("dim_agg", 1), ("hidden_dim", 1),
-                               ("epochs", 0), ("seed", 0)),
+        check_fields(self, at_least=(("dim_ego", 1), ("dim_agg", 1), ("hidden_dim", 1),
+                                     ("epochs", 0), ("seed", 0)),
                      choices=(("merge_fn", MERGE_FNS), ("ego_encoder", EGO_ENCODERS),
                               ("adj_loss_mode", ADJ_LOSS_MODES)))
         for name in ("alpha", "beta"):

@@ -20,17 +20,14 @@ class SynthSpec:
     num_nodes: int
     num_classes: int
     target_homophily: float
-    avg_degree: float
+    avg_degree: float = 4.0
     feature_dim: int = 32
     class_separation: float = 1.0
     noise_sigma: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, ints=("num_nodes", "num_classes", "feature_dim", "seed"),
-                     reals=("target_homophily", "avg_degree", "class_separation",
-                            "noise_sigma"),
-                     at_least=(("feature_dim", 1), ("seed", 0)))
+        check_fields(self, at_least=(("feature_dim", 1), ("seed", 0)))
         if self.num_nodes < self.num_classes or self.num_classes < 1:
             raise ValidationError("need num_nodes >= num_classes >= 1")
         if not 0.0 <= self.target_homophily <= 1.0:

@@ -49,7 +49,7 @@ class WalkConfig:
             raise ValidationError(f"walk lengths must be >= 1, got {lengths}")
         if len(set(lengths)) != len(lengths):
             raise ValidationError(f"walk lengths must be distinct, got {lengths}")
-        check_fields(self, ints=("seed",), choices=(("aggr", AGGREGATORS),))
+        check_fields(self, choices=(("aggr", AGGREGATORS),))
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
 

@@ -1,18 +1,23 @@
 """Command-line interface: subcommands, exit codes, artifacts, replay."""
 
+import dataclasses
 import json
 import os
 import platform
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy
 
+from mvge import cli
 from mvge.data import load_matrix_binary, load_matrix_csv
-from mvge.model import adjacency_workers
+from mvge.evaluate import SplitSpec
+from mvge.model import MVGEConfig, adjacency_workers
 from mvge.numerics import blas_info, usable_cpus
+from mvge.synth import SynthSpec
 
 
 def run_cli(*args, cwd=None):
@@ -355,6 +360,105 @@ def test_version_flag():
     r = run_cli("--version")
     assert r.returncode == 0
     assert "0.1.0" in r.stdout
+
+
+# -- setting flags mirror the fields of the specs -----------------------------
+
+# each command's least argv, and the specs it builds from that with every
+# optional setting flag left out
+SPEC_COMMANDS = {
+    "synth": (("--n", 20, "--c", 2, "--h", 0.5, "--out", "o"), (SynthSpec(20, 2, 0.5),)),
+    "embed": (("ds", "--out", "o"), (MVGEConfig(),)),
+    "eval-node": (("ds", "--embeddings", "e.bin"), (SplitSpec("node"),)),
+    "eval-link": (("ds",), (MVGEConfig(), SplitSpec("link"))),
+    "eval-pair": (("ds",), (MVGEConfig(), SplitSpec("pair"))),
+    "gridsearch": (("ds", "--out", "o"), (MVGEConfig(),)),
+}
+# the SplitSpec fields a command fixes; the link and pair tasks take the config's seed
+SPLIT_FIXED = {"eval-node": ("task",), "eval-link": ("task", "seed"),
+               "eval-pair": ("task", "seed")}
+# a value other than the default for each setting: (flag text, the field's value)
+FIELD_VALUES = {
+    "dim_ego": ("7", 7), "dim_agg": ("9", 9), "hidden_dim": ("5", 5),
+    "alpha": ("0.25", 0.25), "beta": ("0.75", 0.75), "epochs": ("3", 3), "lr": ("0.5", 0.5),
+    "seed": ("5", 5), "walk_lengths": ("2,7", (2, 7)), "aggr": ("mean", "mean"),
+    "merge_fn": ("sum", "sum"), "task_mask": ("ego,adj", frozenset({"ego", "adj"})),
+    "ego_encoder": ("gcn", "gcn"), "adj_loss_mode": ("sampled", "sampled"),
+    "sample_ratio": ("2.5", 2.5), "train_fraction": ("0.5", 0.5), "repeats": ("3", 3),
+    "num_nodes": ("30", 30), "num_classes": ("3", 3), "target_homophily": ("0.25", 0.25),
+    "avg_degree": ("6.5", 6.5), "feature_dim": ("8", 8), "class_separation": ("2.5", 2.5),
+    "noise_sigma": ("0.5", 0.5),
+}
+FLAG_NAMES = {"num_nodes": "--n", "num_classes": "--c", "target_homophily": "--h"}
+SETTING_FLAGS = [
+    (command, type(spec), f.name)
+    for command, (_, specs) in SPEC_COMMANDS.items() for spec in specs
+    for f in dataclasses.fields(spec)
+    if not (type(spec) is SplitSpec and f.name in SPLIT_FIXED[command])
+]
+
+
+class _Built(Exception):
+    """Raised in place of the work a command does with the specs it built."""
+
+
+@pytest.fixture
+def built_specs(monkeypatch):
+    """``mvge.cli.main`` in-process up to the first call handed a spec; returns
+    the specs of that call by type. Datasets and embeddings are not read."""
+    specs = {}
+
+    def capture(*args, **kwargs):
+        specs.update((type(a), a) for a in (*args, *kwargs.values())
+                     if dataclasses.is_dataclass(a))
+        raise _Built
+
+    for name in ("generate_synthetic", "train", "node_classification_eval",
+                 "link_prediction_eval", "pairwise_eval", "grid_search_alpha_beta"):
+        monkeypatch.setattr(cli, name, capture)
+    for name in ("load_dataset", "_load_labeled", "load_matrix"):
+        monkeypatch.setattr(cli, name, lambda *args: SimpleNamespace(labels=None))
+
+    def run(command, *argv):
+        specs.clear()
+        with pytest.raises(_Built):
+            cli.main([command, *map(str, argv)])
+        return dict(specs)
+    return run
+
+
+@pytest.mark.parametrize("command, cls, name", SETTING_FLAGS,
+                         ids=[f"{c}-{k.__name__}.{n}" for c, k, n in SETTING_FLAGS])
+def test_setting_flag_reaches_the_spec(built_specs, command, cls, name):
+    argv, defaults = SPEC_COMMANDS[command]
+    text, value = FIELD_VALUES[name]
+    default = getattr(next(s for s in defaults if type(s) is cls), name)
+    assert default != value
+    specs = built_specs(command, *argv, FLAG_NAMES.get(name, "--" + name.replace("_", "-")),
+                        text)
+    assert getattr(specs[cls], name) == value
+
+
+@pytest.mark.parametrize("command", SPEC_COMMANDS)
+def test_setting_flags_left_out_give_the_spec_defaults(built_specs, command):
+    argv, defaults = SPEC_COMMANDS[command]
+    assert built_specs(command, *argv) == {type(s): s for s in defaults}
+
+
+@pytest.mark.parametrize("command", ["eval-link", "eval-pair"])
+def test_split_seed_is_the_config_seed(built_specs, command, tmp_path):
+    assert built_specs(command, "ds", "--seed", 4)[SplitSpec].seed == 4
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": 6}))
+    assert built_specs(command, "ds", "--config", tmp_path / "cfg.json")[SplitSpec].seed == 6
+
+
+def test_help_shows_setting_defaults():
+    r = run_cli("embed", "--help")
+    assert r.returncode == 0
+    help_text = " ".join(r.stdout.split())
+    for text in ("--epochs EPOCHS default: 200", "default: 3,5,10", "default: adj,agg,ego",
+                 "--merge-fn {concat,sum,mean} default: concat"):
+        assert text in help_text
 
 
 # -- malformed outside input ends in exit 2 and one error line --------------

@@ -4,6 +4,7 @@ keys of a dataset's meta.json. Bools, floats (integral or not) and numeric
 strings are rejected with a ValidationError naming the setting; Python and
 numpy integers in range are accepted."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from mvge.data import load_dataset, save_dataset
 from mvge.evaluate import SplitSpec
-from mvge.graph import Graph, ValidationError
+from mvge.graph import Graph, ValidationError, check_fields
 from mvge.model import MVGEConfig
 from mvge.synth import SynthSpec
 from mvge.walks import WalkConfig
@@ -105,3 +106,29 @@ def test_meta_json_integer_keys_follow_one_rule(dataset_dir, key, bad):
     finally:
         path.write_text(json.dumps(meta))
     assert load_dataset(dataset_dir).num_nodes == 4
+
+
+@dataclasses.dataclass(frozen=True)
+class _Settings:
+    """Fields checked by their annotations alone; this module's are types, not
+    the strings that ``from __future__ import annotations`` leaves."""
+
+    count: int = 1
+    rate: float = 0.5
+    limit: float | None = None
+    label: str = "x"
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+def test_check_fields_reads_the_annotations():
+    assert type(_Settings(count=np.int64(3)).count) is int
+    _Settings(rate=2, limit=np.float32(0.5), label=3)  # str is not checked
+    for kw, message in (({"count": 2.5}, "count must be an integer, got 2.5"),
+                        ({"rate": True}, "rate must be a real number, got True"),
+                        ({"limit": "0.5"}, "limit must be a real number, got '0.5'"),
+                        ({"rate": None, "count": True}, "count must be an integer, got True")):
+        with pytest.raises(ValidationError) as exc:
+            _Settings(**kw)
+        assert str(exc.value) == message
