@@ -97,6 +97,8 @@ def _resolve_config(args: argparse.Namespace) -> MVGEConfig:
         overlay = read_json_object(args.config, "config")
         # a run manifest doubles as a config via its resolved_config block
         overlay = overlay.get("resolved_config", overlay)
+        if not isinstance(overlay, dict):
+            raise ValidationError(f"resolved_config in {args.config} must be a JSON object")
         unknown = set(overlay) - set(d)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")

@@ -169,12 +169,6 @@ def load_dataset(directory: str | Path) -> Dataset:
                  _parse_int(parts[1], f"{edges_path}:{lineno}"))
             )
     edges = np.array(raw, dtype=np.int64).reshape(-1, 2)
-    graph, repairs = Graph.from_edges(n, edges)
-    if repairs != EdgeRepairs():
-        log.info(
-            "%s: dropped %d self-loops, %d duplicate edges",
-            directory.name, repairs.self_loops_dropped, repairs.duplicates_dropped,
-        )
 
     try:
         features = np.loadtxt(feat_path, delimiter=",", dtype=np.float64, ndmin=2)
@@ -197,8 +191,17 @@ def load_dataset(directory: str | Path) -> Dataset:
             dtype=np.int64,
         )
 
-    ds = Dataset(graph, features, labels, num_classes, name=str(meta["name"]))
-    ds.validate()
+    try:  # these errors come from the dataset as a whole, so they name its directory
+        graph, repairs = Graph.from_edges(n, edges)
+        ds = Dataset(graph, features, labels, num_classes, name=str(meta["name"]))
+        ds.validate()
+    except ValidationError as exc:
+        raise ValidationError(f"{directory}: {exc}") from None
+    if repairs != EdgeRepairs():
+        log.info(
+            "%s: dropped %d self-loops, %d duplicate edges",
+            directory.name, repairs.self_loops_dropped, repairs.duplicates_dropped,
+        )
     return ds
 
 

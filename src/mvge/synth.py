@@ -39,7 +39,8 @@ class SynthSpec:
         if not np.isfinite(self.class_separation):
             raise ValidationError(f"class_separation must be finite, got {self.class_separation}")
         n = self.num_nodes
-        if self.num_edges > n * (n - 1) // 2:
+        # num_edges > the pairs, on the float before int(): a degree may overflow to inf
+        if float(self.avg_degree) * n / 2 >= n * (n - 1) // 2 + 1:
             raise ValidationError("requested degree exceeds the complete graph")
         if self.num_classes == 1 and self.target_homophily < 1.0:
             raise ValidationError(

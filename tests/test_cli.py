@@ -541,6 +541,19 @@ def _eval_node_non_finite(ds, tmp):
     return ["eval-node", ds, "--embeddings", tmp / "h.bin"], "embeddings contain non-finite values"
 
 
+def _dataset_error(message, edit):
+    """A dataset made bad as a whole by ``edit(ds)``: the error names its directory."""
+    def case(ds, tmp):
+        edit(ds)
+        return ["stats", ds], f"{ds}: {message}"
+    return case
+
+
+def _append_edge(ds):
+    with open(ds / "edges.tsv", "a") as f:
+        f.write("0\t99\n")
+
+
 def _eval_node_seed_negative(ds, tmp):
     from mvge.data import save_matrix_binary
 
@@ -569,6 +582,16 @@ MALFORMED = {
     "config_alpha_bool": _config_value({"alpha": True}, "alpha must be a real number, got True"),
     "config_lr_bool": _config_value({"lr": True}, "lr must be a real number, got True"),
     "config_lr_str": _config_value({"lr": "0.1"}, "lr must be a real number, got '0.1'"),
+    "config_resolved_config_list": _config_value({"resolved_config": ["epochs"]},
+                                                 "cfg.json must be a JSON object"),
+    "config_resolved_config_int": _config_value({"resolved_config": 5},
+                                                "cfg.json must be a JSON object"),
+    "meta_num_nodes_negative": _dataset_error(
+        "num_nodes must be non-negative", lambda ds: _set_meta(ds, num_nodes=-1)),
+    "meta_num_nodes_above_features": _dataset_error(
+        "feature row count 60 != node count 61", lambda ds: _set_meta(ds, num_nodes=61)),
+    "edge_endpoint_out_of_range": _dataset_error(
+        "edge endpoint out of range [0, 60): found 0..99", _append_edge),
     "seed_negative": lambda ds, tmp: (["embed", ds, "--seed", -1, "--out", tmp / "o"], "seed"),
     "synth_seed_negative": lambda ds, tmp: (
         ["synth", "--n", 20, "--c", 2, "--h", "0.5", "--seed", -1, "--out", tmp / "s"], "seed"),
@@ -586,6 +609,8 @@ MALFORMED = {
     "synth_noise_sigma_negative": _synth_value("--noise-sigma", -1, "noise_sigma"),
     "synth_noise_sigma_nan": _synth_value("--noise-sigma", "nan", "noise_sigma"),
     "synth_class_separation_nan": _synth_value("--class-separation", "nan", "class_separation"),
+    "synth_avg_degree_overflow": _synth_value("--avg-degree", "1e308",
+                                              "requested degree exceeds the complete graph"),
 }
 
 
@@ -600,6 +625,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, synth_dir, case):
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ") and named in r.stderr
+    assert r.stderr.count("error: ") == 1
 
 
 def test_diverged_training_exits_3_without_traceback(synth_dir, tmp_path):

@@ -112,6 +112,23 @@ def test_infeasible_degree_rejected():
         spec_with(num_nodes=10, avg_degree=20.0)
 
 
+@given(n=st.integers(1, 60), degree=st.floats(0.0, 80.0))
+def test_degree_bound_is_the_edge_count_bound(n, degree):
+    fits = int(degree * n / 2) <= n * (n - 1) // 2
+    try:
+        spec_with(num_nodes=n, num_classes=1, target_homophily=1.0, avg_degree=degree)
+    except ValidationError as exc:
+        assert not fits and str(exc) == "requested degree exceeds the complete graph"
+    else:
+        assert fits
+
+
+@pytest.mark.parametrize("degree", [1e308, np.finfo(np.float64).max])
+def test_overflowing_degree_rejected(degree):
+    with pytest.raises(ValidationError, match="requested degree exceeds the complete graph"):
+        spec_with(num_nodes=5, avg_degree=degree)
+
+
 def test_single_class_heterophily_rejected():
     with pytest.raises(ValidationError):
         spec_with(num_classes=1, target_homophily=0.5)
