@@ -133,7 +133,7 @@ _FLAG_NAMES = {"num_nodes": "--n", "num_classes": "--c", "target_homophily": "--
 def _add_fields(p: argparse.ArgumentParser, spec, skip: tuple[str, ...] = ()) -> None:
     """One flag per field of the dataclass ``spec`` outside ``skip``, parsed per its
     annotation: required if the field has no default, else None when left out, so the
-    default applies. --help shows the values of ``spec``, which may be an instance."""
+    default applies. --help shows the defaults, or the values if ``spec`` is an instance."""
     for f in [f for f in dataclasses.fields(spec) if f.name not in skip]:
         default = getattr(spec, f.name, dataclasses.MISSING)
         if isinstance(default, (tuple, frozenset)):
