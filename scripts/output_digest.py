@@ -31,8 +31,10 @@ The groups, one line each:
   errors/<group>    the outcome of each of a fixed list of bad inputs, one bad
       value at a time: the exception's type and message, or "ok" if it was
       accepted. The groups are the fields of MVGEConfig, WalkConfig, SplitSpec
-      and SynthSpec, the keys of a dataset's meta.json, the formats of
-      save_embeddings, and embeddings with NaN or inf given to the protocols.
+      and SynthSpec, the keys of a dataset's meta.json, one-line edits of a
+      dataset's files (numbers past int64, ragged rows, a missing key, a
+      num_nodes far above the feature rows), the formats of save_embeddings,
+      and embeddings with NaN or inf given to the protocols.
 
 The worker count goes to stderr, so it does not enter the diff. The default
 trains on 1000 nodes (multi-strip full mode, several sampled row chunks) and
@@ -264,6 +266,34 @@ def errors_lines():
                   for bad in (v + 0.5, float(v), True, str(v), None, [v], {"n": v})),
                 ("num_nodes", 11), ("num_nodes", 13), ("num_nodes", -1),
                 ("num_features", 7), ("num_classes", 1)])]
+        (tmp / "meta.json").write_text(json.dumps(meta))
+        files = {p.name: p.read_text() for p in tmp.iterdir()}
+
+        def edit(name, change):
+            for other, text in files.items():
+                (tmp / other).write_text(text)
+            (tmp / name).write_text(change(files[name]))
+            return load_dataset(tmp)
+
+        def line(i, text):  # text in place of line i
+            def change(old):
+                lines = old.split("\n")
+                lines[i] = text
+                return "\n".join(lines)
+            return change
+
+        def meta_with(**values):  # a key given None is left out
+            return lambda old: json.dumps({k: v for k, v in {**json.loads(old), **values}.items()
+                                           if v is not None})
+        huge = str(10**20)
+        cases = [*(("edges.tsv", lambda old, bad=bad: old + bad + "\n")
+                   for bad in (f"0\t{huge}", "0\t1\t2", "0\tx")),
+                 ("labels.txt", line(0, "x")), ("labels.txt", line(0, huge)),
+                 ("features.csv", line(2, "1.0,2.0")), ("meta.json", meta_with(name=None)),
+                 ("meta.json", meta_with(num_nodes=2**62)),
+                 ("meta.json", meta_with(num_nodes=10**20))]
+        groups["files"] = [outcome(lambda: edit(name, change)).replace(str(tmp), "<dir>")
+                           for name, change in cases]
         emb = EmbeddingSet(h_ego=ds.features, h_agg=ds.features, h=ds.features)
         groups["save_embeddings"] = bad_fields(
             lambda fmt: save_embeddings(emb, tmp / "e", fmt=fmt),

@@ -79,7 +79,7 @@ def test_output_digest_same_on_one_or_two_workers():
     rows = [line.split("  ") for line in free.splitlines()]
     assert all(re.fullmatch("[0-9a-f]{64}", sha) for sha, _ in rows)
     names = [name for _, name in rows]
-    assert len(names) == 2 * 3 * 2 * 3 + 8 + 11 + 7
+    assert len(names) == 2 * 3 * 2 * 3 + 8 + 11 + 8
     assert names[0] == "train/linear/concat/full/all"
     assert names[36:] == ["synth", "sample_non_edges", "sample_label_pairs",
                           "probe/multiclass", "probe/binary", "report/node", "report/link", "report/pair",
@@ -87,8 +87,8 @@ def test_output_digest_same_on_one_or_two_workers():
                           "cli/eval-pair", "cli/gridsearch", "cli/diag", "cli/synth-defaults",
                           "cli/eval-node-defaults", "cli/eval-pair-defaults",
                           "errors/MVGEConfig", "errors/WalkConfig", "errors/SplitSpec",
-                          "errors/SynthSpec", "errors/meta.json", "errors/save_embeddings",
-                          "errors/embeddings"]
+                          "errors/SynthSpec", "errors/meta.json", "errors/files",
+                          "errors/save_embeddings", "errors/embeddings"]
     taskset = shutil.which("taskset")
     if taskset is None or not hasattr(os, "sched_getaffinity"):
         pytest.skip("needs taskset to pin a run to one CPU")
