@@ -125,11 +125,14 @@ def _meta_int(meta: dict, key: str, path: Path) -> int:
     return meta[key]
 
 
-def _parse_int(token: str, where: str) -> int:
+def _parse_int(token: str, where: str, what: str = "node id") -> int:
     try:
-        return int(token)
+        v = int(token)
     except ValueError:
-        raise ValidationError(f"non-integer node id {token!r} in {where}") from None
+        raise ValidationError(f"non-integer {what} {token!r} in {where}") from None
+    if not -2**63 <= v < 2**63:
+        raise ValidationError(f"{what} {token} out of the int64 range in {where}")
+    return v
 
 
 def load_dataset(directory: str | Path) -> Dataset:
@@ -150,7 +153,7 @@ def load_dataset(directory: str | Path) -> Dataset:
     meta = read_json_object(meta_path, "dataset metadata")
     for key in ("name", "num_nodes", "num_features"):
         if key not in meta:
-            raise ValidationError(f"meta.json missing key {key!r}")
+            raise ValidationError(f"{meta_path}: missing key {key!r}")
     n = _meta_int(meta, "num_nodes", meta_path)
 
     raw = []
@@ -176,7 +179,7 @@ def load_dataset(directory: str | Path) -> Dataset:
         raise ValidationError(f"{feat_path}: {exc}") from None
     if features.shape[1] != _meta_int(meta, "num_features", meta_path):
         raise ValidationError(
-            f"feature column count {features.shape[1]} != "
+            f"{feat_path}: feature column count {features.shape[1]} != "
             f"meta num_features {meta['num_features']}"
         )
 
@@ -184,14 +187,15 @@ def load_dataset(directory: str | Path) -> Dataset:
     num_classes = None
     if labels_path.is_file():
         if meta.get("num_classes") is None:
-            raise ValidationError("labels.txt present but meta.json lacks num_classes")
+            raise ValidationError(f"{labels_path} present but {meta_path} lacks num_classes")
         num_classes = _meta_int(meta, "num_classes", meta_path)
-        labels = np.array(
-            [_parse_int(t, str(labels_path)) for t in labels_path.read_text().split()],
-            dtype=np.int64,
-        )
+        labels = np.array([_parse_int(t, f"{labels_path}:{i}", "label")
+                           for i, line in enumerate(labels_path.read_text().splitlines(), 1)
+                           for t in line.split()], dtype=np.int64)
 
     try:  # these errors come from the dataset as a whole, so they name its directory
+        if n > features.shape[0]:  # before from_edges allocates O(n)
+            raise ValidationError(f"feature row count {features.shape[0]} != node count {n}")
         graph, repairs = Graph.from_edges(n, edges)
         ds = Dataset(graph, features, labels, num_classes, name=str(meta["name"]))
         ds.validate()

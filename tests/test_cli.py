@@ -549,9 +549,28 @@ def _dataset_error(message, edit):
     return case
 
 
-def _append_edge(ds):
+def _append_edge(ds, line="0\t99"):
     with open(ds / "edges.tsv", "a") as f:
-        f.write("0\t99\n")
+        f.write(line + "\n")
+
+
+def _file_error(message, edit):
+    """A dataset with one file made bad by ``edit(ds)``: the error names the file."""
+    def case(ds, tmp):
+        edit(ds)
+        return ["stats", ds], message.format(ds=ds)
+    return case
+
+
+def _first_label(ds, label):
+    labels = (ds / "labels.txt").read_text().splitlines()
+    (ds / "labels.txt").write_text("\n".join([label, *labels[1:]]) + "\n")
+
+
+def _drop_meta(ds, key):
+    meta = json.loads((ds / "meta.json").read_text())
+    del meta[key]
+    (ds / "meta.json").write_text(json.dumps(meta))
 
 
 def _eval_node_seed_negative(ds, tmp):
@@ -592,6 +611,26 @@ MALFORMED = {
         "feature row count 60 != node count 61", lambda ds: _set_meta(ds, num_nodes=61)),
     "edge_endpoint_out_of_range": _dataset_error(
         "edge endpoint out of range [0, 60): found 0..99", _append_edge),
+    "meta_num_nodes_2_62": _dataset_error(
+        f"feature row count 60 != node count {2**62}", lambda ds: _set_meta(ds, num_nodes=2**62)),
+    "meta_num_nodes_10_20": _dataset_error(
+        f"feature row count 60 != node count {10**20}", lambda ds: _set_meta(ds, num_nodes=10**20)),
+    "edge_id_past_int64": _file_error(
+        "node id 99999999999999999999 out of the int64 range in {ds}/edges.tsv:",
+        lambda ds: _append_edge(ds, "0\t99999999999999999999")),
+    "label_past_int64": _file_error(
+        "label 99999999999999999999 out of the int64 range in {ds}/labels.txt:1",
+        lambda ds: _first_label(ds, "99999999999999999999")),
+    "label_not_int": _file_error("non-integer label 'x' in {ds}/labels.txt:1",
+                                 lambda ds: _first_label(ds, "x")),
+    "meta_name_missing": _file_error("{ds}/meta.json: missing key 'name'",
+                                     lambda ds: _drop_meta(ds, "name")),
+    "meta_num_features_wrong": _file_error(
+        "{ds}/features.csv: feature column count 6 != meta num_features 7",
+        lambda ds: _set_meta(ds, num_features=7)),
+    "meta_num_classes_missing": _file_error(
+        "{ds}/labels.txt present but {ds}/meta.json lacks num_classes",
+        lambda ds: _drop_meta(ds, "num_classes")),
     "seed_negative": lambda ds, tmp: (["embed", ds, "--seed", -1, "--out", tmp / "o"], "seed"),
     "synth_seed_negative": lambda ds, tmp: (
         ["synth", "--n", 20, "--c", 2, "--h", "0.5", "--seed", -1, "--out", tmp / "s"], "seed"),
