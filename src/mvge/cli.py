@@ -54,9 +54,6 @@ from mvge.evaluate import (
 from mvge.graph import ValidationError
 from mvge.homophily import homophily_report
 from mvge.model import (
-    ADJ_LOSS_MODES,
-    EGO_ENCODERS,
-    MERGE_FNS,
     MVGEConfig,
     TrainingDivergedError,
     adjacency_workers,
@@ -65,7 +62,6 @@ from mvge.model import (
 )
 from mvge.numerics import blas_info, usable_cpus
 from mvge.synth import SynthSpec, generate_synthetic
-from mvge.walks import AGGREGATORS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -125,23 +121,25 @@ def _str_list(text: str) -> tuple[str, ...]:
 # how a setting flag parses, by its field's annotation; str fields take choices
 _PARSERS = {"int": int, "float": float, "float | None": float,
             "tuple[int, ...]": _int_list, "frozenset[str]": _str_list}
-_CHOICES = {"aggr": AGGREGATORS, "merge_fn": MERGE_FNS, "ego_encoder": EGO_ENCODERS,
-            "adj_loss_mode": ADJ_LOSS_MODES}
 _FLAG_NAMES = {"num_nodes": "--n", "num_classes": "--c", "target_homophily": "--h"}
 
 
 def _add_fields(p: argparse.ArgumentParser, spec, skip: tuple[str, ...] = ()) -> None:
     """One flag per field of the dataclass ``spec`` outside ``skip``, parsed per its
-    annotation: required if the field has no default, else None when left out, so the
-    default applies. --help shows the defaults, or the values if ``spec`` is an instance."""
+    annotation and limited to its metadata's choices: required if the field has no
+    default, else None when left out, so the default applies. --help shows the defaults,
+    or the values if ``spec`` is an instance, and the rule."""
     for f in [f for f in dataclasses.fields(spec) if f.name not in skip]:
         default = getattr(spec, f.name, dataclasses.MISSING)
         if isinstance(default, (tuple, frozenset)):
             default = ",".join(map(str, sorted(default)))
         required = default is dataclasses.MISSING
+        notes = [] if required else [f"default: {default}"]
+        if "rule" in f.metadata:
+            notes.append(f"must be {f.metadata['rule'][1]}")
         p.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
-                       dest=f.name, type=_PARSERS.get(f.type), choices=_CHOICES.get(f.name),
-                       required=required, help=None if required else f"default: {default}")
+                       dest=f.name, type=_PARSERS.get(f.type), choices=f.metadata.get("choices"),
+                       required=required, help="; ".join(notes) or None)
 
 
 def _given(spec, args: argparse.Namespace) -> dict:

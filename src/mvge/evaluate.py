@@ -16,13 +16,13 @@ sees the protocols' retrains too.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 import mvge.model
 from mvge.data import Dataset
-from mvge.graph import Graph, ValidationError, check_fields, kept_pairs
+from mvge.graph import AT_LEAST_0, AT_LEAST_1, Graph, ValidationError, check_fields, kept_pairs
 from mvge.numerics import Adam, Param, child_seed, sigmoid
 
 TASK_NAMES = ("node", "link", "pair")
@@ -47,18 +47,16 @@ class SplitSpec:
     classification, 0.85 of positives for the link and pair tasks.
     """
 
-    task: str
-    train_fraction: float | None = None
-    repeats: int = 10
-    seed: int = 0
+    task: str = field(metadata={"choices": TASK_NAMES})
+    train_fraction: float | None = field(
+        default=None, metadata={"rule": (lambda v: 0.0 < v < 1.0, "in (0, 1)")})
+    repeats: int = field(default=10, metadata={"rule": AT_LEAST_1})
+    seed: int = field(default=0, metadata={"rule": AT_LEAST_0})
 
     def __post_init__(self):
-        check_fields(self, at_least=(("repeats", 1), ("seed", 0)),
-                     choices=(("task", TASK_NAMES),))
+        check_fields(self)
         if self.train_fraction is None:
             object.__setattr__(self, "train_fraction", DEFAULT_TRAIN_FRACTION[self.task])
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValidationError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,22 @@ def is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def check_fields(obj, at_least: tuple[tuple[str, int], ...] = (),
-                 choices: tuple[tuple[str, tuple], ...] = ()) -> None:
+# single-field rules that more than one setting declares as field(metadata={"rule": ...}):
+# a test of the value and the words it asks for
+AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+UNIT_RANGE = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+FINITE = (np.isfinite, "finite")
+FINITE_POSITIVE = (lambda v: np.isfinite(v) and v > 0.0, "finite and positive")
+FINITE_NON_NEGATIVE = (lambda v: np.isfinite(v) and v >= 0.0, "finite and non-negative")
+
+
+def check_fields(obj) -> None:
     """Raise ValidationError unless, in this order, each field of the dataclass
     ``obj`` annotated ``int`` is an integer (stored back as a Python int, which
     cannot wrap), each annotated ``float`` or, when not None, ``float | None`` a
-    real number (a bool is neither), each named in ``at_least`` as ``(name, low)``
-    at least low, and each in ``choices`` as ``(name, options)`` one of them."""
+    real number (a bool is neither), and, field by field, each value is one of
+    its metadata's ``choices`` and each but None passes its ``rule``."""
     fields = dataclasses.fields(obj)
     for f in fields:
         if f.type in ("int", int):
@@ -41,12 +50,12 @@ def check_fields(obj, at_least: tuple[tuple[str, int], ...] = (),
                                                and v is not None)
         if real and not (is_integer(v) or isinstance(v, (float, np.floating))):
             raise ValidationError(f"{f.name} must be a real number, got {v!r}")
-    for name, low in at_least:
-        if getattr(obj, name) < low:
-            raise ValidationError(f"{name} must be >= {low}, got {getattr(obj, name)}")
-    for name, options in choices:
-        if getattr(obj, name) not in options:
-            raise ValidationError(f"{name} must be one of {options}, got {getattr(obj, name)!r}")
+    for f in fields:
+        v, options, rule = getattr(obj, f.name), f.metadata.get("choices"), f.metadata.get("rule")
+        if options is not None and v not in options:
+            raise ValidationError(f"{f.name} must be one of {options}, got {v!r}")
+        if rule and v is not None and not rule[0](v):
+            raise ValidationError(f"{f.name} must be {rule[1]}, got {v}")
 
 
 @dataclass(frozen=True)

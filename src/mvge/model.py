@@ -19,13 +19,14 @@ import contextvars
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from mvge.data import Dataset, EmbeddingSet
-from mvge.graph import Graph, ValidationError, check_fields, normalized_adjacency
+from mvge.graph import (AT_LEAST_0, AT_LEAST_1, FINITE_POSITIVE, UNIT_RANGE, Graph,
+                        ValidationError, check_fields, normalized_adjacency)
 from mvge.numerics import (
     Adam,
     Param,
@@ -38,7 +39,7 @@ from mvge.numerics import (
     spmm_backward,
     usable_cpus,
 )
-from mvge.walks import ViewPair, WalkConfig, build_views
+from mvge.walks import AGGREGATORS, ViewPair, WalkConfig, build_views
 
 MERGE_FNS = ("concat", "sum", "mean")
 TASKS = ("ego", "agg", "adj")
@@ -120,37 +121,26 @@ class TrainingDivergedError(RuntimeError):
 class MVGEConfig:
     """Everything that determines a training run, walks included."""
 
-    dim_ego: int = 64
-    dim_agg: int = 64
-    hidden_dim: int = 128
-    alpha: float = 0.5
-    beta: float = 0.8
-    epochs: int = 200
-    lr: float = 0.01
-    seed: int = 0
+    dim_ego: int = field(default=64, metadata={"rule": AT_LEAST_1})
+    dim_agg: int = field(default=64, metadata={"rule": AT_LEAST_1})
+    hidden_dim: int = field(default=128, metadata={"rule": AT_LEAST_1})
+    alpha: float = field(default=0.5, metadata={"rule": UNIT_RANGE})
+    beta: float = field(default=0.8, metadata={"rule": UNIT_RANGE})
+    epochs: int = field(default=200, metadata={"rule": AT_LEAST_0})
+    lr: float = field(default=0.01, metadata={"rule": FINITE_POSITIVE})
+    seed: int = field(default=0, metadata={"rule": AT_LEAST_0})
     walk_lengths: tuple[int, ...] = (3, 5, 10)
-    aggr: str = "concat"
-    merge_fn: str = "concat"
+    aggr: str = field(default="concat", metadata={"choices": AGGREGATORS})
+    merge_fn: str = field(default="concat", metadata={"choices": MERGE_FNS})
     task_mask: frozenset[str] = frozenset(TASKS)
-    ego_encoder: str = "linear"
-    adj_loss_mode: str = "auto"
-    sample_ratio: float = 1.0
+    ego_encoder: str = field(default="linear", metadata={"choices": EGO_ENCODERS})
+    adj_loss_mode: str = field(default="auto", metadata={"choices": ADJ_LOSS_MODES})
+    sample_ratio: float = field(default=1.0, metadata={"rule": FINITE_POSITIVE})
 
     def __post_init__(self):
         object.__setattr__(self, "task_mask", frozenset(self.task_mask))
-        check_fields(self, at_least=(("dim_ego", 1), ("dim_agg", 1), ("hidden_dim", 1),
-                                     ("epochs", 0), ("seed", 0)),
-                     choices=(("merge_fn", MERGE_FNS), ("ego_encoder", EGO_ENCODERS),
-                              ("adj_loss_mode", ADJ_LOSS_MODES)))
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {v}")
-        for name in ("lr", "sample_ratio"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
-                raise ValidationError(f"{name} must be finite and positive, got {v}")
-        # checks the lengths, aggr and seed, and gives the lengths as ints
+        check_fields(self)
+        # checks the lengths and the seed's upper bound, and gives the lengths as ints
         object.__setattr__(self, "walk_lengths", self.walk_config().lengths)
         if self.merge_fn in ("sum", "mean") and self.dim_ego != self.dim_agg:
             raise ValidationError(

@@ -7,37 +7,30 @@ whose means sit on scaled axis directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from mvge.data import Dataset
-from mvge.graph import Graph, ValidationError, check_fields, kept_pairs
+from mvge.graph import (AT_LEAST_0, AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, UNIT_RANGE, Graph,
+                        ValidationError, check_fields, kept_pairs)
 
 
 @dataclass(frozen=True)
 class SynthSpec:
     num_nodes: int
     num_classes: int
-    target_homophily: float
-    avg_degree: float = 4.0
-    feature_dim: int = 32
-    class_separation: float = 1.0
-    noise_sigma: float = 1.0
-    seed: int = 0
+    target_homophily: float = field(metadata={"rule": UNIT_RANGE})
+    avg_degree: float = field(default=4.0, metadata={"rule": FINITE_NON_NEGATIVE})
+    feature_dim: int = field(default=32, metadata={"rule": AT_LEAST_1})
+    class_separation: float = field(default=1.0, metadata={"rule": FINITE})
+    noise_sigma: float = field(default=1.0, metadata={"rule": FINITE_NON_NEGATIVE})
+    seed: int = field(default=0, metadata={"rule": AT_LEAST_0})
 
     def __post_init__(self):
-        check_fields(self, at_least=(("feature_dim", 1), ("seed", 0)))
+        check_fields(self)
         if self.num_nodes < self.num_classes or self.num_classes < 1:
             raise ValidationError("need num_nodes >= num_classes >= 1")
-        if not 0.0 <= self.target_homophily <= 1.0:
-            raise ValidationError("target homophily must lie in [0, 1]")
-        for name in ("avg_degree", "noise_sigma"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0.0):
-                raise ValidationError(f"{name} must be finite and non-negative, got {v}")
-        if not np.isfinite(self.class_separation):
-            raise ValidationError(f"class_separation must be finite, got {self.class_separation}")
         n = self.num_nodes
         # num_edges > the pairs, on the float before int(): a degree may overflow to inf
         if float(self.avg_degree) * n / 2 >= n * (n - 1) // 2 + 1:

@@ -9,7 +9,7 @@ neighborhood and act as a low-pass filter over the graph.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +33,8 @@ class WalkConfig:
     """
 
     lengths: tuple[int, ...] = (3, 5, 10)
-    aggr: str = "concat"
-    seed: int = 0
+    aggr: str = field(default="concat", metadata={"choices": AGGREGATORS})
+    seed: int = field(default=0, metadata={"rule": (lambda v: 0 <= v < 2**64, "in [0, 2**64)")})
 
     def __post_init__(self):
         lengths = tuple(self.lengths)
@@ -49,9 +49,7 @@ class WalkConfig:
             raise ValidationError(f"walk lengths must be >= 1, got {lengths}")
         if len(set(lengths)) != len(lengths):
             raise ValidationError(f"walk lengths must be distinct, got {lengths}")
-        check_fields(self, choices=(("aggr", AGGREGATORS),))
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

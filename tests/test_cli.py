@@ -457,7 +457,8 @@ def test_help_shows_setting_defaults():
     assert r.returncode == 0
     help_text = " ".join(r.stdout.split())
     for text in ("--epochs EPOCHS default: 200", "default: 3,5,10", "default: adj,agg,ego",
-                 "--merge-fn {concat,sum,mean} default: concat"):
+                 "--merge-fn {concat,sum,mean} default: concat",
+                 "--alpha ALPHA default: 0.5; must be in [0, 1]"):
         assert text in help_text
 
 
