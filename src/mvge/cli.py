@@ -361,16 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
     _add_fields(p, SynthSpec)
-    p.add_argument("--out", help="output dataset directory")
-    p.set_defaults(func=cmd_synth, needs_out=True)
+    p.add_argument("--out", required=True, help="output dataset directory")
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("embed", help="train and write embeddings")
     p.add_argument("dataset")
     p.add_argument("--config", help=config_help)
     _add_fields(p, MVGEConfig)
     p.add_argument("--format", choices=("binary", "csv", "both"), default="both")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_embed, needs_out=True)
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("eval-node", help="node classification from saved embeddings")
     p.add_argument("dataset")
@@ -404,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fields(p, MVGEConfig)
     p.add_argument("--grid-step", dest="grid_step", type=float, default=0.1)
     p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.7)
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_gridsearch, needs_out=True)
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("diag", help="per-dimension deviations of saved embeddings")
     p.add_argument("--embeddings", required=True,
@@ -418,10 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "needs_out", False) and not args.out:
-        parser.error(f"{args.command} requires --out")
+    args = build_parser().parse_args(argv)
     if args.verbose:
         logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
         logging.getLogger("mvge").setLevel(logging.INFO if args.verbose == 1 else logging.DEBUG)

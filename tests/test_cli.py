@@ -354,6 +354,9 @@ def test_missing_out_flag_is_usage_error(tmp_path, synth_dir):
     assert r.returncode == 2
     r = run_cli("synth", "--n", 10, "--c", 2, "--h", "1.0")
     assert r.returncode == 2
+    r = run_cli("gridsearch", synth_dir)
+    assert r.returncode == 2
+    assert "the following arguments are required: --out" in r.stderr
 
 
 def test_version_flag():
