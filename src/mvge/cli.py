@@ -118,6 +118,12 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
+def _out_dir(text: str) -> str:
+    if not text:  # "" would write into the current directory
+        raise argparse.ArgumentTypeError("an empty path is not an output directory")
+    return text
+
+
 # how a setting flag parses, by its field's annotation; str fields take choices
 _PARSERS = {"int": int, "float": float, "float | None": float,
             "tuple[int, ...]": _int_list, "frozenset[str]": _str_list}
@@ -125,10 +131,9 @@ _FLAG_NAMES = {"num_nodes": "--n", "num_classes": "--c", "target_homophily": "--
 
 
 def _add_fields(p: argparse.ArgumentParser, spec, skip: tuple[str, ...] = ()) -> None:
-    """One flag per field of the dataclass ``spec`` outside ``skip``, parsed per its
-    annotation and limited to its metadata's choices: required if the field has no
-    default, else None when left out, so the default applies. --help shows the defaults,
-    or the values if ``spec`` is an instance, and the rule."""
+    """One flag per field of the dataclass ``spec`` outside ``skip``: parsed per its annotation,
+    limited to its choices, required if it has no default, else None when left out. --help
+    shows each default (the value if ``spec`` is an instance) and rule."""
     for f in [f for f in dataclasses.fields(spec) if f.name not in skip]:
         default = getattr(spec, f.name, dataclasses.MISSING)
         if isinstance(default, (tuple, frozenset)):
@@ -361,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
     _add_fields(p, SynthSpec)
-    p.add_argument("--out", required=True, help="output dataset directory")
+    p.add_argument("--out", required=True, type=_out_dir, help="output dataset directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("embed", help="train and write embeddings")
@@ -369,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=config_help)
     _add_fields(p, MVGEConfig)
     p.add_argument("--format", choices=("binary", "csv", "both"), default="both")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, type=_out_dir, help="output directory")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("eval-node", help="node classification from saved embeddings")
@@ -404,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fields(p, MVGEConfig)
     p.add_argument("--grid-step", dest="grid_step", type=float, default=0.1)
     p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.7)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, type=_out_dir, help="output directory")
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("diag", help="per-dimension deviations of saved embeddings")

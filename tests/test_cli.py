@@ -357,6 +357,9 @@ def test_missing_out_flag_is_usage_error(tmp_path, synth_dir):
     r = run_cli("gridsearch", synth_dir)
     assert r.returncode == 2
     assert "the following arguments are required: --out" in r.stderr
+    r = run_cli("synth", "--n", 10, "--c", 2, "--h", "1.0", "--out", "")
+    assert r.returncode == 2
+    assert "argument --out: an empty path is not an output directory" in r.stderr
 
 
 def test_version_flag():
