@@ -21,8 +21,8 @@ def is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-# single-field rules that more than one setting declares as field(metadata={"rule": ...}):
-# a test of the value and the words it asks for
+# shared single-field rules, declared as field(metadata={"rule": ...}): a test of
+# the value and the words it asks for
 AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
 AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 UNIT_RANGE = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
