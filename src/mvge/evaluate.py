@@ -137,7 +137,7 @@ class LogRegModel:
         targets_t = (
             (y == 1).astype(np.float64)[None, :]
             if n_out == 1
-            else np.eye(num_classes)[:, y]
+            else (np.arange(num_classes)[:, None] == y).astype(np.float64)
         )
         params = {
             "w": Param(np.zeros((x.shape[1], n_out))),
@@ -461,13 +461,14 @@ def grid_search_alpha_beta(ds: Dataset, cfg: mvge.model.MVGEConfig, grid_step: f
     n_train = min(max(int(round((1.0 - val_fraction) * n)), 1), n - 1)
 
     values = [i / steps for i in range(steps + 1)]
+    # sized by the labels, as in node_classification_eval, not by meta.json
+    num_classes = int(ds.labels.max()) + 1
     table: list[tuple[float, float, float]] = []
     best = (-1.0, 0.0, 0.0)
     for a in values:
         for b in values:
             _, emb, _ = mvge.model.train(ds, replace(cfg, alpha=a, beta=b), views=views)
-            score = _probe_f1(emb.h, ds.labels, perm[:n_train], perm[n_train:],
-                              ds.num_classes)
+            score = _probe_f1(emb.h, ds.labels, perm[:n_train], perm[n_train:], num_classes)
             table.append((a, b, score))
             if score > best[0]:
                 best = (score, a, b)

@@ -77,14 +77,17 @@ FULL_ADJ_MAX_NODES = 3500
 # 8 MB gains under 5% on one worker and doubles the strips' memory
 _ADJ_BLOCK_BYTES = 4 << 20
 
-# dtype of the full adjacency loss's strips: H's copy, the products z = H H^T
-# and the |z|, exp, log1p and tanh passes. The |z| and softplus sums, t, the
-# loss and the gradient stay float64. float32 holds |z| up to 3.4e38, that is
-# row norms of H up to 1.8e19 (z_ii = |h_i|^2). Past that the cast or a product
-# overflows, and as every pair's |z| enters the |z| sum the loss comes out inf
-# or nan, never a wrong finite value. Finite differences cannot resolve a
-# float32 loss, so the tests' gradient checks set this to float64
-_ADJ_DTYPE = np.float32
+# dtype of the float32 work. In the encoder branches: x, S, the activations,
+# the weights' copies and every backward product; the bias add promotes h to
+# float64, and the gradients are float32 products added into float64. In the
+# full adjacency loss: H's copy, the strip products z = H H^T and the |z|,
+# exp, log1p and tanh passes; the |z| and softplus sums, t, the loss and the
+# gradient stay float64. The parameters, Adam and the KL decoders are float64.
+# float32 holds values up to 3.4e38: features past it overflow in train()'s
+# cast, and row norms of H past 1.8e19 overflow a strip (z_ii = |h_i|^2). Both
+# end in a non-finite loss, never a wrong finite value. Finite differences
+# cannot resolve a float32 loss, so the tests' gradient checks set this to float64
+_WORK_DTYPE = np.float32
 
 # bytes of the buffer each part takes its |z| and softplus sums through, in
 # row chunks of one strip (at least one row)
@@ -234,24 +237,31 @@ class MVGEModel:
 
     def _encode(self, name: str, x: np.ndarray, s: sp.csr_matrix | None):
         """One branch: a linear layer or two graph convolutions, then a dense
-        skip layer over [x, inner]; returns (h, cache)."""
+        skip layer over [x, inner], all in _WORK_DTYPE; returns the float64
+        h and the cache."""
         p = self.params
         f = self.f_ego if name == "ego" else self.f_agg
         if x.shape[1] != f:
             raise ValidationError(f"expected {f} {name} features, got {x.shape[1]}")
+        dt = _WORK_DTYPE
+        # train() casts x and S once per training, so these copy only for
+        # other callers
+        x = x.astype(dt, copy=False)
         # the cache keeps only what _backward reads: relu(v) > 0 exactly where
         # v > 0 (NaN and -0.0 included), so the ReLU outputs give the masks
         if self._is_linear(name):
-            inner = np.maximum(x @ p["ego_w1"].value + p["ego_b1"].value, 0.0)
+            w1, b1 = p["ego_w1"].value.astype(dt), p["ego_b1"].value.astype(dt)
+            inner = np.maximum(x @ w1 + b1, 0.0)
             cache = {"x": x}
         else:
             if s is None:
                 raise ValidationError(f"gcn {name} encoder needs the normalized adjacency")
-            g1 = np.maximum(spmm(s, x @ p[f"{name}_w1"].value), 0.0)
-            inner = np.maximum(spmm(s, g1 @ p[f"{name}_w2"].value), 0.0)
+            s = s.astype(dt, copy=False)
+            g1 = np.maximum(spmm(s, x @ p[f"{name}_w1"].value.astype(dt)), 0.0)
+            inner = np.maximum(spmm(s, g1 @ p[f"{name}_w2"].value.astype(dt)), 0.0)
             cache = {"x": x, "g1": g1, "s_op": s}
         cache["c"] = np.concatenate([x, inner], axis=1)
-        h = cache["c"] @ p[f"{name}_skip_w"].value + p[f"{name}_skip_b"].value
+        h = cache["c"] @ p[f"{name}_skip_w"].value.astype(dt) + p[f"{name}_skip_b"].value
         return h, cache
 
     def embeddings(self, views: ViewPair, s: sp.csr_matrix) -> EmbeddingSet:
@@ -269,20 +279,24 @@ class MVGEModel:
         self._backward("agg", d_h, cache)
 
     def _backward(self, name: str, d_h: np.ndarray, cache: dict) -> None:
+        """Adds the branch's weight gradients for the float64 ``d_h``: each a
+        _WORK_DTYPE product added into float64."""
         p = self.params
+        dt = _WORK_DTYPE
         skip_w = p[f"{name}_skip_w"]
-        skip_w.grad += cache["c"].T @ d_h
         p[f"{name}_skip_b"].grad += d_h.sum(axis=0, keepdims=True)
+        d_h = d_h.astype(dt, copy=False)
+        skip_w.grad += cache["c"].T @ d_h
         f = cache["x"].shape[1]
-        d_inner = (d_h @ skip_w.value.T)[:, f:]
+        d_inner = d_h @ skip_w.value[f:].astype(dt).T
         d_inner *= cache["c"][:, f:] > 0.0
         if self._is_linear(name):
             p["ego_w1"].grad += cache["x"].T @ d_inner
-            p["ego_b1"].grad += d_inner.sum(axis=0, keepdims=True)
+            p["ego_b1"].grad += d_inner.sum(axis=0, keepdims=True, dtype=np.float64)
             return
         d_b2 = spmm_backward(cache["s_op"], d_inner)
         p[f"{name}_w2"].grad += cache["g1"].T @ d_b2
-        d_g1 = d_b2 @ p[f"{name}_w2"].value.T
+        d_g1 = d_b2 @ p[f"{name}_w2"].value.astype(dt).T
         d_g1 *= cache["g1"] > 0.0
         d_b1 = spmm_backward(cache["s_op"], d_g1)
         p[f"{name}_w1"].grad += cache["x"].T @ d_b1
@@ -324,16 +338,11 @@ def _kl_terms(p: np.ndarray, recon: np.ndarray):
     return float((p * logs).sum()), q - p
 
 
-def adjacency_loss(h: np.ndarray, g: Graph, mode: str = "full",
-                   rng: np.random.Generator | None = None,
-                   sample_ratio: float = 1.0) -> float:
-    """Cross-entropy between sigmoid(H H^T) and the adjacency matrix."""
-    return _adjacency_terms(h, g, mode, rng=rng, sample_ratio=sample_ratio)[0]
-
-
 def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
                      rng: np.random.Generator | None = None,
                      sample_ratio: float = 1.0):
+    """Cross-entropy between sigmoid(H H^T) and the adjacency matrix, and
+    its gradient with respect to H."""
     if h.shape[0] != g.num_nodes:
         raise ValidationError(f"embedding rows {h.shape[0]} != num_nodes {g.num_nodes}")
     n = g.num_nodes
@@ -345,23 +354,22 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
         # sum(z) = |col|^2 with col the column sums of H
         ah = g.adjacency @ h
         col = h.sum(axis=0)
-        item = np.dtype(_ADJ_DTYPE).itemsize
-        block = max(1, _ADJ_BLOCK_BYTES // (item * n))
-        sums_rows = max(1, _ADJ_SUMS_BYTES // (item * n))
+        dt = np.dtype(_WORK_DTYPE)
+        block = max(1, _ADJ_BLOCK_BYTES // (dt.itemsize * n))
+        sums_rows = max(1, _ADJ_SUMS_BYTES // (dt.itemsize * n))
         k = _split_row(n, block)
-        # past _ADJ_DTYPE's range the loss comes out non-finite, which is the
+        # past _WORK_DTYPE's range the loss comes out non-finite, which is the
         # caller's to report; the worker runs in a copy of this errstate
         with np.errstate(over="ignore", invalid="ignore"):
-            hs = h.astype(_ADJ_DTYPE, copy=False)
+            hs = h.astype(dt, copy=False)
             # d_h = (2 / n^2) (sigmoid(z) - A) H with sigmoid(z) = (1 + tanh(z / 2)) / 2:
             # t collects tanh(z / 2) H, and the 1 adds col to every row. Each part
             # gets its own buffers, all allocated here so that no worker thread
             # keeps freed strips in an arena of its own
             t, t_b = np.zeros_like(h), np.zeros_like(h)
             part_a, part_b = (
-                (hs, lo, hi, block, np.empty(min(block, hi - lo) * (n - lo), _ADJ_DTYPE),
-                 np.empty(sums_rows * n, _ADJ_DTYPE), np.empty((n - lo, h.shape[1]), _ADJ_DTYPE),
-                 t_part)
+                (hs, lo, hi, block, np.empty(min(block, hi - lo) * (n - lo), dt),
+                 np.empty(sums_rows * n, dt), np.empty((n - lo, h.shape[1]), dt), t_part)
                 for lo, hi, t_part in ((0, k, t), (k, n, t_b)))
             (abs_b, log_b), (abs_a, log_a) = _side_by_side(lambda: _adjacency_part(*part_b),
                                                            lambda: _adjacency_part(*part_a))
@@ -622,6 +630,11 @@ def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
     # a diverging run overflows before its loss turns non-finite; the checks
     # below raise for it, so numpy's warnings would only repeat them
     with np.errstate(over="ignore", invalid="ignore"):
+        # the encoders' inputs, cast once per training; features past the
+        # dtype's range turn inf here, and the loss of epoch 0 with them
+        views = ViewPair(x_ego=views.x_ego.astype(_WORK_DTYPE),
+                         x_agg=views.x_agg.astype(_WORK_DTYPE))
+        s = s.astype(_WORK_DTYPE)
         for epoch in range(cfg.epochs):
             l_e, l_a, l_s, l_t = _train_step(model, views, s, g, p_ego, p_agg,
                                              adj_mode, neg_rng)

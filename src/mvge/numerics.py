@@ -1,9 +1,10 @@
 """Dense layer primitives with explicit backward rules, the Adam
 optimizer, and readers of the BLAS threads and CPUs a process may use.
 
-All matrices are float64 numpy arrays. The backward pass is written
-per operation for the fixed network rather than through a general
-autodiff tape.
+Parameters, their gradients and Adam's moments are float64. The other
+operations keep their inputs' dtype: the model's encoders call ``spmm``
+in float32. The backward pass is written per operation for the fixed
+network rather than through a general autodiff tape.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Reference implementations that only the tests call.
 
 - ``grad_check``: central differences against the hand-derived gradients.
+- ``adjacency_loss``: the adjacency loss alone, without its gradient.
 - ``kl_feature_loss``: the KL reconstruction loss from raw target features.
 - ``float64_logreg_fit``: the probe's all-float64 training loop, which
   ``LogRegModel.fit`` ran before it moved to one float32 feature layout.
@@ -9,9 +10,13 @@
 import numpy as np
 
 from mvge.evaluate import _STD_FLOOR, LogRegModel
-from mvge.graph import ValidationError
-from mvge.model import _kl_terms
+from mvge.graph import Graph, ValidationError
+from mvge.model import _adjacency_terms, _kl_terms
 from mvge.numerics import Adam, Param, sigmoid, softmax_rows
+
+# ulps of error allowed in each loss that grad_check evaluates; see its docstring
+ROUNDOFF_ULPS = 4
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def grad_check(
@@ -26,7 +31,15 @@ def grad_check(
     ``loss_fn()`` must recompute the loss from the current parameter
     values and leave the full analytic gradient in each param's ``grad``.
     A deterministic sample of entries per parameter is probed; the
-    relative error is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    relative error is max(0, |analytic - numeric| - floor) /
+    max(1e-8, |analytic| + |numeric|).
+
+    ``floor`` is the roundoff of the central difference. Each float64 loss
+    is taken to be correct to ``ROUNDOFF_ULPS`` ulps, so (plus - minus) /
+    (2 epsilon) may be off by ROUNDOFF_ULPS * eps * (|plus| + |minus|) /
+    (2 epsilon), about 1e-10 for an O(1) loss at epsilon 1e-5. A gradient
+    entry near that size cannot be resolved, and the floor keeps its
+    roundoff from reading as a relative error near 1.
     """
     rng = np.random.default_rng(seed)
     base = loss_fn()
@@ -55,11 +68,19 @@ def grad_check(
             if not (np.isfinite(plus) and np.isfinite(minus)):
                 raise FloatingPointError("non-finite loss during grad_check probe")
             numeric = (plus - minus) / (2.0 * epsilon)
+            floor = ROUNDOFF_ULPS * _EPS * (abs(plus) + abs(minus)) / (2.0 * epsilon)
             a = analytic[k].reshape(-1)[i]
-            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+            err = max(0.0, abs(a - numeric) - floor) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, err)
     loss_fn()  # restore gradient state for the caller
     return worst
+
+
+def adjacency_loss(h: np.ndarray, g: Graph, mode: str = "full",
+                   rng: np.random.Generator | None = None,
+                   sample_ratio: float = 1.0) -> float:
+    """Cross-entropy between sigmoid(H H^T) and the adjacency matrix."""
+    return _adjacency_terms(h, g, mode, rng=rng, sample_ratio=sample_ratio)[0]
 
 
 def kl_feature_loss(targets: np.ndarray, recon: np.ndarray) -> float:

@@ -216,8 +216,9 @@ def test_acceptance_5_view_spread_ordering(crossover):
 def test_acceptance_6_gradient_correctness(monkeypatch):
     from mvge.model import _train_step
 
-    # finite differences resolve the full adjacency loss on float64 strips only
-    monkeypatch.setattr(mvge.model, "_ADJ_DTYPE", np.float64)
+    # finite differences resolve the training step only with its float32
+    # work (the encoders and the full adjacency loss's strips) in float64
+    monkeypatch.setattr(mvge.model, "_WORK_DTYPE", np.float64)
 
     t0 = time.perf_counter()
     ds = random_dataset(np.random.default_rng(3), n=8, f=2, c=2, p_edge=0.4)

@@ -315,6 +315,23 @@ def test_gridsearch_artifacts(tmp_path, synth_dir):
     assert best["score"] == max(scores)
 
 
+def test_gridsearch_sizes_the_probe_from_the_labels(tmp_path, synth_dir):
+    # a meta.json num_classes of 10**9 sets no allocation: the probe has one
+    # class per label value, so the grid is the same as at the true 3
+    import shutil
+
+    ds = tmp_path / "ds"
+    shutil.copytree(synth_dir, ds)
+    _set_meta(ds, num_classes=10**9)
+    grids = []
+    for data, out in ((synth_dir, tmp_path / "true"), (ds, tmp_path / "huge")):
+        r = run_cli("gridsearch", data, "--grid-step", "1", "--epochs", 2, "--dim-ego", 4,
+                    "--dim-agg", 4, "--hidden-dim", 4, "--walk-lengths", "3", "--out", out)
+        assert r.returncode == 0, r.stderr
+        grids.append((out / "grid.csv").read_text())
+    assert grids[0] == grids[1]
+
+
 def test_diag_reports_view_sigmas(tmp_path, embed_run):
     r = run_cli("diag", "--embeddings", embed_run / "embeddings.bin")
     assert r.returncode == 0, r.stderr

@@ -245,6 +245,20 @@ def test_grad_check_flags_wrong_gradient():
     assert grad_check(loss, {"w": p}) > 0.1
 
 
+@pytest.mark.parametrize("scale, flagged", [(1.0, False), (2.0, True)])
+def test_grad_check_floor_absorbs_roundoff_only(scale, flagged):
+    # a loss of 100 with gradient 1e-7: the central difference's roundoff,
+    # about eps * |loss| / epsilon = 2e-9, is 2% of it, while a gradient off
+    # by 1e-7 is still a wrong gradient
+    p = Param(np.array([0.5]))
+
+    def loss():
+        p.grad += scale * 1e-7
+        return 100.0 + 1e-7 * float(p.value[0])
+
+    assert (grad_check(loss, {"w": p}) >= 1e-4) == flagged
+
+
 def test_grad_check_rejects_non_finite():
     p = Param(np.array([1.0]))
 
