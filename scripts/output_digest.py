@@ -23,6 +23,8 @@ The groups, one line each:
       probe fitted on fixed seeded features, so a probe-only change shows
       apart from the trainings;
   report/node, report/link, report/pair  the protocol scores;
+  save_embeddings/<merge>  the six files save_embeddings(fmt="both") writes
+      after one training per merge function, in the order it returns them;
   cli/<command>     every file that synth, stats, embed, eval-node, eval-link,
       eval-pair, gridsearch and diag write when run through ``mvge.cli.main`` on
       one small graph, with each run manifest's duration, env block and dataset
@@ -144,6 +146,18 @@ def report_lines(n: int, epochs: int):
     yield "report/link", digest(np.asarray(link.scores))
     pair = pairwise_eval(ds, cfg, SplitSpec("pair", repeats=2, seed=8))
     yield "report/pair", digest(np.asarray(pair.scores))
+
+
+def save_embeddings_lines(n: int, epochs: int):
+    ds = dataset(n, seed=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        for merge in MERGE_FNS:
+            cfg = MVGEConfig(dim_ego=8, dim_agg=8, hidden_dim=16, epochs=epochs, seed=5,
+                             walk_lengths=(2, 4), merge_fn=merge)
+            _, emb, _ = train(ds, cfg)
+            written = save_embeddings(emb, Path(tmp) / merge / "emb", fmt="both")
+            lines = "".join(f"{file_digest(p)}  {p.name}\n" for p in written)
+            yield f"save_embeddings/{merge}", hashlib.sha256(lines.encode()).hexdigest()
 
 
 def file_digest(path: Path) -> str:
@@ -318,7 +332,8 @@ def main() -> int:
     print(f"adjacency workers: {adjacency_workers()}", file=sys.stderr)
     lines = itertools.chain(training_lines(n, epochs), [synth_line(synth_sizes)],
                             sampler_lines(n), probe_lines(n), report_lines(n, epochs),
-                            cli_lines(n, epochs), errors_lines())
+                            save_embeddings_lines(n, epochs), cli_lines(n, epochs),
+                            errors_lines())
     for name, sha in lines:
         print(f"{sha}  {name}", flush=True)
     return 0

@@ -14,11 +14,13 @@ N*dim float32 values row-major. The CSV variant has a
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
 import struct
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,12 +87,13 @@ class EmbeddingSet:
     h: np.ndarray
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks in order to a temporary file that then replaces ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -100,12 +103,13 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def write_json(path: str | Path, obj) -> None:
     """Write ``obj`` as indented JSON with sorted keys and a final newline."""
-    _atomic_write(Path(path), (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+    _atomic_write(Path(path), [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()])
 
 
-def write_lines(path: str | Path, lines: list[str]) -> None:
-    """Write each line with a newline after it; no lines make an empty file."""
-    _atomic_write(Path(path), ("\n".join(lines) + "\n").encode() if lines else b"")
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line with a newline after it; no lines make an empty file.
+    The lines are encoded and written one at a time, never joined."""
+    _atomic_write(Path(path), (f"{line}\n".encode() for line in lines))
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
@@ -233,7 +237,7 @@ def save_matrix_binary(m: np.ndarray, path: str | Path) -> None:
     """Write one matrix in the 16-byte-header float32 binary format."""
     m = np.ascontiguousarray(m, dtype=np.float32)
     header = MAGIC + struct.pack("<III", BINARY_VERSION, m.shape[0], m.shape[1])
-    _atomic_write(Path(path), header + m.tobytes())
+    _atomic_write(Path(path), [header, m.tobytes()])
 
 
 def load_matrix_binary(path: str | Path) -> np.ndarray:
@@ -251,13 +255,21 @@ def load_matrix_binary(path: str | Path) -> np.ndarray:
     return np.frombuffer(data[16:], dtype="<f4").reshape(n, dim).astype(np.float64)
 
 
+def _csv_rows(m: np.ndarray) -> list[str]:
+    """Each row of a float64 matrix as comma-separated values, 9 significant digits."""
+    row_fmt = ",".join(["%.9g"] * m.shape[1])
+    return [row_fmt % tuple(row.tolist()) for row in m]
+
+
+def _write_csv(rows: Iterable[str], dim: int, path: str | Path) -> None:
+    header = "node," + ",".join(f"e{j}" for j in range(dim))
+    write_lines(path, itertools.chain([header], (f"{i},{row}" for i, row in enumerate(rows))))
+
+
 def save_matrix_csv(m: np.ndarray, path: str | Path) -> None:
     """Write one matrix as CSV with a "node,e0,..." header, 9 significant digits."""
     m = np.asarray(m, dtype=np.float64)
-    row_fmt = ",".join(["%.9g"] * m.shape[1])
-    lines = ["node," + ",".join(f"e{j}" for j in range(m.shape[1]))]
-    lines.extend(f"{i},{row_fmt % tuple(row.tolist())}" for i, row in enumerate(m))
-    write_lines(path, lines)
+    _write_csv(_csv_rows(m), m.shape[1], path)
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
@@ -294,22 +306,42 @@ def embedding_path(base: str | Path, view: str, fmt: str) -> Path:
     return base.with_name(base.name + _VIEW_SUFFIX[view] + _FORMAT_SUFFIX[fmt])
 
 
+def _is_concat(h: np.ndarray, h_ego: np.ndarray, h_agg: np.ndarray) -> bool:
+    """Whether h is the two views side by side, bit for bit (so -0.0 is not
+    0.0), each at least one column wide."""
+    de = h_ego.shape[1]
+    return (de > 0 and h_agg.shape[1] > 0 and h.shape == (h_ego.shape[0], de + h_agg.shape[1])
+            and h_ego.shape[0] == h_agg.shape[0]
+            and np.array_equal(h[:, :de].view(np.uint64), h_ego.view(np.uint64))
+            and np.array_equal(h[:, de:].view(np.uint64), h_agg.view(np.uint64)))
+
+
 def save_embeddings(e: EmbeddingSet, base: str | Path, fmt: str = "binary") -> list[Path]:
     """Save all three matrices of an embedding set.
 
     ``base`` is a path stem; the merged matrix goes to ``{base}.bin`` (or
     ``.csv``) and the per-view matrices to ``{base}.ego.bin`` and
     ``{base}.agg.bin``. ``fmt`` is "binary", "csv", or "both". Returns the
-    written paths.
+    written paths. When the merged matrix is the two views side by side,
+    its CSV rows are the views' rows joined by a comma, formatted once.
     """
     if fmt not in ("binary", "csv", "both"):
         raise ValidationError(f"unknown embedding format {fmt!r}")
+    views = {"merged": e.h, "ego": e.h_ego, "agg": e.h_agg}
+    rows = {}
+    if fmt != "binary":
+        h, ego, agg = (np.asarray(m, dtype=np.float64) for m in views.values())
+        rows = {"ego": _csv_rows(ego), "agg": _csv_rows(agg)}
+        rows["merged"] = (map(",".join, zip(rows["ego"], rows["agg"]))
+                          if _is_concat(h, ego, agg) else _csv_rows(h))
     written = []
-    for view, m in (("merged", e.h), ("ego", e.h_ego), ("agg", e.h_agg)):
-        for f, save in (("binary", save_matrix_binary), ("csv", save_matrix_csv)):
-            if fmt in (f, "both"):
-                written.append(embedding_path(base, view, f))
-                save(m, written[-1])
+    for view, m in views.items():
+        if fmt in ("binary", "both"):
+            written.append(embedding_path(base, view, "binary"))
+            save_matrix_binary(m, written[-1])
+        if fmt in ("csv", "both"):
+            written.append(embedding_path(base, view, "csv"))
+            _write_csv(rows[view], m.shape[1], written[-1])
     return written
 
 

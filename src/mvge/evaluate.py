@@ -95,6 +95,15 @@ class LogRegModel:
     deviation; all per-class classifiers train jointly by full-batch
     Adam. Binary problems use a single classifier, and a single-class
     training set degenerates to always predicting that class.
+
+    ``fit`` also takes a stack of R training sets of equal size, x of
+    shape (R, n, d) and y of shape (R, n), and trains them in one Adam
+    loop. Each slice keeps its own standardization and degenerate case,
+    and gets the same bits as a fit of that slice alone; a single
+    training set is the stack of one. After a stacked fit the fitted
+    arrays carry a leading R axis, ``degenerate_class`` is a tuple with
+    one entry per slice, and ``slices()`` gives each slice as a model of
+    its own to score with.
     """
 
     LR = 0.1
@@ -103,7 +112,7 @@ class LogRegModel:
 
     def __init__(self):
         self.num_classes: int | None = None
-        self.degenerate_class: int | None = None
+        self.degenerate_class: int | tuple[int | None, ...] | None = None
         self.mu: np.ndarray | None = None
         self.sd: np.ndarray | None = None
         self.weights: np.ndarray | None = None
@@ -112,51 +121,71 @@ class LogRegModel:
     def fit(self, x: np.ndarray, y: np.ndarray, num_classes: int | None = None):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        if x.ndim != 2 or x.shape[0] != y.shape[0] or y.shape[0] == 0:
+        stacked = x.ndim == 3
+        xr, yr = (x, y) if stacked else (x[None], y[None])
+        if xr.ndim != 3 or yr.shape != xr.shape[:2] or yr.size == 0:
             raise ValidationError(f"bad training shapes {x.shape} / {y.shape}")
         if num_classes is None:
             num_classes = int(y.max()) + 1
         self.num_classes = num_classes
-        self.mu = x.mean(axis=0)
-        sd = x.std(axis=0, ddof=0)
-        self.sd = np.where(sd < _STD_FLOOR, 1.0, sd)
-        present = np.unique(y)
-        if present.size == 1:
-            self.degenerate_class = int(present[0])
-            self.weights = np.zeros((x.shape[1], 1))
-            self.bias = np.zeros((1, 1))
-            return self
-        self.degenerate_class = None
-        # one float32 layout per fit, features by rows (d x n), so both
-        # products stream it in order; weights, bias and Adam stay float64
-        xs = x - self.mu
-        xs /= self.sd
-        xs_t = xs.T.astype(np.float32, order="C")
-        del xs
+        reps, n, d = xr.shape
         n_out = 1 if num_classes == 2 else num_classes
+        mu = np.empty((reps, d))
+        sd = np.empty((reps, d))
+        for r in range(reps):
+            mu[r] = xr[r].mean(axis=0)
+            s = xr[r].std(axis=0, ddof=0)
+            sd[r] = np.where(s < _STD_FLOOR, 1.0, s)
+        degenerate = tuple(int(p[0]) if p.size == 1 else None for p in map(np.unique, yr))
+        live = [r for r, c in enumerate(degenerate) if c is None]
+        # one float32 layout per slice, features by rows (d x n), so both
+        # products stream it in order; each slice is standardized in float64
+        # straight into its slot. Weights, bias and Adam stay float64
+        xs_t = np.empty((len(live), d, n), dtype=np.float32)
+        for i, r in enumerate(live):
+            xs = xr[r] - mu[r]
+            xs /= sd[r]
+            xs_t[i] = xs.T
+            del xs
+        y_live = yr[live]
         targets_t = (
-            (y == 1).astype(np.float64)[None, :]
+            (y_live == 1).astype(np.float64)[:, None, :]
             if n_out == 1
-            else (np.arange(num_classes)[:, None] == y).astype(np.float64)
+            else (np.arange(num_classes)[:, None] == y_live[:, None, :]).astype(np.float64)
         )
         params = {
-            "w": Param(np.zeros((x.shape[1], n_out))),
-            "b": Param(np.zeros((1, n_out))),
+            "w": Param(np.zeros((len(live), d, n_out))),
+            "b": Param(np.zeros((len(live), 1, n_out))),
         }
         opt = Adam(params, lr=self.LR)
-        n = xs_t.shape[1]
-        for _ in range(self.ITERATIONS):
+        for _ in range(self.ITERATIONS if live else 0):
             w = params["w"].value
-            z_t = w.T.astype(np.float32) @ xs_t + params["b"].value.T
+            z_t = w.swapaxes(1, 2).astype(np.float32) @ xs_t + params["b"].value.swapaxes(1, 2)
             d_z_t = (sigmoid(z_t) - targets_t) / n
-            params["w"].grad += xs_t @ d_z_t.T.astype(np.float32) + 2.0 * self.L2 * w
-            params["b"].grad += d_z_t.sum(axis=1)[None, :]
+            params["w"].grad += xs_t @ d_z_t.swapaxes(1, 2).astype(np.float32) + 2.0 * self.L2 * w
+            params["b"].grad += d_z_t.sum(axis=2)[:, None, :]
             opt.step()
-        self.weights = params["w"].value
-        self.bias = params["b"].value
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
+        weights = np.zeros((reps, d, n_out))
+        bias = np.zeros((reps, 1, n_out))
+        weights[live] = params["w"].value
+        bias[live] = params["b"].value
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise FloatingPointError("non-finite classifier weights")
+        if not stacked:
+            mu, sd, weights, bias, degenerate = mu[0], sd[0], weights[0], bias[0], degenerate[0]
+        self.mu, self.sd, self.weights, self.bias = mu, sd, weights, bias
+        self.degenerate_class = degenerate
         return self
+
+    def slices(self) -> list[LogRegModel]:
+        """Each slice of a stacked fit as a fitted model of its own."""
+        out = []
+        for r, c in enumerate(self.degenerate_class):
+            m = LogRegModel()
+            m.num_classes, m.degenerate_class = self.num_classes, c
+            m.mu, m.sd, m.weights, m.bias = self.mu[r], self.sd[r], self.weights[r], self.bias[r]
+            out.append(m)
+        return out
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         """Per-class decision scores, shape (n, num_classes)."""
@@ -218,10 +247,11 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _probe_f1(h: np.ndarray, labels: np.ndarray, train_idx: np.ndarray,
-              test_idx: np.ndarray, num_classes: int | None) -> float:
-    """Micro-F1 on the test rows of a probe fitted on the train rows."""
+              test_idx: np.ndarray, num_classes: int | None) -> list[float]:
+    """Micro-F1 on the test rows of each probe, fitted as one stack: row r of
+    ``train_idx`` (R, n_train) and ``test_idx`` (R, n_test) is repeat r."""
     clf = LogRegModel().fit(h[train_idx], labels[train_idx], num_classes=num_classes)
-    return micro_f1(labels[test_idx], clf.predict(h[test_idx]))
+    return [micro_f1(labels[t], m.predict(h[t])) for m, t in zip(clf.slices(), test_idx)]
 
 
 def node_classification_eval(h: np.ndarray, labels: np.ndarray,
@@ -240,12 +270,10 @@ def node_classification_eval(h: np.ndarray, labels: np.ndarray,
     n = h.shape[0]
     num_classes = int(labels.max()) + 1
     n_train = min(max(int(round(spec.train_fraction * n)), 1), n - 1)
-    out = []
-    for r in range(spec.repeats):
-        rng = np.random.default_rng([spec.seed, _NODE_TAG, r])
-        perm = rng.permutation(n)
-        out.append(_probe_f1(h, labels, perm[:n_train], perm[n_train:], num_classes))
-    return _make_report("node", out)
+    perms = np.stack([np.random.default_rng([spec.seed, _NODE_TAG, r]).permutation(n)
+                      for r in range(spec.repeats)])
+    return _make_report("node", _probe_f1(h, labels, perms[:, :n_train], perms[:, n_train:],
+                                          num_classes))
 
 
 @dataclass(frozen=True)
@@ -444,6 +472,10 @@ def grid_search_alpha_beta(ds: Dataset, cfg: mvge.model.MVGEConfig, grid_step: f
     node split, and returns (best_alpha, best_beta, table) where the
     table lists (alpha, beta, score) rows in grid order. Ties keep the
     earliest point, so the lowest alpha and then the lowest beta.
+
+    The beta = 0 points share one training and score: alpha only weighs
+    the KL terms, as beta * alpha and beta * (1 - alpha), and at beta = 0
+    both weights are 0, so alpha changes no trained bit.
     """
     if ds.labels is None:
         raise ValidationError("grid search needs labels")
@@ -465,10 +497,17 @@ def grid_search_alpha_beta(ds: Dataset, cfg: mvge.model.MVGEConfig, grid_step: f
     num_classes = int(ds.labels.max()) + 1
     table: list[tuple[float, float, float]] = []
     best = (-1.0, 0.0, 0.0)
+    beta0_score = None
     for a in values:
         for b in values:
-            _, emb, _ = mvge.model.train(ds, replace(cfg, alpha=a, beta=b), views=views)
-            score = _probe_f1(emb.h, ds.labels, perm[:n_train], perm[n_train:], num_classes)
+            if b == 0.0 and beta0_score is not None:
+                score = beta0_score
+            else:
+                _, emb, _ = mvge.model.train(ds, replace(cfg, alpha=a, beta=b), views=views)
+                score = _probe_f1(emb.h, ds.labels, perm[None, :n_train],
+                                  perm[None, n_train:], num_classes)[0]
+                if b == 0.0:
+                    beta0_score = score
             table.append((a, b, score))
             if score > best[0]:
                 best = (score, a, b)

@@ -68,6 +68,12 @@ ADJ_LOSS_MODES = ("auto", "full", "sampled")
 # objective where it costs least, cora (2708 nodes) and citeseer (3327) included
 FULL_ADJ_MAX_NODES = 3500
 
+# seconds of one full-mode adjacency loss call at N=5000, d=128 on float32 strips,
+# 2-vCPU Xeon VM; its time grows as N^2, so full mode forced above
+# FULL_ADJ_MAX_NODES logs 0.24 * (N / 5000)^2 s per epoch at INFO (about 24 s at
+# N=50000, extrapolated)
+_FULL_SECONDS_AT_5000 = 0.24
+
 # per-part budget, in bytes, for the widest strip of H H^T in the full adjacency
 # loss (its rows times N times the strip itemsize); each of the two parts holds
 # one strip, so a call holds at most two. Median ms per call of the one-part
@@ -623,6 +629,10 @@ def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
     adj_mode = cfg.resolve_adj_mode(g.num_nodes)
     log.info("training on %d nodes: %s adjacency loss (adj_loss_mode %s), %d worker thread(s)",
              g.num_nodes, adj_mode, cfg.adj_loss_mode, adjacency_workers())
+    if adj_mode == "full" and g.num_nodes > FULL_ADJ_MAX_NODES:
+        log.info("full adjacency loss on %d nodes, above %d: about %.3g s per epoch, "
+                 "growing as N^2", g.num_nodes, FULL_ADJ_MAX_NODES,
+                 _FULL_SECONDS_AT_5000 * (g.num_nodes / 5000) ** 2)
     neg_rng = np.random.default_rng([cfg.seed, _NEG_TAG])
     opt = Adam(model.params, lr=cfg.lr)
 

@@ -5,11 +5,13 @@
 - ``kl_feature_loss``: the KL reconstruction loss from raw target features.
 - ``float64_logreg_fit``: the probe's all-float64 training loop, which
   ``LogRegModel.fit`` ran before it moved to one float32 feature layout.
+- ``node_eval_one_fit_per_repeat``: node classification scores from one
+  probe fit per repeat, as taken before the repeats were fitted as a stack.
 """
 
 import numpy as np
 
-from mvge.evaluate import _STD_FLOOR, LogRegModel
+from mvge.evaluate import _NODE_TAG, _STD_FLOOR, LogRegModel, SplitSpec, micro_f1
 from mvge.graph import Graph, ValidationError
 from mvge.model import _adjacency_terms, _kl_terms
 from mvge.numerics import Adam, Param, sigmoid, softmax_rows
@@ -124,3 +126,18 @@ def float64_logreg_fit(x: np.ndarray, y: np.ndarray, num_classes: int):
         params["b"].grad += d_z.sum(axis=0, keepdims=True)
         opt.step()
     return params["w"].value, params["b"].value
+
+
+def node_eval_one_fit_per_repeat(h: np.ndarray, labels: np.ndarray,
+                                 spec: SplitSpec) -> list[float]:
+    """The Micro-F1 of each repeat of ``node_classification_eval``, with its
+    splits, from one ``LogRegModel`` fit per repeat."""
+    n = h.shape[0]
+    n_train = min(max(int(round(spec.train_fraction * n)), 1), n - 1)
+    out = []
+    for r in range(spec.repeats):
+        perm = np.random.default_rng([spec.seed, _NODE_TAG, r]).permutation(n)
+        train, test = perm[:n_train], perm[n_train:]
+        clf = LogRegModel().fit(h[train], labels[train], num_classes=int(labels.max()) + 1)
+        out.append(micro_f1(labels[test], clf.predict(h[test])))
+    return out

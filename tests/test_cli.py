@@ -15,7 +15,7 @@ import scipy
 from mvge import cli
 from mvge.data import load_matrix_binary, load_matrix_csv
 from mvge.evaluate import SplitSpec
-from mvge.model import MVGEConfig, adjacency_workers
+from mvge.model import FULL_ADJ_MAX_NODES, MVGEConfig, adjacency_workers
 from mvge.numerics import blas_info, usable_cpus
 from mvge.synth import SynthSpec
 
@@ -731,3 +731,24 @@ def test_verbose_flags_log_to_stderr(synth_dir, tmp_path):
     assert any(line.startswith("DEBUG mvge.walks: walks: ") for line in debug)
     assert sum(line.startswith("DEBUG mvge.model: sampled adjacency loss: ")
                and "drawn pairs were non-edges" in line for line in debug) == 2  # one per epoch
+
+
+def test_verbose_states_the_cost_of_forced_full_mode(synth_dir, tmp_path):
+    """Full mode forced above FULL_ADJ_MAX_NODES logs its O(N^2) epoch estimate
+    at -v, 0.24 s at 5000 nodes scaled by (N / 5000)^2; below it, nothing."""
+    big = tmp_path / "big"
+    r = run_cli("synth", "--n", FULL_ADJ_MAX_NODES + 1, "--c", 3, "--h", 0.5,
+                "--feature-dim", 4, "--seed", 1, "--out", big)
+    assert r.returncode == 0, r.stderr
+    runs = {}
+    for name, ds, mode in (("forced", big, "full"), ("auto", big, "auto"),
+                           ("small", synth_dir, "full")):
+        r = run_cli("-v", "embed", ds, "--epochs", 0, "--adj-loss-mode", mode,
+                    "--format", "binary", "--out", tmp_path / name)
+        assert r.returncode == 0, r.stderr
+        runs[name] = [line for line in r.stderr.splitlines() if "growing as N^2" in line]
+    n = FULL_ADJ_MAX_NODES + 1
+    assert runs["forced"] == [
+        f"INFO mvge.model: full adjacency loss on {n} nodes, above {FULL_ADJ_MAX_NODES}: "
+        f"about {0.24 * (n / 5000) ** 2:.3g} s per epoch, growing as N^2"]
+    assert runs["auto"] == runs["small"] == []

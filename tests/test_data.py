@@ -10,7 +10,9 @@ from mvge.data import (
     BINARY_VERSION,
     MAGIC,
     Dataset,
+    _is_concat,
     EmbeddingSet,
+    embedding_path,
     load_dataset,
     load_embeddings,
     load_matrix_binary,
@@ -21,6 +23,8 @@ from mvge.data import (
     save_matrix_csv,
 )
 from mvge.graph import Graph, ValidationError
+from mvge.model import MERGE_FNS, MVGEConfig, train
+from mvge.synth import SynthSpec, generate_synthetic
 
 from conftest import feature_matrices, make_dataset
 
@@ -242,3 +246,45 @@ def test_binary_roundtrip_property(m):
         back = load_matrix_binary(p)
     assert back.shape == m.shape
     assert np.array_equal(back, m.astype(np.float32).astype(np.float64))
+
+
+def own_bytes(m, fmt, path):
+    """The bytes one matrix writes to a file of its own in one format."""
+    (save_matrix_csv if fmt == "csv" else save_matrix_binary)(m, path)
+    return path.read_bytes()
+
+
+def assert_files_are_own_bytes(e, tmp_path):
+    written = save_embeddings(e, tmp_path / "emb", fmt="both")
+    assert len(written) == 6
+    for view, m in (("merged", e.h), ("ego", e.h_ego), ("agg", e.h_agg)):
+        for fmt in ("binary", "csv"):
+            path = embedding_path(tmp_path / "emb", view, fmt)
+            assert path in written
+            assert path.read_bytes() == own_bytes(m, fmt, tmp_path / f"own.{view}.{fmt}"), path
+
+
+@pytest.mark.parametrize("merge_fn", MERGE_FNS)
+def test_save_embeddings_writes_each_matrix_own_bytes(merge_fn, tmp_path):
+    """Whether or not the merged CSV reuses the view rows (it does only for
+    concat), each of the six files holds the bytes of its own matrix."""
+    ds = generate_synthetic(SynthSpec(num_nodes=40, num_classes=3, target_homophily=0.5,
+                                      avg_degree=4.0, feature_dim=6, seed=3))
+    _, e, _ = train(ds, MVGEConfig(dim_ego=4, dim_agg=4, hidden_dim=8, epochs=2,
+                                   walk_lengths=(2, 3), merge_fn=merge_fn, seed=1))
+    assert _is_concat(e.h, e.h_ego, e.h_agg) == (merge_fn == "concat")
+    assert_files_are_own_bytes(e, tmp_path)
+
+
+def test_save_embeddings_merged_csv_keeps_a_signed_zero(tmp_path):
+    """h that equals the two views side by side except for one -0.0 in place
+    of 0.0 is not their concatenation bit for bit, so its own bytes are written."""
+    ego = np.array([[0.0, 1.5], [2.0, -3.25]])
+    agg = np.array([[4.0], [0.0]])
+    h = np.concatenate([ego, agg], axis=1)
+    h[1, 2] = -0.0
+    assert np.array_equal(h, np.concatenate([ego, agg], axis=1))
+    e = EmbeddingSet(h_ego=ego, h_agg=agg, h=h)
+    assert not _is_concat(h, ego, agg)
+    assert_files_are_own_bytes(e, tmp_path)
+    assert (tmp_path / "emb.csv").read_text().splitlines()[2] == "1,2,-3.25,-0"

@@ -4,6 +4,7 @@ import copy
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from datetime import timedelta
 from unittest.mock import patch
 
@@ -34,7 +35,7 @@ from mvge.model import MVGEConfig
 from mvge.synth import SynthSpec, generate_synthetic
 
 from conftest import hostile_datasets, labeled_graphs, make_dataset, random_dataset
-from oracles import float64_logreg_fit
+from oracles import float64_logreg_fit, node_eval_one_fit_per_repeat
 
 
 # -- logistic regression probe -----------------------------------------------
@@ -169,6 +170,77 @@ def test_logreg_refit_same_bits(classes):
     b = LogRegModel().fit(x.copy(), y.copy(), num_classes=classes)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
+
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def probe_stacks(draw):
+    """1-4 training sets of n rows by d columns over k of 2-5 classes, as a
+    stack; some draws give one slice a single class."""
+    reps = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    y = rng.integers(0, k, size=(reps, n))
+    single = draw(st.none() | st.integers(min_value=0, max_value=reps - 1))
+    if single is not None:
+        y[single] = draw(st.integers(min_value=0, max_value=k - 1))
+    x = rng.normal(size=(reps, n, d)) + rng.normal(size=(k, d))[y]
+    return x * rng.uniform(0.1, 10.0, size=d) + rng.uniform(-100.0, 100.0, size=d), y, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(probe_stacks(), st.integers(min_value=1, max_value=30))
+def test_stacked_fit_same_bits_as_each_slice_alone(problem, m):
+    x, y, k = problem
+    stack = LogRegModel().fit(x, y, num_classes=k)
+    rows = np.random.default_rng(m).normal(size=(m, x.shape[2])) * 3.0
+    assert len(stack.slices()) == x.shape[0]
+    for r, part in enumerate(stack.slices()):
+        alone = LogRegModel().fit(x[r], y[r], num_classes=k)
+        assert stack.degenerate_class[r] == part.degenerate_class == alone.degenerate_class
+        assert (alone.degenerate_class is not None) == (np.unique(y[r]).size == 1)
+        for name in ("mu", "sd", "weights", "bias"):
+            assert same_bits(getattr(stack, name)[r], getattr(alone, name)), name
+            assert same_bits(getattr(part, name), getattr(alone, name)), name
+        assert same_bits(part.scores(rows), alone.scores(rows))
+        assert same_bits(part.predict(rows), alone.predict(rows))
+
+
+@pytest.mark.parametrize("reps", [1, 4])
+def test_stacked_fit_standardizes_one_slice_at_a_time(reps):
+    n, d, classes = 3000, 64, 5
+    y = np.tile(np.arange(n) % classes, (reps, 1))
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(reps, n, d)) + rng.normal(size=(classes, d))[y]
+    tracemalloc.start()
+    try:
+        LogRegModel().fit(x, y, num_classes=classes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # beside the float32 layouts of all slices (0.5x of the stack) live either
+    # one slice's float64 standardized rows or a step's arrays, a few of
+    # R x classes x n floats. The whole stack standardized at once would be 1x
+    assert peak <= 0.5 * x.nbytes + max(1.2 * x[0].nbytes, 8 * 8 * y.size * classes)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=4, max_value=80),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**16))
+def test_node_eval_scores_match_one_fit_per_repeat(classes, n, repeats, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(n) % classes)
+    h = rng.normal(size=(n, 6)) + rng.normal(size=(classes, 6))[labels]
+    spec = SplitSpec("node", repeats=repeats, seed=seed)
+    report = node_classification_eval(h, labels, spec)
+    assert list(report.scores) == node_eval_one_fit_per_repeat(h, labels, spec)
 
 
 # -- metrics -----------------------------------------------------------------
@@ -599,7 +671,40 @@ def test_protocols_train_through_the_model_module(monkeypatch):
     assert calls == ["train", "build_views"] * 3
     calls.clear()
     grid_search_alpha_beta(ds, cfg, grid_step=1.0)
-    assert calls == ["build_views"] + ["train"] * 4
+    # four grid points; the two at beta = 0 share one training
+    assert calls == ["build_views"] + ["train"] * 3
+
+
+@pytest.mark.parametrize("grid_step, trainings", [(0.5, 7), (0.1, 111)])
+def test_grid_search_trains_the_beta_0_row_once(monkeypatch, grid_step, trainings):
+    real, points = mvge.model.train, []
+
+    def counting(ds, cfg, **kwargs):
+        points.append((cfg.alpha, cfg.beta))
+        return real(ds, cfg, **kwargs)
+
+    monkeypatch.setattr(mvge.model, "train", counting)
+    ds = random_dataset(np.random.default_rng(11), n=30, c=2, p_edge=0.2)
+    _, _, table = grid_search_alpha_beta(ds, fast_cfg(epochs=1), grid_step=grid_step)
+    steps = round(1 / grid_step)
+    grid = [(i / steps, j / steps) for i in range(steps + 1) for j in range(steps + 1)]
+    assert [(a, b) for a, b, _ in table] == grid
+    assert points == [(a, b) for a, b in grid if b > 0.0 or a == 0.0]
+    assert len(points) == trainings
+    assert len({score for _, b, score in table if b == 0.0}) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["full", "sampled"]), st.sampled_from(sorted(mvge.model.MERGE_FNS)),
+       st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=2**16))
+def test_alpha_changes_no_bit_at_beta_0(mode, merge_fn, alpha, seed):
+    """Why the grid trains its beta = 0 row once: both KL weights are 0 there."""
+    ds = random_dataset(np.random.default_rng(seed), n=25, c=3, p_edge=0.2)
+    cfg = fast_cfg(epochs=3, beta=0.0, adj_loss_mode=mode, merge_fn=merge_fn, seed=seed)
+    _, a, _ = mvge.model.train(ds, cfg)
+    _, b, _ = mvge.model.train(ds, replace(cfg, alpha=alpha))
+    for name in ("h", "h_ego", "h_agg"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 @given(hostile_datasets(), st.data())
