@@ -206,6 +206,9 @@ def test_stacked_fit_same_bits_as_each_slice_alone(problem, m):
         alone = LogRegModel().fit(x[r], y[r], num_classes=k)
         assert stack.degenerate_class[r] == part.degenerate_class == alone.degenerate_class
         assert (alone.degenerate_class is not None) == (np.unique(y[r]).size == 1)
+        if alone.degenerate_class is not None:  # not trained: zero weights, one class
+            assert not (alone.weights.any() or alone.bias.any())
+            assert (alone.predict(rows) == alone.degenerate_class).all()
         for name in ("mu", "sd", "weights", "bias"):
             assert same_bits(getattr(stack, name)[r], getattr(alone, name)), name
             assert same_bits(getattr(part, name), getattr(alone, name)), name
