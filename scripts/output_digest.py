@@ -38,9 +38,15 @@ The groups, one line each:
       num_nodes far above the feature rows), the formats of save_embeddings,
       and embeddings with NaN or inf given to the protocols.
 
-The worker count goes to stderr, so it does not enter the diff. The default
-trains on 1000 nodes (multi-strip full mode, several sampled row chunks) and
-takes about 5 s on a 2-vCPU VM; --tiny uses 40 nodes and takes about 1 s.
+The worker count and the directory of the mvge package it loaded go to
+stderr, so they do not enter the diff. A PYTHONPATH entry comes before this
+checkout's src/, so that one script digests another commit's tree:
+
+    PYTHONPATH=<export of that commit>/src python3 scripts/output_digest.py
+
+The default trains on 1000 nodes (multi-strip full mode, several sampled row
+chunks) and takes about 5 s on a 2-vCPU VM; --tiny uses 40 nodes and takes
+about 1 s.
 """
 
 import argparse
@@ -49,14 +55,20 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# this checkout's src/ goes after the PYTHONPATH entries, which Python puts right
+# after the script's own directory, so PYTHONPATH=<other tree>/src digests that tree
+_pythonpath = os.environ.get("PYTHONPATH")
+sys.path.insert(1 + len(_pythonpath.split(os.pathsep)) if _pythonpath else 1,
+                str(Path(__file__).resolve().parents[1] / "src"))
 
+import mvge
 from mvge.cli import main as mvge_main
 from mvge.data import EmbeddingSet, load_dataset, save_dataset, save_embeddings
 from mvge.evaluate import (LogRegModel, SplitSpec, _sample_label_pairs, _sample_non_edges,
@@ -330,6 +342,7 @@ def main() -> int:
     args = ap.parse_args()
     n, epochs, synth_sizes = (40, 2, (12, 30)) if args.tiny else (1000, 5, (12, 30, 120))
     print(f"adjacency workers: {adjacency_workers()}", file=sys.stderr)
+    print(f"mvge: {Path(mvge.__file__).parent}", file=sys.stderr)
     lines = itertools.chain(training_lines(n, epochs), [synth_line(synth_sizes)],
                             sampler_lines(n), probe_lines(n), report_lines(n, epochs),
                             save_embeddings_lines(n, epochs), cli_lines(n, epochs),

@@ -364,7 +364,7 @@ def pair_embed_l2(e_u: np.ndarray, e_v: np.ndarray) -> np.ndarray:
     if e_u.shape != e_v.shape:
         raise ValidationError(f"dim mismatch: {e_u.shape} vs {e_v.shape}")
     d = e_u - e_v
-    return d * d
+    return np.multiply(d, d, out=d)  # in place: one (m, d) array fewer alive
 
 
 def _pair_auc(h: np.ndarray, train_pos: np.ndarray, train_neg: np.ndarray,

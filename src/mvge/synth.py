@@ -18,7 +18,8 @@ from mvge.graph import (AT_LEAST_0, AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, UNI
 
 @dataclass(frozen=True)
 class SynthSpec:
-    num_nodes: int
+    # past 2**32, Generator.integers(num_nodes) leaves the 32-bit words _sample_pairs replays
+    num_nodes: int = field(metadata={"rule": (lambda v: v <= 2**32, "<= 2**32")})
     num_classes: int
     target_homophily: float = field(metadata={"rule": UNIT_RANGE})
     avg_degree: float = field(default=4.0, metadata={"rule": FINITE_NON_NEGATIVE})
@@ -45,6 +46,17 @@ class SynthSpec:
         return int(self.avg_degree * self.num_nodes / 2)
 
 
+_WORDS = dict(low=0, high=2**32 - 1, dtype=np.uint32, endpoint=True)  # numpy's 32-bit words
+
+
+def _lemire(words, bound):
+    """Decode ``Generator.integers(bound)``, 2 <= bound <= 2**32, from its 32-bit
+    words: the values, and which words it keeps (it draws again after the others)."""
+    bound = np.asarray(bound, dtype=np.uint64)
+    m = np.asarray(words, dtype=np.uint64) * bound
+    return (m >> 32).astype(np.int64), (m & 0xFFFFFFFF) >= (2**32 - bound) % bound
+
+
 def _sample_pairs(
     rng: np.random.Generator,
     budget: int,
@@ -54,18 +66,19 @@ def _sample_pairs(
     """Draw ``budget`` distinct node pairs u < v of one edge type, shape
     (budget, 2).
 
-    Rejection sampling: pick u uniformly, then v uniformly among valid
-    partners, retrying on self-pairs and already-drawn pairs. Falls back
-    to exhaustive enumeration when the pool is small relative to the
-    budget, which keeps near-saturated specs from spinning. Intra and
-    inter pairs never coincide, so the two calls need no shared record.
+    Rejection sampling: u = ``rng.integers(n)``, then v among u's classmates
+    (intra) or all nodes (inter), skipping one-member classes, self-pairs,
+    same-class inter pairs and repeats. The loop is replayed on blocks of
+    numpy's 32-bit words, decoded as if each iteration took two, and the
+    generator advances by the words it used. Falls back to exhaustive enumeration when
+    the pool is small relative to the budget, which keeps near-saturated specs
+    from spinning. Intra and inter pairs never coincide, so the two calls
+    need no shared record.
     """
     n = len(labels)
-    by_class = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
-    if intra:
-        pool = sum(len(m) * (len(m) - 1) // 2 for m in by_class)
-    else:
-        pool = n * (n - 1) // 2 - sum(len(m) * (len(m) - 1) // 2 for m in by_class)
+    sizes = np.bincount(labels)
+    intra_pool = int((sizes * (sizes - 1) // 2).sum())
+    pool = intra_pool if intra else n * (n - 1) // 2 - intra_pool
     if budget > pool:
         kind = "intra" if intra else "inter"
         raise ValidationError(
@@ -75,22 +88,61 @@ def _sample_pairs(
     if budget * 4 > pool:
         cands = kept_pairs(n, lambda u, v: (labels[u] == labels[v]) == intra)
         return cands[rng.permutation(len(cands))[:budget]]
+    if budget == 0:
+        return np.empty((0, 2), dtype=np.int64)
 
-    taken: set[tuple[int, int]] = set()
-    while len(taken) < budget:
-        u = int(rng.integers(n))
-        mates = by_class[labels[u]]
-        if intra:
-            if len(mates) < 2:
+    if intra:  # v = mates[first[labels[u]] + k] for a second draw k < bound[u]
+        mates, first, bound = np.argsort(labels, kind="stable"), np.cumsum(sizes), sizes[labels]
+        first -= sizes
+    else:
+        mates, first, bound = np.arange(n), np.zeros_like(sizes), np.full(n, n)
+    rate = (n - np.count_nonzero(sizes)) / n if intra else 2 * pool / n**2  # pairs per iteration
+
+    def pairs(u, k):
+        """Each iteration's pair as the key lo * n + hi, and whether the loop keeps it."""
+        v = mates[first[labels[u]] + k]
+        key = np.minimum(u, v).astype(np.uint64) * np.uint64(n) + np.maximum(u, v).astype(np.uint64)
+        return key, ((labels[u] == labels[v]) == intra) & (u != v)
+
+    state = rng.bit_generator.state
+    # the kept keys, and for each the words used up to it
+    words, pos, first_seen, keys, ends = np.empty(0, dtype=np.uint32), 0, [], [], []
+    while len(first_seen) < budget:
+        more = rng.integers(size=int(2.5 * (budget - len(first_seen)) / rate) + 64, **_WORDS)
+        words = np.concatenate([words, more])
+        # an iteration at every position p, as if it kept words p and p + 1
+        u, kept_u = _lemire(words[:-1], n)
+        k, kept_v = _lemire(words[1:], bound[u])
+        key, kept = pairs(u, k)
+        irregular = np.flatnonzero(~(kept_u & kept_v & (bound[u] > 1)))
+        stops = [np.append(irregular[irregular % 2 == r], len(words) - 1) for r in (0, 1)]
+        while True:  # a run of two-word iterations, then the irregular one it stops at
+            s = stops[pos % 2]
+            stop = s[np.searchsorted(s, pos)]
+            keys.append(key[pos:stop:2][kept[pos:stop:2]])
+            ends.append(pos + 2 + 2 * np.flatnonzero(kept[pos:stop:2]))
+            pos += (stop - pos + 1) // 2 * 2
+            if stop == len(words) - 1:
+                break
+            if not kept_u[pos] or bound[u[pos]] < 2:  # u is drawn again, or draws no v
+                pos += 1
                 continue
-            v = int(mates[rng.integers(len(mates))])
-        else:
-            v = int(rng.integers(n))
-            if labels[v] == labels[u]:
-                continue
-        if u != v:
-            taken.add((min(u, v), max(u, v)))
-    return np.array(sorted(taken), dtype=np.int64).reshape(-1, 2)
+            b, p = bound[u[pos]], pos + 2  # v's word was rejected: draw v again
+            while p < len(words) - 1 and not _lemire(words[p], b)[1]:
+                p += 1
+            if p == len(words) - 1:  # perhaps not kept: retry on a longer block
+                break
+            key1, kept1 = pairs(u[pos:pos + 1], _lemire(words[p:p + 1], b)[0])
+            pos = p + 1
+            keys.append(key1[kept1])
+            ends.append(np.full(1, pos)[kept1])
+        _, first_seen = np.unique(np.concatenate(keys), return_index=True)
+
+    first_seen = np.sort(first_seen)[:budget]  # the loop stops at the budget-th distinct pair
+    rng.bit_generator.state = state
+    rng.integers(size=int(np.concatenate(ends)[first_seen[-1]]), **_WORDS)
+    lo, hi = np.divmod(np.sort(np.concatenate(keys)[first_seen]), np.uint64(n))
+    return np.stack([lo, hi], axis=1).astype(np.int64)
 
 
 def generate_synthetic(spec: SynthSpec) -> Dataset:

@@ -62,7 +62,7 @@ FIELDS = {
     "WalkConfig.lengths[1]": (LENGTHS, lambda v: WalkConfig(lengths=(1, v, 3)), 4, I64),
     "SplitSpec.repeats": ("repeats", lambda v: SplitSpec("node", repeats=v), 1, I64),
     "SplitSpec.seed": ("seed", lambda v: SplitSpec("link", seed=v), 0, I64),
-    "SynthSpec.num_nodes": ("num_nodes", lambda v: _synth(num_nodes=v), 2, I64),
+    "SynthSpec.num_nodes": ("num_nodes", lambda v: _synth(num_nodes=v), 2, 2**32),
     "SynthSpec.num_classes": ("num_classes", lambda v: _synth(num_classes=v), 1, 20),
     "SynthSpec.feature_dim": ("feature_dim", lambda v: _synth(feature_dim=v), 1, I64),
     "SynthSpec.seed": ("seed", lambda v: _synth(seed=v), 0, U64),
@@ -182,6 +182,7 @@ DECLARED = {
     "SplitSpec.train_fraction": (1.0, "train_fraction must be in (0, 1), got 1.0"),
     "SplitSpec.repeats": (0, "repeats must be >= 1, got 0"),
     "SplitSpec.seed": (-3, "seed must be >= 0, got -3"),
+    "SynthSpec.num_nodes": (2**32 + 1, f"num_nodes must be <= 2**32, got {2**32 + 1}"),
     "SynthSpec.target_homophily": (1.5, "target_homophily must be in [0, 1], got 1.5"),
     "SynthSpec.avg_degree": (-1.0, "avg_degree must be finite and non-negative, got -1.0"),
     "SynthSpec.feature_dim": (0, "feature_dim must be >= 1, got 0"),

@@ -99,3 +99,18 @@ def test_output_digest_same_on_one_or_two_workers():
     assert pinned.returncode == 0, pinned.stderr
     assert "adjacency workers: 1" in pinned.stderr
     assert pinned.stdout == free
+
+
+def test_output_digest_digests_the_tree_on_pythonpath(tmp_path):
+    # a PYTHONPATH entry wins over the script's own src/, so one script can
+    # digest another commit's tree; the loaded package is named on stderr
+    copy = tmp_path / "src" / "mvge"
+    shutil.copytree(SCRIPTS.parent / "src" / "mvge", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tmp_path / "src"))
+    r = subprocess.run([sys.executable, str(SCRIPTS / "output_digest.py"), "--tiny"],
+                       capture_output=True, text=True, timeout=300, env=env)
+    assert r.returncode == 0, r.stderr
+    loaded = [line.removeprefix("mvge: ") for line in r.stderr.splitlines()
+              if line.startswith("mvge: ")]
+    assert [Path(p).resolve() for p in loaded] == [copy.resolve()]

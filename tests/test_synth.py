@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mvge.data import save_dataset
 from mvge.graph import Graph, ValidationError
 from mvge.homophily import global_homophily
-from mvge.synth import SynthSpec, generate_synthetic
+from mvge.synth import _WORDS, SynthSpec, _lemire, _sample_pairs, generate_synthetic
 
 
 def spec_with(**kw):
@@ -153,6 +153,15 @@ def test_bad_homophily_range_rejected():
         spec_with(target_homophily=-0.1)
 
 
+def test_num_nodes_rule_bounds_only_from_above():
+    # the <= 2**32 rule (refusal pinned in test_fields.DECLARED) takes 2**32 itself
+    # and leaves the lower end, with its message, to __post_init__
+    assert spec_with(num_nodes=2**32, avg_degree=0.0).num_nodes == 2**32
+    for n in (0, -1):
+        with pytest.raises(ValidationError, match="need num_nodes >= num_classes >= 1"):
+            spec_with(num_nodes=n)
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ValidationError, match="seed"):
         spec_with(seed=-1)
@@ -181,11 +190,13 @@ def test_dataset_name_encodes_parameters():
     assert "0.25" in ds.name and "200" in ds.name
 
 
-# -- the dense fallback against the enumeration it replaced ------------------
+# -- both sampler paths against the code they replaced -----------------------
 
-def reference_pairs(rng, budget, labels, intra, taken, dense_calls):
+def reference_pairs(rng, budget, labels, intra, taken, paths):
     """The pair sampler as first written: np.triu_indices over all n^2 / 2
-    pairs in the dense fallback, and one ``taken`` set shared by both calls."""
+    pairs in the dense fallback, a loop of scalar ``rng.integers`` calls on the
+    rejection path, and one ``taken`` set shared by both calls. Appends
+    "dense" or, for a budget above 0, "loop" to ``paths``."""
     n = len(labels)
     by_class = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
     intra_pool = sum(len(m) * (len(m) - 1) // 2 for m in by_class)
@@ -194,7 +205,7 @@ def reference_pairs(rng, budget, labels, intra, taken, dense_calls):
         kind = "intra" if intra else "inter"
         raise ValidationError(f"cannot place {budget} {kind}-class edges; only {pool} pairs exist")
     if budget * 4 > pool:
-        dense_calls.append(intra)
+        paths.append("dense")
         u, v = np.triu_indices(n, k=1)
         mask = (labels[u] == labels[v]) == intra
         cands = [p for p in zip(u[mask].tolist(), v[mask].tolist()) if p not in taken]
@@ -202,6 +213,8 @@ def reference_pairs(rng, budget, labels, intra, taken, dense_calls):
         taken.update(out)
         return out
     out = []
+    if budget:
+        paths.append("loop")
     while len(out) < budget:
         u = int(rng.integers(n))
         mates = by_class[labels[u]]
@@ -221,14 +234,14 @@ def reference_pairs(rng, budget, labels, intra, taken, dense_calls):
     return out
 
 
-def reference_synthetic(spec, dense_calls):
+def reference_synthetic(spec, paths):
     rng = np.random.default_rng(spec.seed)
     n, c, f = spec.num_nodes, spec.num_classes, spec.feature_dim
     labels = np.arange(n, dtype=np.int64) % c
     intra_flags = rng.random(spec.num_edges) < spec.target_homophily
     taken = set()
-    pairs = reference_pairs(rng, int(intra_flags.sum()), labels, True, taken, dense_calls)
-    pairs += reference_pairs(rng, int((~intra_flags).sum()), labels, False, taken, dense_calls)
+    pairs = reference_pairs(rng, int(intra_flags.sum()), labels, True, taken, paths)
+    pairs += reference_pairs(rng, int((~intra_flags).sum()), labels, False, taken, paths)
     graph, _ = Graph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
     means = np.zeros((c, f))
     means[np.arange(c), np.arange(c) % f] = spec.class_separation
@@ -248,22 +261,80 @@ def dense_specs(draw):
                      seed=draw(st.integers(min_value=0, max_value=2**32 - 1)))
 
 
-@given(dense_specs())
-@settings(max_examples=150, deadline=None)
-def test_dense_fallback_matches_reference(spec):
-    dense_calls = []
+def assert_matches_reference(spec, path):
+    """generate_synthetic gives the reference's graph and, so the generator ended
+    in the same state, its features; skips specs whose calls all miss ``path``."""
+    paths = []
     try:
-        want_graph, want_features = reference_synthetic(spec, dense_calls)
+        want_graph, want_features = reference_synthetic(spec, paths)
     except ValidationError as e:
         with pytest.raises(ValidationError) as got:
             generate_synthetic(spec)
         assert str(got.value) == str(e)
         return
-    assume(dense_calls)
+    assume(path in paths)
     ds = generate_synthetic(spec)
     assert np.array_equal(ds.graph.offsets, want_graph.offsets)
     assert np.array_equal(ds.graph.neighbors, want_graph.neighbors)
     assert np.array_equal(ds.features, want_features)
+
+
+@given(dense_specs())
+@settings(max_examples=150, deadline=None)
+def test_dense_fallback_matches_reference(spec):
+    assert_matches_reference(spec, "dense")
+
+
+@st.composite
+def sparse_specs(draw):
+    """Specs that fill at most a quarter of all pairs, so that the rejection loop
+    draws at least one edge type; past n / 2 classes some have one member."""
+    n = draw(st.integers(min_value=2, max_value=400))
+    c = draw(st.integers(min_value=1, max_value=n))
+    h = 1.0 if c == 1 else draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    fill = draw(st.floats(min_value=0.0, max_value=0.25))
+    return SynthSpec(num_nodes=n, num_classes=c, target_homophily=h,
+                     avg_degree=fill * (n - 1), feature_dim=3,
+                     seed=draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+@given(sparse_specs())
+@settings(max_examples=150, deadline=None)
+def test_rejection_loop_matches_reference(spec):
+    assert_matches_reference(spec, "loop")
+
+
+@pytest.mark.parametrize("bound", [2, 3, 20000, 2**31 + 1, 2**32 - 1, 2**32])
+def test_lemire_decodes_generator_integers(bound):
+    """The decoded words give the values of scalar ``integers(bound)`` calls, and
+    drawing the words they used leaves the generator in the same state."""
+    rng, replay = np.random.default_rng(bound), np.random.default_rng(bound)
+    for g in (rng, replay):
+        g.integers(5)  # half of a 64-bit output stays buffered for the next call
+    want = [int(rng.integers(bound)) for _ in range(300)]
+    state = replay.bit_generator.state
+    values, kept = _lemire(replay.integers(size=2000, **_WORDS), bound)
+    assert values[kept][:300].tolist() == want
+    if bound == 2**31 + 1:  # the worst bound: about half of all words are rejected
+        assert 0.4 < 1 - kept.mean() < 0.6
+    replay.bit_generator.state = state
+    replay.integers(size=np.flatnonzero(kept)[299] + 1, **_WORDS)
+    assert replay.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("intra", [True, False])
+def test_rejection_loop_replays_rejected_words(intra):
+    # 2**32 mod n is n - 704, so integers(n) rejects one word in 1500, and
+    # integers(n // 2) one in 3000: each call below replays a few rejections
+    n, budget = 2863312, 10000
+    labels = np.arange(n) % 2
+    rng, want = np.random.default_rng(7), np.random.default_rng(7)
+    got = _sample_pairs(rng, budget, labels, intra)
+    assert got.tolist() == sorted(map(list, reference_pairs(want, budget, labels, intra, set(), [])))
+    assert rng.bit_generator.state == want.bit_generator.state
+    if not intra:  # every draw is integers(n): some of the words it used were rejected
+        used = np.random.default_rng(7).integers(size=2 * budget, **_WORDS)
+        assert not _lemire(used, n)[1].all()
 
 
 def test_dense_fallback_memory_is_bounded():
