@@ -130,7 +130,7 @@ def _sample_pairs(
             b, p = bound[u[pos]], pos + 2  # v's word was rejected: draw v again
             while p < len(words) - 1 and not _lemire(words[p], b)[1]:
                 p += 1
-            if p == len(words) - 1:  # perhaps not kept: retry on a longer block
+            if p >= len(words) - 1:  # perhaps not kept, or not drawn: retry on a longer block
                 break
             key1, kept1 = pairs(u[pos:pos + 1], _lemire(words[p:p + 1], b)[0])
             pos = p + 1

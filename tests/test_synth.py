@@ -1,6 +1,7 @@
 """Synthetic graph generator with controllable homophily."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from mvge.data import save_dataset
 from mvge.graph import Graph, ValidationError
 from mvge.homophily import global_homophily
+from mvge import synth
 from mvge.synth import _WORDS, SynthSpec, _lemire, _sample_pairs, generate_synthetic
 
 
@@ -335,6 +337,73 @@ def test_rejection_loop_replays_rejected_words(intra):
     if not intra:  # every draw is integers(n): some of the words it used were rejected
         used = np.random.default_rng(7).integers(size=2 * budget, **_WORDS)
         assert not _lemire(used, n)[1].all()
+
+
+@pytest.mark.parametrize("intra, seed", [(True, 111164), (False, 1038)])
+def test_rejection_redraw_past_the_block_end(intra, seed):
+    # for budget 2 the first block holds 69 (intra) or 74 (inter) words; with
+    # these seeds its last word is a rejected v word of the iteration whose u is
+    # the word before, so v's redraw needs words the block does not hold
+    n = 2863312
+    labels = np.arange(n) % 2
+    block = 69 if intra else 74
+    words = np.random.default_rng(seed).integers(size=block, **_WORDS)
+    assert _lemire(words[-2], n)[1] and not _lemire(words[-1], n // 2 if intra else n)[1]
+    rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_pairs(rng, 2, labels, intra)
+    assert got.tolist() == sorted(map(list, reference_pairs(want, 2, labels, intra, set(), [])))
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
+class WordStream:
+    """A stand-in for ``np.random.Generator`` whose bounded draws reject words
+    far more often than numpy's, decoded by ``decode`` in place of ``_lemire``.
+    Word blocks and scalar ``integers(b)`` read one stream; the state is the
+    number of words read."""
+
+    def __init__(self, seed, reject_percent):
+        self.source, self.reject_percent = np.random.default_rng(seed), reject_percent
+        self.stream, self.state, self.bit_generator = np.empty(0, dtype=np.uint32), 0, self
+
+    def decode(self, words, bound):
+        words, bound = np.asarray(words, dtype=np.uint64), np.asarray(bound, dtype=np.uint64)
+        return ((words >> 8) % bound).astype(np.int64), (words ^ bound) % 100 >= self.reject_percent
+
+    def read(self, k):
+        while self.state + k > len(self.stream):
+            self.stream = np.concatenate([self.stream, self.source.integers(size=256, **_WORDS)])
+        self.state += k
+        return self.stream[self.state - k:self.state]
+
+    def integers(self, bound=None, size=None, **words):
+        if size is not None:
+            return self.read(size)
+        while bound > 1:
+            value, kept = self.decode(self.read(1), bound)
+            if kept[0]:
+                return int(value[0])
+        return 0
+
+
+@given(n=st.integers(min_value=2, max_value=60), data=st.data(),
+       reject_percent=st.integers(min_value=0, max_value=70),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_rejection_loop_replays_frequent_rejections(n, data, reject_percent, seed):
+    """With up to 70% of words rejected, redraws of u and v cross the ends of
+    the replayed blocks; pairs and words used still equal the scalar loop's."""
+    labels = np.arange(n) % data.draw(st.integers(min_value=1, max_value=n))
+    intra = data.draw(st.booleans())
+    sizes = np.bincount(labels)
+    intra_pool = int((sizes * (sizes - 1) // 2).sum())
+    pool = intra_pool if intra else n * (n - 1) // 2 - intra_pool
+    assume(pool >= 4)
+    budget = data.draw(st.integers(min_value=1, max_value=pool // 4))
+    rng, want = WordStream(seed, reject_percent), WordStream(seed, reject_percent)
+    with mock.patch.object(synth, "_lemire", rng.decode):
+        got = _sample_pairs(rng, budget, labels, intra)
+    assert got.tolist() == sorted(map(list, reference_pairs(want, budget, labels, intra, set(), [])))
+    assert rng.state == want.state
 
 
 def test_dense_fallback_memory_is_bounded():
