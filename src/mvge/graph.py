@@ -66,6 +66,11 @@ class EdgeRepairs:
     duplicates_dropped: int = 0
 
 
+# the most nodes whose pair keys lo * n + hi fit in int64 (n^2 <= 2**63 - 1);
+# canonicalize_edges and Graph._edge_keys are exact up to here
+MAX_NODES = 3037000499
+
+
 def canonicalize_edges(edges: np.ndarray, num_nodes: int) -> tuple[np.ndarray, EdgeRepairs]:
     """Symmetrize an edge list, dropping self-loops and duplicates.
 
@@ -73,7 +78,8 @@ def canonicalize_edges(edges: np.ndarray, num_nodes: int) -> tuple[np.ndarray, E
     Returns the unique undirected pairs as an (M, 2) array with u < v in
     each row, sorted lexicographically, together with repair counts.
     Duplicate count is in undirected pairs (an edge listed in both
-    directions counts as one duplicate).
+    directions counts as one duplicate). Pairs are deduplicated on their
+    int64 keys lo * num_nodes + hi, exact for num_nodes <= ``MAX_NODES``.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
@@ -86,7 +92,7 @@ def canonicalize_edges(edges: np.ndarray, num_nodes: int) -> tuple[np.ndarray, E
     edges = edges[~loops]
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0) if len(lo) else np.empty((0, 2), np.int64)
+    pairs = np.stack(np.divmod(np.unique(lo * num_nodes + hi), num_nodes), axis=1)
     n_dup = len(edges) - len(pairs)
     return pairs, EdgeRepairs(self_loops_dropped=n_loops, duplicates_dropped=n_dup)
 
@@ -119,6 +125,8 @@ class Graph:
         """
         if num_nodes < 0:
             raise ValidationError("num_nodes must be non-negative")
+        if num_nodes > MAX_NODES:
+            raise ValidationError(f"num_nodes must be <= {MAX_NODES}, got {num_nodes}")
         pairs, repairs = canonicalize_edges(edges, num_nodes)
         directed = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
         order = np.lexsort((directed[:, 1], directed[:, 0]))

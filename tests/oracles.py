@@ -7,12 +7,14 @@
   ``LogRegModel.fit`` ran before it moved to one float32 feature layout.
 - ``node_eval_one_fit_per_repeat``: node classification scores from one
   probe fit per repeat, as taken before the repeats were fitted as a stack.
+- ``canonicalize_edges_by_rows``: ``canonicalize_edges`` with the row-wise
+  ``np.unique(axis=0)`` it deduplicated with before it used int64 keys.
 """
 
 import numpy as np
 
 from mvge.evaluate import _NODE_TAG, _STD_FLOOR, LogRegModel, SplitSpec, micro_f1
-from mvge.graph import Graph, ValidationError
+from mvge.graph import EdgeRepairs, Graph, ValidationError
 from mvge.model import _adjacency_terms, _kl_terms
 from mvge.numerics import Adam, Param, sigmoid, softmax_rows
 
@@ -141,3 +143,16 @@ def node_eval_one_fit_per_repeat(h: np.ndarray, labels: np.ndarray,
         clf = LogRegModel().fit(h[train], labels[train], num_classes=int(labels.max()) + 1)
         out.append(micro_f1(labels[test], clf.predict(h[test])))
     return out
+
+
+def canonicalize_edges_by_rows(edges, num_nodes: int):
+    """The unique undirected pairs and repair counts of ``canonicalize_edges``,
+    deduplicated by sorting the (lo, hi) rows as a structured view."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loops = edges[:, 0] == edges[:, 1]
+    edges = edges[~loops]
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0) if len(lo) else np.empty((0, 2), np.int64)
+    return pairs, EdgeRepairs(self_loops_dropped=int(loops.sum()),
+                              duplicates_dropped=len(edges) - len(pairs))

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvge.graph import (
+    MAX_NODES,
     Graph,
     ValidationError,
     canonicalize_edges,
@@ -14,6 +15,7 @@ from mvge.graph import (
 )
 
 from conftest import edge_lists
+from oracles import canonicalize_edges_by_rows
 
 
 def test_triangle_degrees(triangle):
@@ -48,6 +50,39 @@ def test_canonicalize_orders_within_pair():
     out, rep = canonicalize_edges(np.array([[2, 0], [1, 2]]), num_nodes=3)
     assert out.tolist() == [[0, 2], [1, 2]]
     assert rep.self_loops_dropped == 0 and rep.duplicates_dropped == 0
+
+
+@st.composite
+def dirty_edge_lists(draw):
+    """Edge lists with repeats, both directions and self-loops, on up to 40
+    nodes or on a node count up to MAX_NODES with endpoints near its top."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=40),
+                       st.integers(min_value=41, max_value=MAX_NODES)))
+    ends = st.one_of(st.integers(min_value=0, max_value=min(n, 40) - 1),
+                     st.integers(min_value=max(0, n - 40), max_value=n - 1))
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=80))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    return n, pairs + repeats
+
+
+@given(dirty_edge_lists())
+@example((MAX_NODES, [(MAX_NODES - 1, MAX_NODES - 2), (MAX_NODES - 2, MAX_NODES - 1),
+                      (0, MAX_NODES - 1), (MAX_NODES - 1, MAX_NODES - 1)]))
+@example((1, []))
+@settings(max_examples=200, deadline=None)
+def test_canonicalize_matches_row_unique(graph):
+    n, edges = graph
+    pairs, repairs = canonicalize_edges(np.array(edges, dtype=np.int64), n)
+    want_pairs, want_repairs = canonicalize_edges_by_rows(edges, n)
+    assert pairs.dtype == want_pairs.dtype == np.int64
+    assert pairs.tolist() == want_pairs.tolist()
+    assert repairs == want_repairs
+
+
+def test_from_edges_refuses_node_counts_past_int64_keys():
+    # refused before the offsets array of n + 1 entries is allocated
+    with pytest.raises(ValidationError, match=f"num_nodes must be <= {MAX_NODES}"):
+        Graph.from_edges(MAX_NODES + 1, [])
 
 
 def test_neighbors_sorted_and_csr_consistent():
