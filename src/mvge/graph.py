@@ -221,8 +221,8 @@ class Graph:
         return (keys[idx] == q) & (u != v)
 
 
-# candidate pairs per block of kept_pairs, which the pair samplers of
-# mvge.evaluate and mvge.synth enumerate through when rejection would crawl
+# candidate pairs per block of kept_pairs, which the pair sampler of
+# mvge.evaluate enumerates through when rejection would crawl
 _PAIR_BLOCK = 1 << 20
 
 

@@ -1,5 +1,6 @@
 """Synthetic graph generator with controllable homophily."""
 
+import time
 import tracemalloc
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvge.data import save_dataset
-from mvge.graph import Graph, ValidationError
+from mvge.graph import Graph, ValidationError, kept_pairs
 from mvge.homophily import global_homophily
 from mvge import synth
 from mvge.synth import _WORDS, SynthSpec, _lemire, _sample_pairs, generate_synthetic
@@ -285,6 +286,46 @@ def assert_matches_reference(spec, path):
 @settings(max_examples=150, deadline=None)
 def test_dense_fallback_matches_reference(spec):
     assert_matches_reference(spec, "dense")
+
+
+@st.composite
+def fallback_calls(draw):
+    """Arguments of a _sample_pairs call that takes the dense fallback: any
+    labels (classes may be empty or have one member), either edge type, and
+    a budget above a quarter of its pool."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    labels = np.array(draw(st.lists(st.integers(min_value=0, max_value=draw(
+        st.integers(min_value=0, max_value=n))), min_size=n, max_size=n)), dtype=np.int64)
+    intra = draw(st.booleans())
+    pool = len(kept_pairs(n, lambda u, v: (labels[u] == labels[v]) == intra))
+    assume(pool > 0)
+    budget = draw(st.integers(min_value=pool // 4 + 1, max_value=pool))
+    return labels, intra, budget, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@given(fallback_calls())
+@settings(max_examples=200, deadline=None)
+def test_dense_fallback_picks_from_the_kept_pairs_enumeration(call):
+    # the pool built class by class is the u-major list of every kept pair,
+    # so the same permutation picks the same pairs
+    labels, intra, budget, seed = call
+    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_pairs(rng, budget, labels, intra)
+    cands = kept_pairs(len(labels), lambda u, v: (labels[u] == labels[v]) == intra)
+    assert got.dtype == np.int64
+    assert got.tolist() == cands[want_rng.permutation(len(cands))[:budget]].tolist()
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_dense_fallback_time_grows_with_the_pool():
+    # 5000 two-member classes on 20000 nodes hold 5000 intra candidates. A walk
+    # over all 2e8 pairs took about 3 s on a 2-vCPU VM, the pool about 2 ms
+    labels = np.arange(20000) % 15000
+    start = time.perf_counter()
+    pairs = _sample_pairs(np.random.default_rng(0), 2000, labels, True)
+    assert time.perf_counter() - start < 0.5
+    assert len(np.unique(pairs, axis=0)) == 2000
+    assert (labels[pairs[:, 0]] == labels[pairs[:, 1]]).all()
 
 
 @st.composite
