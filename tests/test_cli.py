@@ -730,7 +730,7 @@ def test_verbose_flags_log_to_stderr(synth_dir, tmp_path):
     assert set(info) < set(debug)
     assert any(line.startswith("DEBUG mvge.walks: walks: ") for line in debug)
     assert sum(line.startswith("DEBUG mvge.model: sampled adjacency loss: ")
-               and "drawn pairs were non-edges" in line for line in debug) == 2  # one per epoch
+               and "tested pairs were non-edges" in line for line in debug) == 2  # one per epoch
 
 
 def test_verbose_states_the_cost_of_forced_full_mode(synth_dir, tmp_path):
