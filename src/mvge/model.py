@@ -83,12 +83,12 @@ _FULL_SECONDS_AT_5000 = 0.24
 # 8 MB gains under 5% on one worker and doubles the strips' memory
 _ADJ_BLOCK_BYTES = 4 << 20
 
-# dtype of the float32 work. In the encoder branches: x, S, the activations,
-# the weights' copies and every backward product; the bias add promotes h to
-# float64, and the gradients are float32 products added into float64. In the
-# full adjacency loss: H's copy, the strip products z = H H^T and the |z|,
-# exp, log1p and tanh passes; the |z| and softplus sums, t, the loss and the
-# gradient stay float64. The parameters, Adam and the KL decoders are float64.
+# dtype of the float32 work: x, S, S x, the activations and every product of
+# the encoders; p, the recon product, softmax, both logs and q - p of the KL
+# decoders; the strips z = H H^T and their |z|, exp, log1p and tanh passes in
+# full mode; the copy of H the pair dots gather from and the coefficient
+# matrices in sampled mode. Sums, losses, the parameters, their gradients
+# (float32 products added into float64), Adam, h and every d_h are float64.
 # float32 holds values up to 3.4e38: features past it overflow in train()'s
 # cast, and row norms of H past 1.8e19 overflow a strip (z_ii = |h_i|^2). Both
 # end in a non-finite loss, never a wrong finite value. Finite differences
@@ -230,21 +230,22 @@ class MVGEModel:
         p["dec_agg_b"] = Param(np.zeros((1, f_agg)))
         self.params = p
 
-    def encode_ego(self, x: np.ndarray, s: sp.csr_matrix | None = None):
+    def encode_ego(self, x: np.ndarray, s: sp.csr_matrix | None = None, sx=None):
         """Forward the raw-feature branch; returns (h_ego, cache)."""
-        return self._encode("ego", x, s)
+        return self._encode("ego", x, s, sx)
 
-    def encode_agg(self, x_agg: np.ndarray, s: sp.csr_matrix):
+    def encode_agg(self, x_agg: np.ndarray, s: sp.csr_matrix, sx=None):
         """Forward the walk-feature branch; returns (h_agg, cache)."""
-        return self._encode("agg", x_agg, s)
+        return self._encode("agg", x_agg, s, sx)
 
     def _is_linear(self, name: str) -> bool:
         return name == "ego" and self.cfg.ego_encoder == "linear"
 
-    def _encode(self, name: str, x: np.ndarray, s: sp.csr_matrix | None):
+    def _encode(self, name: str, x: np.ndarray, s: sp.csr_matrix | None, sx):
         """One branch: a linear layer or two graph convolutions, then a dense
         skip layer over [x, inner], all in _WORK_DTYPE; returns the float64
-        h and the cache."""
+        h and the cache. The first convolution is relu((S x) W1); ``sx`` is
+        S x when the caller took it already (train() does, once per training)."""
         p = self.params
         f = self.f_ego if name == "ego" else self.f_agg
         if x.shape[1] != f:
@@ -263,16 +264,21 @@ class MVGEModel:
             if s is None:
                 raise ValidationError(f"gcn {name} encoder needs the normalized adjacency")
             s = s.astype(dt, copy=False)
-            g1 = np.maximum(spmm(s, x @ p[f"{name}_w1"].value.astype(dt)), 0.0)
+            if sx is None:
+                sx = spmm(s, x)
+            g1 = np.maximum(sx @ p[f"{name}_w1"].value.astype(dt), 0.0)
             inner = np.maximum(spmm(s, g1 @ p[f"{name}_w2"].value.astype(dt)), 0.0)
-            cache = {"x": x, "g1": g1, "s_op": s}
+            cache = {"x": x, "sx": sx, "g1": g1, "s_op": s}
         cache["c"] = np.concatenate([x, inner], axis=1)
         h = cache["c"] @ p[f"{name}_skip_w"].value.astype(dt) + p[f"{name}_skip_b"].value
         return h, cache
 
-    def embeddings(self, views: ViewPair, s: sp.csr_matrix) -> EmbeddingSet:
-        (h_ego, _), (h_agg, _) = _side_by_side(lambda: self.encode_ego(views.x_ego, s),
-                                               lambda: self.encode_agg(views.x_agg, s))
+    def embeddings(self, views: ViewPair, s: sp.csr_matrix, sx=None) -> EmbeddingSet:
+        """Both branches' embeddings and their merge; ``sx`` as in _train_step."""
+        sx = sx or {}
+        (h_ego, _), (h_agg, _) = _side_by_side(
+            lambda: self.encode_ego(views.x_ego, s, sx.get("ego")),
+            lambda: self.encode_agg(views.x_agg, s, sx.get("agg")))
         return EmbeddingSet(
             h_ego=h_ego, h_agg=h_agg,
             h=merge_embeddings(h_ego, h_agg, self.cfg.merge_fn),
@@ -304,22 +310,27 @@ class MVGEModel:
         p[f"{name}_w2"].grad += cache["g1"].T @ d_b2
         d_g1 = d_b2 @ p[f"{name}_w2"].value.astype(dt).T
         d_g1 *= cache["g1"] > 0.0
-        d_b1 = spmm_backward(cache["s_op"], d_g1)
-        p[f"{name}_w1"].grad += cache["x"].T @ d_b1
+        # S is symmetric, so x^T S d_g1 = (S x)^T d_g1
+        p[f"{name}_w1"].grad += cache["sx"].T @ d_g1
 
     def _decode(self, name: str, h: np.ndarray, p: np.ndarray, w: float,
                 d_h: np.ndarray) -> float:
-        """One branch's KL decoder against target distribution ``p``: returns
-        its loss, and adds ``w`` times its gradient to the decoder parameters
-        and to ``d_h`` in place."""
+        """One branch's KL decoder against target distribution ``p``, in
+        _WORK_DTYPE: returns its loss, and adds ``w`` times its gradient to the
+        decoder parameters and to ``d_h`` in place."""
+        dt = _WORK_DTYPE
         dec_w = self.params[f"dec_{name}_w"]
         dec_b = self.params[f"dec_{name}_b"]
-        loss, d_recon = _kl_terms(p, h @ dec_w.value + dec_b.value)
+        h = h.astype(dt)
+        w_dt = dec_w.value.astype(dt)
+        # train() casts p once per training, so this copies only for other callers
+        loss, d_recon = _kl_terms(p.astype(dt, copy=False),
+                                  h @ w_dt + dec_b.value.astype(dt))
         if w != 0.0:
-            d_recon = w * d_recon
+            d_recon *= w
             dec_w.grad += h.T @ d_recon
-            dec_b.grad += d_recon.sum(axis=0, keepdims=True)
-            d_h += d_recon @ dec_w.value.T
+            dec_b.grad += d_recon.sum(axis=0, keepdims=True, dtype=np.float64)
+            d_h += d_recon @ w_dt.T
         return loss
 
 
@@ -338,10 +349,11 @@ def merge_embeddings(h_ego: np.ndarray, h_agg: np.ndarray, fn: str) -> np.ndarra
 
 
 def _kl_terms(p: np.ndarray, recon: np.ndarray):
-    """Loss and logit gradient for a precomputed target distribution."""
+    """Loss and logit gradient for a precomputed target distribution, in the
+    inputs' dtype; the loss is summed in float64."""
     q = softmax_rows(recon)
     logs = np.log(np.maximum(p, _LOG_FLOOR)) - np.log(np.maximum(q, _LOG_FLOOR))
-    return float((p * logs).sum()), q - p
+    return float((p * logs).sum(dtype=np.float64)), q - p
 
 
 def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
@@ -400,38 +412,38 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
     if n * (n - 1) - n_pos <= 0:
         raise ValidationError("graph is complete, no negative pairs to sample")
     total = n_pos + n_neg
-    # each part gets its own gather buffer, allocated here as in full mode;
-    # the negatives stay on the calling thread, the only one that draws from rng
-    buf_p, buf_n = (np.empty((2, min(_PAIR_CHUNK_ROWS, rows), h.shape[1]))
+    dt = _WORK_DTYPE
+    # both parts read one copy of H in the work dtype, each through its own
+    # gather buffer, allocated here as in full mode. The negatives stay on the
+    # calling thread, the only one that draws from rng
+    hs = h.astype(dt)
+    buf_p, buf_n = (np.empty((2, min(_PAIR_CHUNK_ROWS, rows), h.shape[1]), dt)
                     for rows in (n_pos // 2, n_neg))
-    (loss_p, d_h), (loss_n, d_h_n) = _side_by_side(
-        lambda: _positive_part(h, g, total, buf_p),
-        lambda: _negative_part(h, g, n_neg, total, rng, buf_n))
+    (loss_p, d_h_p), (loss_n, d_h_n) = _side_by_side(
+        lambda: _positive_part(hs, g, total, buf_p),
+        lambda: _negative_part(hs, g, n_neg, total, rng, buf_n))
     # P's results before N's, so the bits do not depend on the worker count
-    d_h += d_h_n
-    return float((loss_p + loss_n) / total), d_h
+    return float((loss_p + loss_n) / total), np.add(d_h_p, d_h_n, dtype=np.float64)
 
 
-def _positive_part(h, g: Graph, total: int, buf):
-    """Twice the softplus(-z) sum over the undirected edges, and the edge
-    part of the gradient, (sigmoid(z) - 1) / total on both directions, times H."""
+def _positive_part(hs, g: Graph, total: int, buf):
+    """Twice the softplus(-z) sum over the undirected edges, and the edge part
+    of the gradient, (sigmoid(z) - 1) / total on both directions, times hs."""
     e = g.edge_array()
-    z = _pair_dots(h, e[:, 0], e[:, 1], buf)
-    coef = 2.0 * (sigmoid(z) - 1.0) / total
+    z = _pair_dots(hs, e[:, 0], e[:, 1], buf)
+    coef = (2.0 * (sigmoid(z) - 1.0) / total).astype(hs.dtype)
     # the coefficients lie straight on A's pattern: no COO build, no index sort
     a = g.adjacency
     return 2.0 * softplus(-z).sum(), sp.csr_matrix((coef[g.edge_ids], a.indices, a.indptr),
-                                                   shape=a.shape) @ h
+                                                   shape=a.shape) @ hs
 
 
-def _negative_part(h, g: Graph, n_neg: int, total: int, rng, buf):
+def _negative_part(hs, g: Graph, n_neg: int, total: int, rng, buf):
     """The softplus(z) sum over ``n_neg`` ordered non-edges drawn from ``rng``,
-    and their part of the gradient, sigmoid(z) / total on both directions, times H."""
+    and their part of the gradient, sigmoid(z) / total on both directions, times hs."""
     n = g.num_nodes
-
     def non_edges(r, c):
         return (r != c) & ~g.has_edge_mask(r, c)
-
     nr = np.empty(n_neg, dtype=np.int64)
     nc = np.empty(n_neg, dtype=np.int64)
     got = rounds = tested = kept = 0
@@ -463,17 +475,18 @@ def _negative_part(h, g: Graph, n_neg: int, total: int, rng, buf):
     log.debug("sampled adjacency loss: %d of %d tested pairs were non-edges (%.2f%%) "
               "in %d rounds; a round tests only as many of its drawn pairs as it needs",
               kept, tested, 100.0 * kept / tested, rounds)
-    z = _pair_dots(h, nr, nc, buf)
-    coef = sigmoid(z) / total
+    z = _pair_dots(hs, nr, nc, buf)
+    coef = (sigmoid(z) / total).astype(hs.dtype)
     # one symmetric coefficient matrix; duplicate pairs sum on construction
     a = sp.csr_matrix((np.concatenate([coef, coef]),
                        (np.concatenate([nr, nc]), np.concatenate([nc, nr]))), shape=(n, n))
-    return softplus(z).sum(), a @ h
+    return softplus(z).sum(), a @ hs
 
 
 def _pair_dots(h, rows, cols, buf):
-    """z[i] = h[rows[i]] . h[cols[i]], gathered through ``buf`` (two blocks of
-    rows) chunk by chunk, so that no (len(rows), d) array is made."""
+    """z[i] = h[rows[i]] . h[cols[i]], summed in float64, gathered through
+    ``buf`` (two blocks of rows, in h's dtype) chunk by chunk, so that no
+    (len(rows), d) array is made."""
     z = np.empty(rows.size)
     step = buf.shape[1]
     for r0 in range(0, rows.size, step):
@@ -584,14 +597,18 @@ def total_loss(l_ego: float, l_agg: float, l_s: float,
 
 def _train_step(model: MVGEModel, views: ViewPair, s: sp.csr_matrix,
                 g: Graph, p_ego: np.ndarray, p_agg: np.ndarray,
-                adj_mode: str, neg_rng: np.random.Generator):
-    """One forward/backward pass; gradients are left in model.params."""
+                adj_mode: str, neg_rng: np.random.Generator,
+                sx: dict[str, np.ndarray] | None = None):
+    """One forward/backward pass; gradients are left in model.params. ``sx``
+    maps a graph-convolution branch, "ego" or "agg", to S times its view;
+    a branch missing from it takes that product itself."""
     cfg = model.cfg
     mask = cfg.task_mask
+    sx = sx or {}
 
     def branch(name, encode, x, p, w):
         """Encode one view and decode it; the two branches share no output."""
-        h_view, cache = encode(x, s)
+        h_view, cache = encode(x, s, sx.get(name))
         d_h_view = np.zeros_like(h_view)
         loss = model._decode(name, h_view, p, w, d_h_view) if name in mask else 0.0
         return h_view, cache, d_h_view, loss
@@ -636,8 +653,6 @@ def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
         views = build_views(g, ds.features, cfg.walk_config())
     s = normalized_adjacency(g)
     model = MVGEModel(cfg, f_ego=views.x_ego.shape[1], f_agg=views.x_agg.shape[1])
-    p_ego = softmax_rows(views.x_ego)
-    p_agg = softmax_rows(views.x_agg)
     adj_mode = cfg.resolve_adj_mode(g.num_nodes)
     log.info("training on %d nodes: %s adjacency loss (adj_loss_mode %s), %d worker thread(s)",
              g.num_nodes, adj_mode, cfg.adj_loss_mode, adjacency_workers())
@@ -652,14 +667,18 @@ def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
     # a diverging run overflows before its loss turns non-finite; the checks
     # below raise for it, so numpy's warnings would only repeat them
     with np.errstate(over="ignore", invalid="ignore"):
-        # the encoders' inputs, cast once per training; features past the
-        # dtype's range turn inf here, and the loss of epoch 0 with them
+        # the KL targets and the encoders' inputs, cast once per training; features
+        # past the dtype's range turn inf here, and the loss of epoch 0 with them
+        p_ego, p_agg = (softmax_rows(x).astype(_WORK_DTYPE) for x in (views.x_ego, views.x_agg))
         views = ViewPair(x_ego=views.x_ego.astype(_WORK_DTYPE),
                          x_agg=views.x_agg.astype(_WORK_DTYPE))
         s = s.astype(_WORK_DTYPE)
+        # x and S stay fixed, so each graph convolution's S x is taken once
+        sx = {name: spmm(s, x) for name, x in (("ego", views.x_ego), ("agg", views.x_agg))
+              if not model._is_linear(name)}
         for epoch in range(cfg.epochs):
             l_e, l_a, l_s, l_t = _train_step(model, views, s, g, p_ego, p_agg,
-                                             adj_mode, neg_rng)
+                                             adj_mode, neg_rng, sx)
             trace[epoch] = (l_e, l_a, l_s, l_t)
             if not np.isfinite(l_t):
                 raise TrainingDivergedError(
@@ -667,7 +686,7 @@ def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
                 )
             opt.step()
 
-        emb = model.embeddings(views, s)
+        emb = model.embeddings(views, s, sx)
     if not (np.isfinite(emb.h).all() and np.isfinite(emb.h_ego).all()
             and np.isfinite(emb.h_agg).all()):
         raise TrainingDivergedError(cfg.epochs, "non-finite embeddings after training")

@@ -331,9 +331,9 @@ def set_block_rows(monkeypatch, n, rows):
 
 
 def use_float64_work(monkeypatch):
-    """Run the encoders and the full adjacency loss's strips in float64,
-    where the loss matches the dense oracle to 1e-12 and finite differences
-    resolve the training step."""
+    """Run the encoders, the KL decoders and both adjacency losses in float64,
+    where the losses match the dense and scatter oracles to 1e-12 and finite
+    differences resolve the training step."""
     monkeypatch.setattr(mvge.model, "_WORK_DTYPE", np.float64)
 
 
@@ -645,6 +645,7 @@ def test_train_on_empty_graph_raises_validation_error(mode):
 def test_sampled_adjacency_matches_scatter_oracle(monkeypatch, graph, ratio):
     g = ADJ_GRAPHS[graph]()
     h = np.random.default_rng(22).normal(size=(10, 5))
+    use_float64_work(monkeypatch)
     want = sampled_adjacency_oracle(h, g, np.random.default_rng(5), ratio)
     for workers in (1, 2):
         force_workers(monkeypatch, workers)
@@ -661,22 +662,56 @@ def test_sampled_adjacency_matches_scatter_oracle(monkeypatch, graph, ratio):
 @example(graph=(6, [(2, 4)]), rows=1, ratio=3.0, seed=1)  # one edge
 @settings(max_examples=80, deadline=None)
 def test_sampled_adjacency_chunks_match_scatter_oracle(graph, rows, ratio, seed):
+    # the same bits on one or two workers on the float32 default, and on
+    # float64 work against the scatter oracle
     n, edges = graph
     g, _ = Graph.from_edges(n, edges)
     # at most half the pairs are edges, so the negatives fill well within the round cap
     assume(0 < 2 * g.num_edges <= n * (n - 1) // 2)
     h = np.random.default_rng(seed).normal(size=(n, 4))
-    got = []
-    for workers in (1, 2):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mvge.model, "_PAIR_CHUNK_ROWS", rows)
-            force_workers(mp, workers)
-            got.append(mvge.model._adjacency_terms(h, g, "sampled", rng=np.random.default_rng(seed),
-                                                   sample_ratio=ratio))
-    assert got[0][0] == got[1][0]
-    assert got[0][1].tobytes() == got[1][1].tobytes()
+    for float64 in (False, True):
+        got = []
+        for workers in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                if float64:
+                    use_float64_work(mp)
+                mp.setattr(mvge.model, "_PAIR_CHUNK_ROWS", rows)
+                force_workers(mp, workers)
+                got.append(mvge.model._adjacency_terms(h, g, "sampled",
+                                                       rng=np.random.default_rng(seed),
+                                                       sample_ratio=ratio))
+        assert got[0][0] == got[1][0]
+        assert got[0][1].tobytes() == got[1][1].tobytes()
     assert_adjacency_matches(got[0], sampled_adjacency_oracle(h, g, np.random.default_rng(seed),
                                                               ratio))
+
+
+# float32 sampled loss against float64, on the same negatives. Over 4277
+# draws of this kind and its corners (up to 40 nodes, d up to 32, |z| into
+# the thousands) the loss differed by at most 6.6e-5 relative and the gradient
+# by at most 5.2e-6 of max|grad|; the bounds leave 10x margin
+@given(edge_lists(max_nodes=40, max_edges=80),
+       st.sampled_from([1, 4, 32]),
+       st.sampled_from([0.5, 1.0, 3.0]),
+       st.integers(min_value=0, max_value=2 ** 16),
+       st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=12.0)))
+@settings(max_examples=100, deadline=None)
+def test_sampled_adjacency_float32_tracks_float64(graph, d, ratio, seed, scale):
+    n, edges = graph
+    g, _ = Graph.from_edges(n, edges)
+    assume(0 < 2 * g.num_edges <= n * (n - 1) // 2)
+    h = scale * np.random.default_rng(seed).normal(size=(n, d))
+    got = {}
+    for dtype in (np.float32, np.float64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mvge.model, "_WORK_DTYPE", dtype)
+            got[dtype] = mvge.model._adjacency_terms(h, g, "sampled",
+                                                     rng=np.random.default_rng(seed),
+                                                     sample_ratio=ratio)
+    (loss, d_h), (want_loss, want_d_h) = got[np.float32], got[np.float64]
+    assert d_h.dtype == np.float64
+    assert abs(loss - want_loss) <= 7e-4 * abs(want_loss)
+    assert np.abs(d_h - want_d_h).max() <= 6e-5 * np.abs(want_d_h).max()
 
 
 def test_sampled_adjacency_peak_allocation_has_no_edge_by_dim_gathers():
@@ -852,6 +887,44 @@ def test_float32_train_step_tracks_float64(n, f, p_edge, encoder, mode, seed):
         assert p.value.dtype == p.grad.dtype == np.float64
         want = want_params[name].grad
         assert np.abs(p.grad - want).max() <= 1e-3 * np.abs(want).max()
+
+
+# one float32 KL decoder call against float64, from the same parameters. Each
+# entry of q - p lies in [-1, 1], so a gradient's float32 error is measured
+# against the magnitudes each of its entries sums: w n for the bias, w sum_i
+# |h_ik| for the weights and w sum_j |W_kj| for d_h; the loss's against its two
+# sums, the cross-entropy KL + H(p) and the entropy H(p). Over 6888 draws of
+# this kind and its corners the worst ratios were 1.8e-6 for the loss and
+# 5.5e-7, 8.6e-7 and 1.2e-6 for the gradients; the bounds leave 10x margin.
+# w is a task weight, beta * alpha or beta * (1 - alpha); far below float32's
+# smallest normal, 1.2e-38, the scaled float32 gradient flushes to zero
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=8),
+       st.sampled_from([1, 4, 32]),
+       st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+       st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=12.0)),
+       st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=12.0)),
+       st.integers(min_value=0, max_value=2 ** 16))
+@settings(max_examples=100, deadline=None)
+def test_float32_kl_decoder_tracks_float64(n, f, d, w, x_scale, h_scale, seed):
+    rng = np.random.default_rng(seed)
+    p = softmax_rows(x_scale * rng.normal(size=(n, f)))
+    h = h_scale * rng.normal(size=(n, d))
+    got = {}
+    for dtype in (np.float32, np.float64):
+        model, _ = toy_model(f_ego=f, dim_ego=d, dim_agg=d, seed=seed)
+        d_h = np.zeros_like(h)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mvge.model, "_WORK_DTYPE", dtype)
+            loss = model._decode("ego", h, p, w, d_h)
+        got[dtype] = loss, model.params["dec_ego_b"].grad, model.params["dec_ego_w"].grad, d_h
+    entropy = -(p * np.log(np.maximum(p, 1e-12))).sum()
+    dec_w = model.params["dec_ego_w"].value
+    scales = (got[np.float64][0] + 2.0 * entropy, w * n,
+              w * np.abs(h).sum(axis=0)[:, None], w * np.abs(dec_w).sum(axis=1))
+    for value, want, scale, bound in zip(got[np.float32], got[np.float64], scales,
+                                         (2e-5, 6e-6, 9e-6, 1.2e-5)):
+        assert np.asarray(value).dtype == np.float64
+        assert np.all(np.abs(value - want) <= bound * scale)
 
 
 @pytest.mark.parametrize("encoder", EGO_ENCODERS)
