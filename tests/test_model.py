@@ -862,10 +862,13 @@ def test_gradients_on_hostile_graphs(ds, mode, encoder):
 
 
 # one float32 training step against float64, from the same parameters. Over
-# 3846 seeded draws of this kind (154 more drew sampled mode without an
-# edge or a non-edge) the total loss differed by at most 2.1e-7 relative and a
-# parameter's gradient by at most 6.4e-5 of its largest entry; the bounds
-# leave 10x margin or more
+# 3873 seeded draws of this kind (127 more drew sampled mode without an
+# edge or a non-edge), with the encoders, the KL decoders and both adjacency
+# losses in float32, the total loss differed by at most 5.5e-7 relative and a
+# parameter's gradient by at most 6.3e-4 of its largest entry. That worst
+# case, and the only one above 1.8e-4, is the ego decoder's bias on two
+# features, whose column sums of q - p nearly cancel; the next parameter
+# kind stayed within 1.8e-5
 @given(st.integers(min_value=2, max_value=24), st.integers(min_value=1, max_value=6),
        st.floats(min_value=0.1, max_value=0.6), st.sampled_from(EGO_ENCODERS),
        st.sampled_from(["full", "sampled"]), st.integers(min_value=0, max_value=2 ** 16))
