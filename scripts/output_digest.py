@@ -18,7 +18,8 @@ The groups, one line each:
   synth             graphs and features over a grid of specs, including specs
       whose edge budget takes the dense fallback;
   sample_non_edges, sample_label_pairs  both evaluate samplers, on their
-      rejection and their dense paths;
+      rejection and their dense paths; the label pairs also on many small
+      classes, some of them empty or with one member;
   probe/multiclass, probe/binary  the weights and bias of the logistic-regression
       probe fitted on fixed seeded features, so a probe-only change shows
       apart from the trainings;
@@ -130,11 +131,17 @@ def sampler_lines(n: int):
     non_edges = [_sample_non_edges(g, count, np.random.default_rng(count))
                  for count in (1, pool // 8, pool // 2, pool)]
     yield "sample_non_edges", digest(*non_edges)
-    counts = np.bincount(labels)
-    same_pool = int((counts * (counts - 1) // 2).sum())
-    pairs = [_sample_label_pairs(labels, count, same, np.random.default_rng(count))
-             for same, pool in ((True, same_pool), (False, n * (n - 1) // 2 - same_pool))
-             for count in (1, pool // 8, pool // 2, pool)]
+    # many small classes too: only even labels (the odd ones are empty), and
+    # five one-member classes, so the same-class pool is linear in n
+    many = np.arange(n) % max(n // 3, 1) * 2
+    many[:5] = many.max() + 1 + 2 * np.arange(5)
+    pairs = []
+    for lab in (labels, many):
+        counts = np.bincount(lab)
+        same_pool = int((counts * (counts - 1) // 2).sum())
+        pairs += [_sample_label_pairs(lab, count, same, np.random.default_rng(count))
+                  for same, pool in ((True, same_pool), (False, n * (n - 1) // 2 - same_pool))
+                  for count in (1, pool // 8, pool // 2, pool)]
     yield "sample_label_pairs", digest(*pairs)
 
 
