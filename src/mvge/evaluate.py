@@ -22,7 +22,7 @@ import numpy as np
 
 import mvge.model
 from mvge.data import Dataset
-from mvge.graph import AT_LEAST_0, AT_LEAST_1, Graph, ValidationError, check_fields, kept_pairs
+from mvge.graph import AT_LEAST_0, AT_LEAST_1, Graph, ValidationError, check_fields, label_pairs
 from mvge.numerics import Adam, Param, child_seed, sigmoid
 
 TASK_NAMES = ("node", "link", "pair")
@@ -287,18 +287,18 @@ class LinkSplit:
     test_neg: np.ndarray
 
 
-def _sample_pairs(n: int, count: int, pool: int, kind: str, keep,
+def _sample_pairs(n: int, count: int, pool: int, kind: str, keep, listed,
                   rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` distinct unordered pairs u < v with ``keep(u, v)`` true,
-    out of the ``pool`` such pairs; returns shape (count, 2)."""
+    out of the ``pool`` such pairs; returns shape (count, 2). ``listed()``
+    returns all ``pool`` pairs, u-major, as shape (pool, 2)."""
     if count > pool:
         raise ValidationError(f"need {count} {kind} pairs but only {pool} exist")
     if count == 0:
         return np.empty((0, 2), dtype=np.int64)
     if count * 4 > pool:
         # dense enough that rejection would crawl: pick among all kept pairs
-        kept = kept_pairs(n, keep)
-        return kept[rng.choice(len(kept), size=count, replace=False)]
+        return listed()[rng.choice(pool, size=count, replace=False)]
     taken: set[int] = set()
     out = np.empty((count, 2), dtype=np.int64)
     got = 0
@@ -322,10 +322,17 @@ def _sample_pairs(n: int, count: int, pool: int, kind: str, keep,
 
 
 def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` distinct unordered non-adjacent pairs."""
+    """Draw ``count`` distinct unordered non-adjacent pairs. The dense path lists
+    all n(n-1)/2 pairs, but only when the non-edges number fewer than 4 * count,
+    so that n(n-1)/2 < 4 * count + num_edges, linear in the input."""
+    def listed():
+        iu, iv = np.triu_indices(g.num_nodes, 1)
+        kept = ~g.has_edge_mask(iu, iv)
+        return np.stack([iu[kept], iv[kept]], axis=1)
+
     n = g.num_nodes
     return _sample_pairs(n, count, n * (n - 1) // 2 - g.num_edges, "non-edge",
-                         lambda u, v: ~g.has_edge_mask(u, v), rng)
+                         lambda u, v: ~g.has_edge_mask(u, v), listed, rng)
 
 
 def link_split(g: Graph, spec: SplitSpec, repeat: int = 0) -> LinkSplit:
@@ -421,8 +428,8 @@ def _sample_label_pairs(labels: np.ndarray, count: int, same: bool,
     same_pool = int((counts * (counts - 1) // 2).sum())
     pool = same_pool if same else n * (n - 1) // 2 - same_pool
     kind = "same-class" if same else "different-class"
-    return _sample_pairs(n, count, pool, kind,
-                         lambda u, v: (labels[u] == labels[v]) == same, rng)
+    return _sample_pairs(n, count, pool, kind, lambda u, v: (labels[u] == labels[v]) == same,
+                         lambda: label_pairs(labels, same), rng)
 
 
 def pairwise_eval(ds: Dataset, cfg: mvge.model.MVGEConfig, spec: SplitSpec,

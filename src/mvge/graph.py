@@ -1,6 +1,6 @@
 """Undirected graph in compressed sparse row form, the symmetrically
-normalized propagation operator used by the GCN branch, the blocked
-enumerator of node pairs, and the input checks the other modules share."""
+normalized propagation operator used by the GCN branch, the pools of
+label pairs, and the input checks the other modules share."""
 
 from __future__ import annotations
 
@@ -221,22 +221,20 @@ class Graph:
         return (keys[idx] == q) & (u != v)
 
 
-# candidate pairs per block of kept_pairs, which the pair sampler of
-# mvge.evaluate enumerates through when rejection would crawl
-_PAIR_BLOCK = 1 << 20
-
-
-def kept_pairs(n: int, keep) -> np.ndarray:
-    """Every pair u < v of n >= 1 nodes with ``keep(u, v)`` true, u-major, as
-    shape (k, 2). The candidates go through ``keep`` in row blocks of about
-    ``_PAIR_BLOCK`` pairs, so memory is O(k + _PAIR_BLOCK), not O(n^2)."""
-    rows, kept = max(1, _PAIR_BLOCK // n), []
-    for r0 in range(0, n, rows):
-        iu, iv = np.nonzero(np.arange(n) > np.arange(r0, min(r0 + rows, n))[:, None])
-        iu += r0
-        mask = keep(iu, iv)
-        kept.append(np.stack([iu[mask], iv[mask]], axis=1))
-    return np.concatenate(kept)
+def label_pairs(labels: np.ndarray, same: bool) -> np.ndarray:
+    """Every pair u < v of nodes whose labels are equal (``same``) or differ,
+    u-major, as int64 of shape (k, 2); time and memory O(n + k log k)."""
+    # the node at each position of ``order`` (the nodes by label) pairs with the
+    # later positions of its class (same) or with every position of the
+    # higher-labelled classes; sorted by u * n + v, the pairs come u-major
+    n = len(labels)
+    order = np.argsort(labels, kind="stable")
+    end = np.cumsum(np.bincount(labels))[labels[order]]
+    start = np.arange(1, n + 1) if same else end
+    count = (end if same else n) - start
+    v = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    u = np.repeat(order, count)
+    return np.stack(np.divmod(np.sort(np.minimum(u, v) * n + np.maximum(u, v)), n), axis=1)
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:

@@ -13,7 +13,7 @@ import numpy as np
 
 from mvge.data import Dataset
 from mvge.graph import (AT_LEAST_0, AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, UNIT_RANGE, Graph,
-                        ValidationError, check_fields)
+                        ValidationError, check_fields, label_pairs)
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ def _sample_pairs(
     same-class inter pairs and repeats. The loop is replayed on blocks of
     numpy's 32-bit words, decoded as if each iteration took two, and the
     generator advances by the words it used. Falls back to a random pick from
-    all the pool's pairs, built class by class in O(pool), when the pool is
-    small relative to the budget, which keeps near-saturated specs from
+    all the pool's pairs, ``graph.label_pairs``, when the pool is small
+    relative to the budget, which keeps near-saturated specs from
     spinning. Intra and inter pairs never coincide, so the two calls need no
     shared record.
     """
@@ -87,18 +87,7 @@ def _sample_pairs(
         )
 
     if budget * 4 > pool:
-        # the node at each position of ``order`` (the nodes by label) pairs with
-        # the later positions of its class (intra) or with every position of the
-        # higher-labelled classes (inter); sorted by u * n + v, the pairs come
-        # u-major, as a walk over all n^2 / 2 pairs would keep them
-        order = np.argsort(labels, kind="stable")
-        end = np.cumsum(sizes)[labels[order]]
-        start = np.arange(1, n + 1) if intra else end
-        count = (end if intra else n) - start
-        v = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(pool)]
-        u = np.repeat(order, count)
-        cands = np.stack(np.divmod(np.sort(np.minimum(u, v) * n + np.maximum(u, v)), n), axis=1)
-        return cands[rng.permutation(pool)[:budget]]
+        return label_pairs(labels, intra)[rng.permutation(pool)[:budget]]
     if budget == 0:
         return np.empty((0, 2), dtype=np.int64)
 

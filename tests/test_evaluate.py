@@ -3,10 +3,10 @@
 import copy
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from datetime import timedelta
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -575,13 +575,10 @@ def assert_same_draw(sample, reference, pool, data):
     """Same pairs, same error message and the same RNG state afterwards.
 
     Counts are drawn both below pool / 4 (the rejection loop) and up to
-    pool + 2 (the enumeration fallback and the too-many message). The
-    enumeration's block budget is drawn too, from one row per block to
-    all rows in one."""
+    pool + 2 (the enumeration fallback and the too-many message)."""
     count = data.draw(st.one_of(st.integers(min_value=0, max_value=pool // 4),
                                 st.integers(min_value=0, max_value=pool + 2)))
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
-    block = data.draw(st.integers(min_value=1, max_value=3000))
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     try:
         want = reference(count, rng_ref)
@@ -590,8 +587,7 @@ def assert_same_draw(sample, reference, pool, data):
             sample(count, rng_new)
         assert str(got.value) == str(e)
         return
-    with patch("mvge.graph._PAIR_BLOCK", block):
-        out = sample(count, rng_new)
+    out = sample(count, rng_new)
     assert out.dtype == want.dtype and np.array_equal(out, want)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
@@ -616,6 +612,18 @@ def test_sample_label_pairs_matches_reference(graph_labels, same, data):
     assert_same_draw(lambda c, r: _sample_label_pairs(labels, c, same, r),
                      lambda c, r: reference_label_pairs(labels, c, same, r),
                      same_pool if same else n * (n - 1) // 2 - same_pool, data)
+
+
+def test_dense_label_pair_fallback_time_grows_with_the_pool():
+    # 5000 four-member classes on 20000 nodes hold 30000 same-class pairs. A walk
+    # over all 2e8 pairs took about 2.3 s on a 2-vCPU VM, the pool a few ms
+    labels = np.arange(20000) % 5000
+    start = time.perf_counter()
+    pairs = _sample_label_pairs(labels, 10000, True, np.random.default_rng(0))
+    assert time.perf_counter() - start < 0.5
+    assert len(np.unique(pairs, axis=0)) == 10000
+    assert (pairs[:, 0] < pairs[:, 1]).all()
+    assert (labels[pairs[:, 0]] == labels[pairs[:, 1]]).all()
 
 
 # -- pair features -----------------------------------------------------------

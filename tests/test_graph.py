@@ -11,6 +11,7 @@ from mvge.graph import (
     Graph,
     ValidationError,
     canonicalize_edges,
+    label_pairs,
     normalized_adjacency,
 )
 
@@ -270,3 +271,13 @@ def test_validate_self_loop_precedes_disorder_at_same_node():
 
 def test_validate_empty_graph():
     Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)).validate()
+
+
+@pytest.mark.parametrize("labels, same", [
+    (np.zeros(5, dtype=np.int64), False),  # one class: no pair differs
+    (np.array([4, 0, 2, 7]), True),  # one-member classes, between empty ones
+    (np.zeros(0, dtype=np.int64), True),  # no nodes
+])
+def test_label_pairs_of_an_empty_pool(labels, same):
+    pairs = label_pairs(labels, same)
+    assert pairs.shape == (0, 2) and pairs.dtype == np.int64

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvge.data import save_dataset
-from mvge.graph import Graph, ValidationError, kept_pairs
+from mvge.graph import Graph, ValidationError
 from mvge.homophily import global_homophily
 from mvge import synth
 from mvge.synth import _WORDS, SynthSpec, _lemire, _sample_pairs, generate_synthetic
@@ -288,6 +288,13 @@ def test_dense_fallback_matches_reference(spec):
     assert_matches_reference(spec, "dense")
 
 
+def reference_pool(labels, intra):
+    """Every pair u < v of the edge type, u-major, from all n^2 / 2 pairs."""
+    iu, iv = np.triu_indices(len(labels), k=1)
+    mask = (labels[iu] == labels[iv]) == intra
+    return np.stack([iu[mask], iv[mask]], axis=1)
+
+
 @st.composite
 def fallback_calls(draw):
     """Arguments of a _sample_pairs call that takes the dense fallback: any
@@ -297,7 +304,7 @@ def fallback_calls(draw):
     labels = np.array(draw(st.lists(st.integers(min_value=0, max_value=draw(
         st.integers(min_value=0, max_value=n))), min_size=n, max_size=n)), dtype=np.int64)
     intra = draw(st.booleans())
-    pool = len(kept_pairs(n, lambda u, v: (labels[u] == labels[v]) == intra))
+    pool = len(reference_pool(labels, intra))
     assume(pool > 0)
     budget = draw(st.integers(min_value=pool // 4 + 1, max_value=pool))
     return labels, intra, budget, draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -311,7 +318,7 @@ def test_dense_fallback_picks_from_the_kept_pairs_enumeration(call):
     labels, intra, budget, seed = call
     rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = _sample_pairs(rng, budget, labels, intra)
-    cands = kept_pairs(len(labels), lambda u, v: (labels[u] == labels[v]) == intra)
+    cands = reference_pool(labels, intra)
     assert got.dtype == np.int64
     assert got.tolist() == cands[want_rng.permutation(len(cands))[:budget]].tolist()
     assert rng.bit_generator.state == want_rng.bit_generator.state
