@@ -52,7 +52,7 @@ from mvge.evaluate import (
     pairwise_eval,
 )
 from mvge.graph import ValidationError
-from mvge.homophily import homophily_report
+from mvge.homophily import MAX_BINS, homophily_report
 from mvge.model import (
     MVGEConfig,
     TrainingDivergedError,
@@ -358,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="homophily report for a dataset directory")
     p.add_argument("dataset")
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=int, default=10,
+                   help=f"local-homophily histogram bins, 1 to {MAX_BINS}")
     p.add_argument("--local-csv", dest="local_csv",
                    help="also write per-node local homophily to this CSV")
     p.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -39,14 +39,17 @@ def local_homophily(g: Graph, labels: np.ndarray) -> np.ndarray:
     return out
 
 
+MAX_BINS = 10**6  # the counts take 8 bytes a bin, so 8 MB at most
+
+
 def homophily_histogram(local: np.ndarray, bins: int = 10) -> np.ndarray:
     """Equal-width bin counts over [0, 1], last bin right-closed.
 
     NaN entries (isolated nodes) are excluded. With bins=2 a value of
     0.5 falls in the second bin [0.5, 1].
     """
-    if bins < 1:
-        raise ValidationError("bins must be >= 1")
+    if not 1 <= bins <= MAX_BINS:
+        raise ValidationError(f"bins must be in [1, {MAX_BINS}], got {bins}")
     defined = np.asarray(local, dtype=np.float64)
     defined = defined[~np.isnan(defined)]
     idx = np.clip(np.floor(defined * bins).astype(np.int64), 0, bins - 1)

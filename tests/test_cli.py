@@ -96,6 +96,15 @@ def test_stats_missing_dataset_exits_2(tmp_path):
     assert "missing" in r.stderr.lower()
 
 
+@pytest.mark.parametrize("bins", [10**12, 10**20])
+def test_stats_refuses_huge_bins(synth_dir, bins):
+    # 10**12 bins once ended in a numpy allocation error, 10**20 in an OverflowError
+    r = run_cli("stats", synth_dir, "--bins", bins)
+    assert r.returncode == 2
+    assert r.stderr == f"error: bins must be in [1, 1000000], got {bins}\n"
+    assert "1 to 1000000" in " ".join(run_cli("stats", "--help").stdout.split())
+
+
 def test_stats_unlabeled_exits_2(tmp_path, synth_dir):
     import shutil
     target = tmp_path / "unlabeled"

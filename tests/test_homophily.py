@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from mvge.graph import Graph, ValidationError
 from mvge.homophily import (
+    MAX_BINS,
     global_homophily,
     homophily_histogram,
     homophily_report,
@@ -86,6 +87,14 @@ def test_histogram_empty_input():
 def test_histogram_rejects_zero_bins():
     with pytest.raises(ValidationError):
         homophily_histogram(np.array([0.5]), bins=0)
+
+
+def test_histogram_bins_bounded_above():
+    # one bin more than MAX_BINS, or 10**20 (past int64), is refused before bincount
+    assert len(homophily_histogram(np.array([0.5]), bins=MAX_BINS)) == MAX_BINS
+    for bins in (MAX_BINS + 1, 10**20):
+        with pytest.raises(ValidationError, match=f"bins must be in \\[1, {MAX_BINS}\\]"):
+            homophily_histogram(np.array([0.5]), bins=bins)
 
 
 def test_report_fields(path3):
