@@ -19,7 +19,7 @@ The groups, one line each:
       whose edge budget takes the dense fallback;
   sample_non_edges, sample_label_pairs  both evaluate samplers, on their
       rejection and their dense paths; the label pairs also on many small
-      classes, some of them empty or with one member;
+      classes, on both paths, some of them empty or with one member;
   probe/multiclass, probe/binary  the weights and bias of the logistic-regression
       probe fitted on fixed seeded features, so a probe-only change shows
       apart from the trainings;
@@ -132,16 +132,20 @@ def sampler_lines(n: int):
                  for count in (1, pool // 8, pool // 2, pool)]
     yield "sample_non_edges", digest(*non_edges)
     # many small classes too: only even labels (the odd ones are empty), and
-    # five one-member classes, so the same-class pool is linear in n
+    # five one-member classes, so the same-class pool is linear in n; and classes
+    # of eight, whose same-class pool is also linear in n but large enough for
+    # the rejection loop. pool**2 // (4 * total) is the most pairs that loop draws
     many = np.arange(n) % max(n // 3, 1) * 2
     many[:5] = many.max() + 1 + 2 * np.arange(5)
+    eights = np.arange(n) % max(n // 8, 1)
+    total = n * (n - 1) // 2
     pairs = []
-    for lab in (labels, many):
+    for lab in (labels, many, eights):
         counts = np.bincount(lab)
         same_pool = int((counts * (counts - 1) // 2).sum())
         pairs += [_sample_label_pairs(lab, count, same, np.random.default_rng(count))
-                  for same, pool in ((True, same_pool), (False, n * (n - 1) // 2 - same_pool))
-                  for count in (1, pool // 8, pool // 2, pool)]
+                  for same, pool in ((True, same_pool), (False, total - same_pool))
+                  for count in (1, pool * pool // (4 * total), pool // 8, pool // 2, pool)]
     yield "sample_label_pairs", digest(*pairs)
 
 
