@@ -291,13 +291,18 @@ def _sample_pairs(n: int, count: int, pool: int, kind: str, keep, listed,
                   rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` distinct unordered pairs u < v with ``keep(u, v)`` true,
     out of the ``pool`` such pairs; returns shape (count, 2). ``listed()``
-    returns all ``pool`` pairs, u-major, as shape (pool, 2)."""
+    returns all ``pool`` pairs, u-major, as shape (pool, 2).
+
+    Rejection keeps about pool / total of its uniform draws, total = n(n-1)/2,
+    so it takes about count * total / pool of them. It runs only when
+    pool**2 >= 4 * count * total, which bounds that at sqrt(count * total) / 2;
+    otherwise the pool is listed."""
     if count > pool:
         raise ValidationError(f"need {count} {kind} pairs but only {pool} exist")
     if count == 0:
         return np.empty((0, 2), dtype=np.int64)
-    if count * 4 > pool:
-        # dense enough that rejection would crawl: pick among all kept pairs
+    if pool * pool < 4 * count * (n * (n - 1) // 2):
+        # rejection would crawl: pick among all kept pairs
         return listed()[rng.choice(pool, size=count, replace=False)]
     taken: set[int] = set()
     out = np.empty((count, 2), dtype=np.int64)
@@ -323,8 +328,10 @@ def _sample_pairs(n: int, count: int, pool: int, kind: str, keep, listed,
 
 def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` distinct unordered non-adjacent pairs. The dense path lists
-    all n(n-1)/2 pairs, but only when the non-edges number fewer than 4 * count,
-    so that n(n-1)/2 < 4 * count + num_edges, linear in the input."""
+    all n(n-1)/2 pairs, but only when n(n-1)/2 < max(16 * count, 2 * num_edges),
+    linear in the input: if the non-edges, pool, are at least half of all
+    total = n(n-1)/2 pairs, ``_sample_pairs`` lists them only when
+    total**2 / 4 <= pool**2 < 4 * count * total."""
     def listed():
         iu, iv = np.triu_indices(g.num_nodes, 1)
         kept = ~g.has_edge_mask(iu, iv)
