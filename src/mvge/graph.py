@@ -25,6 +25,7 @@ def is_integer(v) -> bool:
 # the value and the words it asks for
 AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
 AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+SEED_RANGE = (lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 UNIT_RANGE = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 FINITE = (np.isfinite, "finite")
 FINITE_POSITIVE = (lambda v: np.isfinite(v) and v > 0.0, "finite and positive")

@@ -25,8 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from mvge.data import Dataset, EmbeddingSet
-from mvge.graph import (AT_LEAST_0, AT_LEAST_1, FINITE_POSITIVE, UNIT_RANGE, Graph,
-                        ValidationError, check_fields, normalized_adjacency)
+from mvge.graph import (AT_LEAST_0, AT_LEAST_1, FINITE_POSITIVE, SEED_RANGE, UNIT_RANGE,
+                        Graph, ValidationError, check_fields, normalized_adjacency)
 from mvge.numerics import (
     Adam,
     Param,
@@ -137,7 +137,7 @@ class MVGEConfig:
     beta: float = field(default=0.8, metadata={"rule": UNIT_RANGE})
     epochs: int = field(default=200, metadata={"rule": AT_LEAST_0})
     lr: float = field(default=0.01, metadata={"rule": FINITE_POSITIVE})
-    seed: int = field(default=0, metadata={"rule": AT_LEAST_0})
+    seed: int = field(default=0, metadata={"rule": SEED_RANGE})
     walk_lengths: tuple[int, ...] = (3, 5, 10)
     aggr: str = field(default="concat", metadata={"choices": AGGREGATORS})
     merge_fn: str = field(default="concat", metadata={"choices": MERGE_FNS})
@@ -149,7 +149,7 @@ class MVGEConfig:
     def __post_init__(self):
         object.__setattr__(self, "task_mask", frozenset(self.task_mask))
         check_fields(self)
-        # checks the lengths and the seed's upper bound, and gives the lengths as ints
+        # checks the lengths and gives them as ints
         object.__setattr__(self, "walk_lengths", self.walk_config().lengths)
         if self.merge_fn in ("sum", "mean") and self.dim_ego != self.dim_agg:
             raise ValidationError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mvge.graph import Graph, ValidationError, check_fields, is_integer
+from mvge.graph import SEED_RANGE, Graph, ValidationError, check_fields, is_integer
 
 log = logging.getLogger(__name__)
 
@@ -34,7 +34,7 @@ class WalkConfig:
 
     lengths: tuple[int, ...] = (3, 5, 10)
     aggr: str = field(default="concat", metadata={"choices": AGGREGATORS})
-    seed: int = field(default=0, metadata={"rule": (lambda v: 0 <= v < 2**64, "in [0, 2**64)")})
+    seed: int = field(default=0, metadata={"rule": SEED_RANGE})
 
     def __post_init__(self):
         lengths = tuple(self.lengths)

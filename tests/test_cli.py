@@ -490,7 +490,8 @@ def test_help_shows_setting_defaults():
     help_text = " ".join(r.stdout.split())
     for text in ("--epochs EPOCHS default: 200", "default: 3,5,10", "default: adj,agg,ego",
                  "--merge-fn {concat,sum,mean} default: concat",
-                 "--alpha ALPHA default: 0.5; must be in [0, 1]"):
+                 "--alpha ALPHA default: 0.5; must be in [0, 1]",
+                 "--seed SEED default: 0; must be in [0, 2**64)"):
         assert text in help_text
 
 

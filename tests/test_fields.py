@@ -169,7 +169,7 @@ DECLARED = {
     "MVGEConfig.beta": (-0.25, "beta must be in [0, 1], got -0.25"),
     "MVGEConfig.epochs": (-1, "epochs must be >= 0, got -1"),
     "MVGEConfig.lr": (0.0, "lr must be finite and positive, got 0.0"),
-    "MVGEConfig.seed": (-1, "seed must be >= 0, got -1"),
+    "MVGEConfig.seed": (-1, "seed must be in [0, 2**64), got -1"),
     "MVGEConfig.aggr": ("max", "aggr must be one of ('concat', 'mean', 'sum'), got 'max'"),
     "MVGEConfig.merge_fn": ("max", "merge_fn must be one of ('concat', 'sum', 'mean'), got 'max'"),
     "MVGEConfig.ego_encoder": ("mlp", "ego_encoder must be one of ('linear', 'gcn'), got 'mlp'"),
