@@ -6,8 +6,8 @@ probes the merged embedding for node classification, and runs the link
 and pair protocols (which manage their own training on split graphs).
 Results print as mean +/- std over 10 repeats.
 
-Datasets must already be converted to the repo layout, e.g. via
-scripts/convert_linqs.py or scripts/convert_webkb.py. Large graphs
+Datasets must already be converted to the repo layout by
+scripts/convert.py, from a LINQS or a WebKB release. Large graphs
 (pubmed, cora_full) work but take a while at 200 epochs.
 
 Usage:

@@ -35,15 +35,6 @@ from oracles import grad_check
 
 DATA_ROOT = Path(__file__).resolve().parents[1] / "data"
 
-CONVERTERS = {
-    "cora": "convert_linqs.py",
-    "citeseer": "convert_linqs.py",
-    "texas": "convert_webkb.py",
-    "wisconsin": "convert_webkb.py",
-    "cornell": "convert_webkb.py",
-}
-
-
 def _verdict(num, ok, detail):
     line = f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
@@ -55,7 +46,7 @@ def _dataset_or_skip(num, name):
     if not (path / "meta.json").is_file():
         line = (
             f"ACCEPTANCE {num}: SKIP - data/{name} absent; download the raw "
-            f"files and run scripts/{CONVERTERS[name]} (see README)"
+            f"files and run scripts/convert.py (see README)"
         )
         print(line)
         pytest.skip(line)

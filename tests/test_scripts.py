@@ -17,42 +17,89 @@ from mvge.synth import SynthSpec, generate_synthetic
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+def run(name, *args, env=None):
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, args)],
+                          capture_output=True, text=True, timeout=300, env=env)
+
+
 def run_script(name, *args, env=None):
-    r = subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, args)],
-                       capture_output=True, text=True, timeout=300, env=env)
+    r = run(name, *args, env=env)
     assert r.returncode == 0, r.stderr
     return r.stdout
 
 
-def test_convert_linqs(tmp_path):
+# the raw files of each layout, by name
+LINQS = {
+    "toy.content": "p1\t1\t0\t0\tB\np2\t0\t1\t0\tA\np3\t0\t0\t1\tB\np4\t1\t1\t0\tA\n",
+    # one self-citation, one duplicate in reverse and one unknown id
+    "toy.cites": "p1\tp2\np2\tp3\np3\tp1\np1\tp1\np2\tp1\np9\tp1\n",
+}
+WEBKB = {
+    "out1_node_feature_label.txt": "node_id\tfeature\tlabel\n2\t0,1\t1\n0\t1,0\t0\n1\t1,1\t2\n",
+    # one self loop and one duplicate in reverse
+    "out1_graph_edges.txt": "node_id\tnode_id\n0\t1\n1\t2\n2\t2\n1\t0\n",
+}
+
+
+def convert(tmp_path, *files):
+    """Run convert.py on a raw directory holding the given files, later ones
+    overwriting earlier ones of the same name."""
     raw = tmp_path / "raw"
     raw.mkdir()
-    (raw / "toy.content").write_text(
-        "p1\t1\t0\t0\tB\np2\t0\t1\t0\tA\np3\t0\t0\t1\tB\np4\t1\t1\t0\tA\n")
-    # one self-citation, one duplicate in reverse and one unknown id
-    (raw / "toy.cites").write_text(
-        "p1\tp2\np2\tp3\np3\tp1\np1\tp1\np2\tp1\np9\tp1\n")
-    out = run_script("convert_linqs.py", raw, "--name", "toy", "--out", tmp_path / "toy")
-    assert "dropped: 1 citations with unknown ids, 1 self loops, 1 duplicates" in out
+    for name, text in {k: v for f in files for k, v in f.items()}.items():
+        (raw / name).write_text(text)
+    return run("convert.py", raw, "--name", "toy", "--out", tmp_path / "toy")
+
+
+def test_convert_reads_a_linqs_release(tmp_path):
+    r = convert(tmp_path, LINQS)
+    assert r.returncode == 0, r.stderr
+    assert "dropped: 1 edges with unknown ids, 1 self loops, 1 duplicates" in r.stdout
     ds = load_dataset(tmp_path / "toy")
     assert (ds.num_nodes, ds.graph.num_edges, ds.num_features) == (4, 3, 3)
     assert ds.labels.tolist() == [1, 0, 1, 0]
     assert ds.graph.edge_array().tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
-def test_convert_webkb(tmp_path):
-    raw = tmp_path / "raw"
-    raw.mkdir()
-    (raw / "out1_node_feature_label.txt").write_text(
-        "node_id\tfeature\tlabel\n2\t0,1\t1\n0\t1,0\t0\n1\t1,1\t2\n")
-    (raw / "out1_graph_edges.txt").write_text(
-        "node_id\tnode_id\n0\t1\n1\t2\n2\t2\n1\t0\n")
-    out = run_script("convert_webkb.py", raw, "--name", "toy", "--out", tmp_path / "toy")
-    assert "dropped: 1 self loops, 1 duplicates" in out
+def test_convert_reads_a_webkb_release(tmp_path):
+    r = convert(tmp_path, WEBKB)
+    assert r.returncode == 0, r.stderr
+    assert "dropped: 0 edges with unknown ids, 1 self loops, 1 duplicates" in r.stdout
     ds = load_dataset(tmp_path / "toy")
     assert ds.labels.tolist() == [0, 2, 1]
     np.testing.assert_array_equal(ds.features, [[1, 0], [1, 1], [0, 1]])
     assert ds.graph.edge_array().tolist() == [[0, 1], [1, 2]]
+
+
+def test_convert_drops_a_webkb_edge_with_an_unknown_id(tmp_path):
+    # this ended in a KeyError traceback when each layout had its own script
+    edges = {"out1_graph_edges.txt": WEBKB["out1_graph_edges.txt"] + "7\t0\n"}
+    r = convert(tmp_path, WEBKB, edges)
+    assert r.returncode == 0, r.stderr
+    assert "dropped: 1 edges with unknown ids, 1 self loops, 1 duplicates" in r.stdout
+    assert load_dataset(tmp_path / "toy").graph.edge_array().tolist() == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("layout, repeat", [
+    (LINQS, {"toy.content": LINQS["toy.content"] + "p2\t1\t1\t1\tB\n"}),
+    # the WebKB reader kept the last of the repeated rows
+    (WEBKB, {"out1_node_feature_label.txt":
+             WEBKB["out1_node_feature_label.txt"] + "1\t0,0\t0\n"}),
+])
+def test_convert_refuses_a_repeated_node_id(tmp_path, layout, repeat):
+    r = convert(tmp_path, layout, repeat)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: repeated node ids in ")
+    assert not (tmp_path / "toy").exists()
+
+
+@pytest.mark.parametrize("layouts", [(), (LINQS, WEBKB), ({"toy.content": LINQS["toy.content"]},)],
+                         ids=["neither", "both", "half"])
+def test_convert_needs_exactly_one_layout(tmp_path, layouts):
+    r = convert(tmp_path, *layouts)
+    assert r.returncode == 2
+    assert "LINQS (toy.content, toy.cites)" in r.stderr
+    assert "WebKB (out1_node_feature_label.txt, out1_graph_edges.txt)" in r.stderr
 
 
 def test_crossover_sweep(tmp_path):
