@@ -291,12 +291,9 @@ def _sample_pairs(n: int, count: int, pool: int, kind: str, keep, listed,
                   rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` distinct unordered pairs u < v with ``keep(u, v)`` true,
     out of the ``pool`` such pairs; returns shape (count, 2). ``listed()``
-    returns all ``pool`` pairs, u-major, as shape (pool, 2).
-
-    Rejection keeps about pool / total of its uniform draws, total = n(n-1)/2,
-    so it takes about count * total / pool of them. It runs only when
-    pool**2 >= 4 * count * total, which bounds that at sqrt(count * total) / 2;
-    otherwise the pool is listed."""
+    returns all ``pool`` pairs, u-major, as shape (pool, 2). Rejection takes
+    about count * total / pool uniform draws, total = n(n-1)/2; it runs only when
+    pool**2 >= 4 * count * total, which bounds that by sqrt(count * total) / 2."""
     if count > pool:
         raise ValidationError(f"need {count} {kind} pairs but only {pool} exist")
     if count == 0:
