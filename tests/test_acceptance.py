@@ -35,6 +35,7 @@ from oracles import grad_check
 
 DATA_ROOT = Path(__file__).resolve().parents[1] / "data"
 
+
 def _verdict(num, ok, detail):
     line = f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
@@ -46,7 +47,7 @@ def _dataset_or_skip(num, name):
     if not (path / "meta.json").is_file():
         line = (
             f"ACCEPTANCE {num}: SKIP - data/{name} absent; download the raw "
-            f"files and run scripts/convert.py (see README)"
+            "files and run scripts/convert.py (see README)"
         )
         print(line)
         pytest.skip(line)
