@@ -68,7 +68,7 @@ def read_webkb(raw: Path):
     labels = [int(parts[2]) for parts in rows]
     with open(raw / WEBKB_FILES[1]) as fh:
         next(fh)  # header
-        pairs = [(int(a), int(b)) for a, b in (p for p in map(str.split, fh) if len(p) == 2)]
+        pairs = [tuple(map(int, parts)) for parts in map(str.split, fh) if len(parts) == 2]
     edges, unknown = index_edges([int(parts[0]) for parts in rows], pairs, WEBKB_FILES[0])
     return features, labels, max(labels) + 1, None, edges, unknown
 
