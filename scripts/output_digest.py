@@ -134,7 +134,8 @@ def sampler_lines(n: int):
     # many small classes too: only even labels (the odd ones are empty), and
     # five one-member classes, so the same-class pool is linear in n; and classes
     # of eight, whose same-class pool is also linear in n but large enough for
-    # the rejection loop. pool**2 // (4 * total) is the most pairs that loop draws
+    # the rejection loop. min(pool // 4, 16 * pool**2 // total) is the most pairs
+    # that loop draws
     many = np.arange(n) % max(n // 3, 1) * 2
     many[:5] = many.max() + 1 + 2 * np.arange(5)
     eights = np.arange(n) % max(n // 8, 1)
@@ -145,7 +146,8 @@ def sampler_lines(n: int):
         same_pool = int((counts * (counts - 1) // 2).sum())
         pairs += [_sample_label_pairs(lab, count, same, np.random.default_rng(count))
                   for same, pool in ((True, same_pool), (False, total - same_pool))
-                  for count in (1, pool * pool // (4 * total), pool // 8, pool // 2, pool)]
+                  for count in (1, min(pool // 4, 16 * pool * pool // total), pool // 8,
+                                pool // 2, pool)]
     yield "sample_label_pairs", digest(*pairs)
 
 
