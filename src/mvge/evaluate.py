@@ -292,14 +292,17 @@ def _sample_pairs(n: int, count: int, pool: int, kind: str, keep, listed,
     """Draw ``count`` distinct unordered pairs u < v with ``keep(u, v)`` true,
     out of the ``pool`` such pairs; returns shape (count, 2). ``listed()``
     returns all ``pool`` pairs, u-major, as shape (pool, 2). Rejection takes
-    about count * total / pool uniform draws, total = n(n-1)/2; it runs only when
-    pool**2 >= 4 * count * total, which bounds that by sqrt(count * total) / 2."""
+    about count * total / pool uniform draws, total = n(n-1)/2, in O(count)
+    memory; it runs only when pool >= 4 * count and pool**2 >= count * total / 16,
+    so within 4 * sqrt(count * total) draws. Listing holds the pool, then fewer
+    than max(4 * count, sqrt(count * total) / 4) pairs."""
     if count > pool:
         raise ValidationError(f"need {count} {kind} pairs but only {pool} exist")
     if count == 0:
         return np.empty((0, 2), dtype=np.int64)
-    if pool * pool < 4 * count * (n * (n - 1) // 2):
-        # rejection would crawl: pick among all kept pairs
+    if count * 4 > pool or 16 * pool * pool < count * (n * (n - 1) // 2):
+        # dense enough that repeats pile up, or so sparse that rejection would
+        # crawl: pick among all kept pairs
         return listed()[rng.choice(pool, size=count, replace=False)]
     taken: set[int] = set()
     out = np.empty((count, 2), dtype=np.int64)
@@ -325,10 +328,9 @@ def _sample_pairs(n: int, count: int, pool: int, kind: str, keep, listed,
 
 def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` distinct unordered non-adjacent pairs. The dense path lists
-    all n(n-1)/2 pairs, but only when n(n-1)/2 < max(16 * count, 2 * num_edges),
-    linear in the input: if the non-edges, pool, are at least half of all
-    total = n(n-1)/2 pairs, ``_sample_pairs`` lists them only when
-    total**2 / 4 <= pool**2 < 4 * count * total."""
+    all total = n(n-1)/2 pairs, but only when the non-edges, pool, number fewer
+    than 4 * count or than total / 16 (16 * pool**2 < count * total <= pool * total),
+    so that total < 4 * count + 2 * num_edges, linear in the input."""
     def listed():
         iu, iv = np.triu_indices(g.num_nodes, 1)
         kept = ~g.has_edge_mask(iu, iv)

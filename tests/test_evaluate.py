@@ -506,7 +506,7 @@ def reference_non_edges(g, count, rng):
         raise ValidationError(f"need {count} non-edge pairs but only {pool} exist")
     if count == 0:
         return np.empty((0, 2), dtype=np.int64)
-    if pool * pool < 4 * count * (n * (n - 1) // 2):
+    if count * 4 > pool or 16 * pool * pool < count * (n * (n - 1) // 2):
         iu, iv = np.triu_indices(n, k=1)
         mask = ~g.has_edge_mask(iu, iv)
         iu, iv = iu[mask], iv[mask]
@@ -542,7 +542,7 @@ def reference_label_pairs(labels, count, same, rng):
     if count > pool:
         kind = "same-class" if same else "different-class"
         raise ValidationError(f"need {count} {kind} pairs but only {pool} exist")
-    if pool * pool < 4 * count * (n * (n - 1) // 2):
+    if count * 4 > pool or 16 * pool * pool < count * (n * (n - 1) // 2):
         iu, iv = np.triu_indices(n, k=1)
         mask = (labels[iu] == labels[iv]) if same else (labels[iu] != labels[iv])
         iu, iv = iu[mask], iv[mask]
@@ -574,10 +574,10 @@ def reference_label_pairs(labels, count, same, rng):
 def assert_same_draw(sample, reference, pool, total, data):
     """Same pairs, same error message and the same RNG state afterwards.
 
-    Counts are drawn both up to pool**2 / (4 * total) (the rejection loop),
-    total being all n(n-1)/2 pairs, and up to pool + 2 (the enumeration
-    fallback and the too-many message)."""
-    rejected = pool * pool // (4 * max(total, 1))
+    Counts are drawn both up to min(pool / 4, 16 * pool**2 / total) (the
+    rejection loop), total being all n(n-1)/2 pairs, and up to pool + 2 (the
+    enumeration fallback and the too-many message)."""
+    rejected = min(pool // 4, 16 * pool * pool // max(total, 1))
     count = data.draw(st.one_of(st.integers(min_value=0, max_value=rejected),
                                 st.integers(min_value=0, max_value=pool + 2)))
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -631,13 +631,29 @@ def test_dense_label_pair_fallback_time_grows_with_the_pool():
 def test_label_pair_rejection_time_is_bounded():
     # 2000 classes of 20 on 40000 nodes: 380000 same-class pairs, under 0.05% of
     # all 8e8. Rejection drew about 2100 uniform pairs per kept one, 3.6 s on a
-    # 2-vCPU VM; pool**2 < 4 * count * total lists the pool instead
+    # 2-vCPU VM; 16 * pool**2 < count * total lists the pool instead
     labels = np.arange(40000) % 2000
     start = time.perf_counter()
     pairs = _sample_label_pairs(labels, 80000, True, np.random.default_rng(0))
     assert time.perf_counter() - start < 0.5
     assert len(np.unique(pairs, axis=0)) == 80000
     assert (pairs[:, 0] < pairs[:, 1]).all()
+    assert (labels[pairs[:, 0]] == labels[pairs[:, 1]]).all()
+
+
+def test_label_pair_draw_between_the_two_bounds_stays_on_rejection():
+    # 70 classes on 19800 nodes, as many pairs as a 63000-edge graph: a pool of
+    # 2.8e6, about 0.6 * sqrt(count * total). Listing it peaked at 150 MB and took
+    # about as long as rejection's 4.4e6 draws, which peak near 8 MB
+    labels = np.arange(19800) % 70
+    tracemalloc.start()
+    try:
+        pairs = _sample_label_pairs(labels, 63000, True, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert len(np.unique(pairs, axis=0)) == 63000
     assert (labels[pairs[:, 0]] == labels[pairs[:, 1]]).all()
 
 
