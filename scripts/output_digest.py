@@ -267,7 +267,8 @@ def errors_lines():
             *kinds(("dim_ego", "dim_agg", "hidden_dim"), -1, 0),
             ("epochs", -1), ("seed", -1), ("seed", 2**64),
             *kinds(("alpha", "beta", "lr", "sample_ratio"), *not_reals, float("nan")),
-            *kinds(("alpha", "beta"), -0.1, 1.5), *kinds(("lr", "sample_ratio"), 0.0, float("inf")),
+            *kinds(("alpha", "beta"), -0.1, 1.5), ("alpha", 1e-300),
+            *kinds(("lr", "sample_ratio"), 0.0, float("inf")),
             *kinds(("merge_fn", "ego_encoder", "adj_loss_mode", "aggr"), "bogus", None, ["concat"]),
             *kinds(("walk_lengths",), 5, (3.7,), ("3",), (True,), (), (0,), (3, 3)),
             ("task_mask", {"ego", "adjacency"}), ("task_mask", frozenset()),
