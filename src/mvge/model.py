@@ -20,6 +20,7 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,7 +90,7 @@ _ADJ_BLOCK_BYTES = 4 << 20
 # full mode; the copy of H the pair dots gather from and the coefficient
 # matrices in sampled mode. Sums, losses, the parameters, their gradients
 # (float32 products added into float64), Adam, h and every d_h are float64.
-# float32 holds values up to 3.4e38: features past it overflow in train()'s
+# float32 holds values up to 3.4e38: features past it overflow in _prepare's
 # cast, and row norms of H past 1.8e19 overflow a strip (z_ii = |h_i|^2). Both
 # end in a non-finite loss, never a wrong finite value. Finite differences
 # cannot resolve a float32 loss, so the tests' gradient checks set this to float64
@@ -234,7 +235,7 @@ class MVGEModel:
         """Forward the raw-feature branch; returns (h_ego, cache)."""
         return self._encode("ego", x, s, sx)
 
-    def encode_agg(self, x_agg: np.ndarray, s: sp.csr_matrix, sx=None):
+    def encode_agg(self, x_agg: np.ndarray, s: sp.csr_matrix, sx):
         """Forward the walk-feature branch; returns (h_agg, cache)."""
         return self._encode("agg", x_agg, s, sx)
 
@@ -243,17 +244,14 @@ class MVGEModel:
 
     def _encode(self, name: str, x: np.ndarray, s: sp.csr_matrix | None, sx):
         """One branch: a linear layer or two graph convolutions, then a dense
-        skip layer over [x, inner], all in _WORK_DTYPE; returns the float64
-        h and the cache. The first convolution is relu((S x) W1); ``sx`` is
-        S x when the caller took it already (train() does, once per training)."""
+        skip layer over [x, inner], on x, S and ``sx`` = S x as ``_prepare``
+        gives them, in _WORK_DTYPE; returns the float64 h and the cache. The
+        first convolution is relu((S x) W1)."""
         p = self.params
         f = self.f_ego if name == "ego" else self.f_agg
         if x.shape[1] != f:
             raise ValidationError(f"expected {f} {name} features, got {x.shape[1]}")
         dt = _WORK_DTYPE
-        # train() casts x and S once per training, so these copy only for
-        # other callers
-        x = x.astype(dt, copy=False)
         # the cache keeps only what _backward reads: relu(v) > 0 exactly where
         # v > 0 (NaN and -0.0 included), so the ReLU outputs give the masks
         if self._is_linear(name):
@@ -261,11 +259,8 @@ class MVGEModel:
             inner = np.maximum(x @ w1 + b1, 0.0)
             cache = {"x": x}
         else:
-            if s is None:
-                raise ValidationError(f"gcn {name} encoder needs the normalized adjacency")
-            s = s.astype(dt, copy=False)
-            if sx is None:
-                sx = spmm(s, x)
+            if s is None or sx is None:
+                raise ValidationError(f"gcn {name} encoder needs the normalized adjacency and S x")
             g1 = np.maximum(sx @ p[f"{name}_w1"].value.astype(dt), 0.0)
             inner = np.maximum(spmm(s, g1 @ p[f"{name}_w2"].value.astype(dt)), 0.0)
             cache = {"x": x, "sx": sx, "g1": g1, "s_op": s}
@@ -273,12 +268,11 @@ class MVGEModel:
         h = cache["c"] @ p[f"{name}_skip_w"].value.astype(dt) + p[f"{name}_skip_b"].value
         return h, cache
 
-    def embeddings(self, views: ViewPair, s: sp.csr_matrix, sx=None) -> EmbeddingSet:
-        """Both branches' embeddings and their merge; ``sx`` as in _train_step."""
-        sx = sx or {}
-        (h_ego, _), (h_agg, _) = _side_by_side(
-            lambda: self.encode_ego(views.x_ego, s, sx.get("ego")),
-            lambda: self.encode_agg(views.x_agg, s, sx.get("agg")))
+    def embeddings(self, inputs: dict[str, _Inputs], s: sp.csr_matrix) -> EmbeddingSet:
+        """Both branches' embeddings, from what ``_prepare`` returns, and their merge."""
+        ego, agg = inputs["ego"], inputs["agg"]
+        (h_ego, _), (h_agg, _) = _side_by_side(lambda: self.encode_ego(ego.x, s, ego.sx),
+                                               lambda: self.encode_agg(agg.x, s, agg.sx))
         return EmbeddingSet(
             h_ego=h_ego, h_agg=h_agg,
             h=merge_embeddings(h_ego, h_agg, self.cfg.merge_fn),
@@ -315,17 +309,15 @@ class MVGEModel:
 
     def _decode(self, name: str, h: np.ndarray, p: np.ndarray, w: float,
                 d_h: np.ndarray) -> float:
-        """One branch's KL decoder against target distribution ``p``, in
-        _WORK_DTYPE: returns its loss, and adds ``w`` times its gradient to the
-        decoder parameters and to ``d_h`` in place."""
+        """One branch's KL decoder against ``_prepare``'s target distribution
+        ``p``, in _WORK_DTYPE: returns its loss, and adds ``w`` times its
+        gradient to the decoder parameters and to ``d_h`` in place."""
         dt = _WORK_DTYPE
         dec_w = self.params[f"dec_{name}_w"]
         dec_b = self.params[f"dec_{name}_b"]
         h = h.astype(dt)
         w_dt = dec_w.value.astype(dt)
-        # train() casts p once per training, so this copies only for other callers
-        loss, d_recon = _kl_terms(p.astype(dt, copy=False),
-                                  h @ w_dt + dec_b.value.astype(dt))
+        loss, d_recon = _kl_terms(p, h @ w_dt + dec_b.value.astype(dt))
         if w != 0.0:
             d_recon *= w
             dec_w.grad += h.T @ d_recon
@@ -595,28 +587,44 @@ def total_loss(l_ego: float, l_agg: float, l_s: float,
     return beta * (alpha * e + (1.0 - alpha) * a) + (1.0 - beta) * s
 
 
-def _train_step(model: MVGEModel, views: ViewPair, s: sp.csr_matrix,
-                g: Graph, p_ego: np.ndarray, p_agg: np.ndarray,
-                adj_mode: str, neg_rng: np.random.Generator,
-                sx: dict[str, np.ndarray] | None = None):
-    """One forward/backward pass; gradients are left in model.params. ``sx``
-    maps a graph-convolution branch, "ego" or "agg", to S times its view;
-    a branch missing from it takes that product itself."""
+class _Inputs(NamedTuple):
+    """One branch's view x, its KL target p = softmax(x) and S x (or None)."""
+
+    x: np.ndarray
+    p: np.ndarray
+    sx: np.ndarray | None
+
+
+def _prepare(model: MVGEModel, views: ViewPair, s: sp.csr_matrix):
+    """What every step of one training reads, made once: S and, keyed "ego" and
+    "agg", each branch's ``_Inputs``, all in _WORK_DTYPE; S x only for a graph
+    convolution. Features past the dtype's range turn inf in the cast, and the
+    loss of the first step with them."""
+    s = s.astype(_WORK_DTYPE)
+    inputs = {}
+    for name, x in (("ego", views.x_ego), ("agg", views.x_agg)):
+        p, x = softmax_rows(x).astype(_WORK_DTYPE), x.astype(_WORK_DTYPE)
+        inputs[name] = _Inputs(x, p, None if model._is_linear(name) else spmm(s, x))
+    return s, inputs
+
+
+def _train_step(model: MVGEModel, inputs: dict[str, _Inputs], s: sp.csr_matrix,
+                g: Graph, adj_mode: str, neg_rng: np.random.Generator):
+    """One forward/backward pass on ``_prepare``'s inputs; gradients are left in model.params."""
     cfg = model.cfg
     mask = cfg.task_mask
-    sx = sx or {}
 
-    def branch(name, encode, x, p, w):
+    def branch(name, encode, w):
         """Encode one view and decode it; the two branches share no output."""
-        h_view, cache = encode(x, s, sx.get(name))
+        x, p, sx = inputs[name]
+        h_view, cache = encode(x, s, sx)
         d_h_view = np.zeros_like(h_view)
         loss = model._decode(name, h_view, p, w, d_h_view) if name in mask else 0.0
         return h_view, cache, d_h_view, loss
 
     (h_ego, cache_ego, d_h_ego, l_ego), (h_agg, cache_agg, d_h_agg, l_agg) = _side_by_side(
-        lambda: branch("ego", model.encode_ego, views.x_ego, p_ego, cfg.beta * cfg.alpha),
-        lambda: branch("agg", model.encode_agg, views.x_agg, p_agg,
-                       cfg.beta * (1.0 - cfg.alpha)))
+        lambda: branch("ego", model.encode_ego, cfg.beta * cfg.alpha),
+        lambda: branch("agg", model.encode_agg, cfg.beta * (1.0 - cfg.alpha)))
     h = merge_embeddings(h_ego, h_agg, cfg.merge_fn)
 
     l_s = 0.0
@@ -667,18 +675,9 @@ def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
     # a diverging run overflows before its loss turns non-finite; the checks
     # below raise for it, so numpy's warnings would only repeat them
     with np.errstate(over="ignore", invalid="ignore"):
-        # the KL targets and the encoders' inputs, cast once per training; features
-        # past the dtype's range turn inf here, and the loss of epoch 0 with them
-        p_ego, p_agg = (softmax_rows(x).astype(_WORK_DTYPE) for x in (views.x_ego, views.x_agg))
-        views = ViewPair(x_ego=views.x_ego.astype(_WORK_DTYPE),
-                         x_agg=views.x_agg.astype(_WORK_DTYPE))
-        s = s.astype(_WORK_DTYPE)
-        # x and S stay fixed, so each graph convolution's S x is taken once
-        sx = {name: spmm(s, x) for name, x in (("ego", views.x_ego), ("agg", views.x_agg))
-              if not model._is_linear(name)}
+        s, inputs = _prepare(model, views, s)
         for epoch in range(cfg.epochs):
-            l_e, l_a, l_s, l_t = _train_step(model, views, s, g, p_ego, p_agg,
-                                             adj_mode, neg_rng, sx)
+            l_e, l_a, l_s, l_t = _train_step(model, inputs, s, g, adj_mode, neg_rng)
             trace[epoch] = (l_e, l_a, l_s, l_t)
             if not np.isfinite(l_t):
                 raise TrainingDivergedError(
@@ -686,7 +685,7 @@ def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
                 )
             opt.step()
 
-        emb = model.embeddings(views, s, sx)
+        emb = model.embeddings(inputs, s)
     if not (np.isfinite(emb.h).all() and np.isfinite(emb.h_ego).all()
             and np.isfinite(emb.h_agg).all()):
         raise TrainingDivergedError(cfg.epochs, "non-finite embeddings after training")

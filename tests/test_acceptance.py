@@ -26,7 +26,6 @@ from mvge.evaluate import (
 from mvge.graph import Graph, normalized_adjacency
 from mvge.homophily import global_homophily, local_homophily
 from mvge.model import MVGEConfig, MVGEModel, embedding_dim_std, train
-from mvge.numerics import softmax_rows
 from mvge.synth import SynthSpec, generate_synthetic
 from mvge.walks import build_views
 
@@ -206,7 +205,7 @@ def test_acceptance_5_view_spread_ordering(crossover):
 
 
 def test_acceptance_6_gradient_correctness(monkeypatch):
-    from mvge.model import _train_step
+    from mvge.model import _prepare, _train_step
 
     # finite differences resolve the training step only with its float32
     # work (the encoders and the full adjacency loss's strips) in float64
@@ -218,13 +217,12 @@ def test_acceptance_6_gradient_correctness(monkeypatch):
     views = build_views(ds.graph, ds.features, cfg.walk_config())
     s = normalized_adjacency(ds.graph)
     model = MVGEModel(cfg, views.x_ego.shape[1], views.x_agg.shape[1])
-    p_ego = softmax_rows(views.x_ego)
-    p_agg = softmax_rows(views.x_agg)
     mode = cfg.resolve_adj_mode(ds.graph.num_nodes)
 
     def loss():
         rng = np.random.default_rng(7)
-        return _train_step(model, views, s, ds.graph, p_ego, p_agg, mode, rng)[3]
+        s_work, inputs = _prepare(model, views, s)
+        return _train_step(model, inputs, s_work, ds.graph, mode, rng)[3]
 
     worst = grad_check(loss, model.params)
     elapsed = time.perf_counter() - t0

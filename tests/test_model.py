@@ -23,6 +23,7 @@ from mvge.model import (
     MVGEConfig,
     MVGEModel,
     TrainingDivergedError,
+    _prepare,
     _train_step,
     embedding_dim_std,
     merge_embeddings,
@@ -67,7 +68,8 @@ def test_ego_output_width():
 def test_agg_output_width(triangle):
     model, cfg = toy_model(n=3)
     s = normalized_adjacency(triangle)
-    h, _ = model.encode_agg(np.random.default_rng(0).normal(size=(3, 4)), s)
+    x = np.random.default_rng(0).normal(size=(3, 4))
+    h, _ = model.encode_agg(x, s, s @ x)
     assert h.shape == (3, cfg.dim_agg)
 
 
@@ -80,15 +82,19 @@ def test_ego_feature_width_checked():
 def test_agg_feature_width_checked(triangle):
     model, _ = toy_model(n=3, f_agg=4)
     with pytest.raises(ValidationError, match="expected 4 agg features, got 7"):
-        model.encode_agg(np.zeros((3, 7)), normalized_adjacency(triangle))
+        model.encode_agg(np.zeros((3, 7)), normalized_adjacency(triangle), np.zeros((3, 7)))
 
 
 @pytest.mark.parametrize("branch", ["ego", "agg"])
-def test_graph_convolution_branch_needs_operator(branch):
+@pytest.mark.parametrize("given", ["neither", "S only"])
+def test_graph_convolution_branch_needs_operator(branch, given):
+    # S x is taken once per training, before the first step; without it a
+    # graph convolution refuses to run, not takes it itself
     model, _ = toy_model(ego_encoder="gcn")
     encode = model.encode_ego if branch == "ego" else model.encode_agg
+    s = normalized_adjacency(Graph.from_edges(5, [])[0]) if given == "S only" else None
     with pytest.raises(ValidationError, match=f"gcn {branch} encoder needs"):
-        encode(np.zeros((5, 4)), None)
+        encode(np.zeros((5, 4)), s, None)
 
 
 def test_ego_row_permutation_equivariance():
@@ -108,8 +114,9 @@ def test_agg_permutation_equivariance_with_permuted_operator():
     g_p, _ = Graph.from_edges(5, [(inv[u], inv[v]) for u, v in g.edge_array()])
     model, _ = toy_model(n=5)
     x = np.random.default_rng(2).normal(size=(5, 4))
-    h, _ = model.encode_agg(x, normalized_adjacency(g))
-    h_p, _ = model.encode_agg(x[perm], normalized_adjacency(g_p))
+    s, s_p = normalized_adjacency(g), normalized_adjacency(g_p)
+    h, _ = model.encode_agg(x, s, s @ x)
+    h_p, _ = model.encode_agg(x[perm], s_p, s_p @ x[perm])
     assert np.allclose(h_p, h[perm], atol=1e-9)
 
 
@@ -119,10 +126,10 @@ def test_isolated_node_gcn_is_scaled_mlp():
     s = normalized_adjacency(g)
     model, _ = toy_model(n=3)
     x = np.random.default_rng(3).normal(size=(3, 4))
-    h_all, _ = model.encode_agg(x, s)
+    h_all, _ = model.encode_agg(x, s, s @ x)
     g1, _ = Graph.from_edges(1, [])
     s1 = normalized_adjacency(g1)
-    h_one, _ = model.encode_agg(x[1:2], s1)
+    h_one, _ = model.encode_agg(x[1:2], s1, s1 @ x[1:2])
     assert np.allclose(h_one, h_all[1:2])
 
 
@@ -130,7 +137,7 @@ def test_constant_rows_on_regular_graph_stay_constant(triangle):
     s = normalized_adjacency(triangle)
     model, _ = toy_model(n=3)
     x = np.tile(np.array([1.0, -2.0, 0.5, 3.0]), (3, 1))
-    h, _ = model.encode_agg(x, s)
+    h, _ = model.encode_agg(x, s, s @ x)
     assert np.allclose(h, h[0])
 
 
@@ -138,7 +145,7 @@ def test_gcn_ego_encoder_variant(triangle):
     model, cfg = toy_model(n=3, ego_encoder="gcn")
     s = normalized_adjacency(triangle)
     x = np.random.default_rng(4).normal(size=(3, 4))
-    h, _ = model.encode_ego(x, s)
+    h, _ = model.encode_ego(x, s, s @ x)
     assert h.shape == (3, cfg.dim_ego)
     with pytest.raises(ValidationError, match="adjacency"):
         model.encode_ego(x)
@@ -787,18 +794,19 @@ def test_total_loss_affine_coefficients(alpha, beta):
 
 def toy_step(ds, **cfg_kw):
     """A fresh model on ``ds`` and a closure that runs one _train_step of it,
-    on a fixed negative-sampling stream, and returns the total loss."""
+    on a fixed negative-sampling stream, and returns the total loss. The
+    closure prepares its inputs itself, so they take the _WORK_DTYPE it runs
+    under."""
     cfg = toy_cfg(**cfg_kw)
     views = build_views(ds.graph, ds.features, cfg.walk_config())
     s = normalized_adjacency(ds.graph)
     model = MVGEModel(cfg, views.x_ego.shape[1], views.x_agg.shape[1])
-    p_ego = softmax_rows(views.x_ego)
-    p_agg = softmax_rows(views.x_agg)
     mode = cfg.resolve_adj_mode(ds.graph.num_nodes)
 
     def step():
         rng = np.random.default_rng(7)  # fixed stream keeps sampled mode smooth
-        return _train_step(model, views, s, ds.graph, p_ego, p_agg, mode, rng)[3]
+        s_work, inputs = _prepare(model, views, s)
+        return _train_step(model, inputs, s_work, ds.graph, mode, rng)[3]
 
     return model, step
 
@@ -918,7 +926,7 @@ def test_float32_kl_decoder_tracks_float64(n, f, d, w, x_scale, h_scale, seed):
         d_h = np.zeros_like(h)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mvge.model, "_WORK_DTYPE", dtype)
-            loss = model._decode("ego", h, p, w, d_h)
+            loss = model._decode("ego", h, p.astype(dtype), w, d_h)
         got[dtype] = loss, model.params["dec_ego_b"].grad, model.params["dec_ego_w"].grad, d_h
     entropy = -(p * np.log(np.maximum(p, 1e-12))).sum()
     dec_w = model.params["dec_ego_w"].value
@@ -928,6 +936,36 @@ def test_float32_kl_decoder_tracks_float64(n, f, d, w, x_scale, h_scale, seed):
                                          (2e-5, 6e-6, 9e-6, 1.2e-5)):
         assert np.asarray(value).dtype == np.float64
         assert np.all(np.abs(value - want) <= bound * scale)
+
+
+@pytest.mark.parametrize("encoder", EGO_ENCODERS)
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_takes_s_x_once_per_training(monkeypatch, encoder, epochs):
+    # S x once per graph convolution in _prepare; after it, each convolution
+    # branch takes one S product in every step and one in the final pass
+    calls = []
+    spmm = mvge.model.spmm
+    monkeypatch.setattr(mvge.model, "spmm", lambda s, x: calls.append(x.shape) or spmm(s, x))
+    ds = random_dataset(np.random.default_rng(5), n=10, p_edge=0.3)
+    train(ds, toy_cfg(epochs=epochs, ego_encoder=encoder))
+    branches = 2 if encoder == "gcn" else 1
+    assert len(calls) == branches * (epochs + 2)
+
+
+@pytest.mark.parametrize("encoder", EGO_ENCODERS)
+def test_prepare_gives_every_array_in_the_work_dtype(encoder):
+    ds = random_dataset(np.random.default_rng(5), n=10, p_edge=0.3)
+    cfg = toy_cfg(ego_encoder=encoder)
+    views = build_views(ds.graph, ds.features, cfg.walk_config())
+    model = MVGEModel(cfg, views.x_ego.shape[1], views.x_agg.shape[1])
+    for dtype in (np.float32, np.float64):
+        with pytest.MonkeyPatch.context() as mp:
+            if dtype == np.float64:
+                use_float64_work(mp)
+            s, inputs = _prepare(model, views, normalized_adjacency(ds.graph))
+        assert (inputs["ego"].sx is None) == (encoder == "linear")
+        arrays = [s] + [a for b in inputs.values() for a in (b.x, b.p, b.sx) if a is not None]
+        assert all(a.dtype == dtype for a in arrays)
 
 
 @pytest.mark.parametrize("encoder", EGO_ENCODERS)
