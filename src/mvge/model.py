@@ -85,7 +85,7 @@ _FULL_SECONDS_AT_5000 = 0.24
 _ADJ_BLOCK_BYTES = 4 << 20
 
 # dtype of the float32 work: x, S, S x, the activations and every product of
-# the encoders; p, the recon product, softmax, both logs and q - p of the KL
+# the encoders; p, the recon product, softmax, log q and q - p of the KL
 # decoders; the strips z = H H^T and their |z|, exp, log1p and tanh passes in
 # full mode; the copy of H the pair dots gather from and the coefficient
 # matrices in sampled mode. Sums, losses, the parameters, their gradients
@@ -307,17 +307,17 @@ class MVGEModel:
         # S is symmetric, so x^T S d_g1 = (S x)^T d_g1
         p[f"{name}_w1"].grad += cache["sx"].T @ d_g1
 
-    def _decode(self, name: str, h: np.ndarray, p: np.ndarray, w: float,
+    def _decode(self, name: str, h: np.ndarray, p: np.ndarray, p_log_p: float, w: float,
                 d_h: np.ndarray) -> float:
-        """One branch's KL decoder against ``_prepare``'s target distribution
-        ``p``, in _WORK_DTYPE: returns its loss, and adds ``w`` times its
+        """One branch's KL decoder against ``_prepare``'s target ``p`` and sum
+        ``p_log_p``, in _WORK_DTYPE: returns its loss, and adds ``w`` times its
         gradient to the decoder parameters and to ``d_h`` in place."""
         dt = _WORK_DTYPE
         dec_w = self.params[f"dec_{name}_w"]
         dec_b = self.params[f"dec_{name}_b"]
         h = h.astype(dt)
         w_dt = dec_w.value.astype(dt)
-        loss, d_recon = _kl_terms(p, h @ w_dt + dec_b.value.astype(dt))
+        loss, d_recon = _kl_terms(p, p_log_p, h @ w_dt + dec_b.value.astype(dt))
         if w != 0.0:
             d_recon *= w
             dec_w.grad += h.T @ d_recon
@@ -340,12 +340,19 @@ def merge_embeddings(h_ego: np.ndarray, h_agg: np.ndarray, fn: str) -> np.ndarra
     return h_ego + h_agg if fn == "sum" else (h_ego + h_agg) / 2.0
 
 
-def _kl_terms(p: np.ndarray, recon: np.ndarray):
-    """Loss and logit gradient for a precomputed target distribution, in the
-    inputs' dtype; the loss is summed in float64."""
-    q = softmax_rows(recon)
-    logs = np.log(np.maximum(p, _LOG_FLOOR)) - np.log(np.maximum(q, _LOG_FLOOR))
-    return float((p * logs).sum(dtype=np.float64)), q - p
+def _kl_terms(p: np.ndarray, p_log_p: float, recon: np.ndarray):
+    """Loss and logit gradient for a target distribution ``p`` whose sum of
+    p log p is ``p_log_p``, in the inputs' dtype; p log q is summed in float64."""
+    p_log_q = (p * _log_softmax(recon)).sum(dtype=np.float64)
+    return p_log_p - float(p_log_q), softmax_rows(recon) - p
+
+
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise log softmax(x), at least log(_LOG_FLOOR), in x's dtype: shifted x less
+    the log of its row sum of exp, a float64 sum, so a log near 0 stays precise."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    log_sum = np.log(np.exp(shifted).sum(axis=1, keepdims=True, dtype=np.float64))
+    return np.maximum(shifted - log_sum.astype(x.dtype), float(np.log(_LOG_FLOOR)))
 
 
 def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
@@ -588,23 +595,26 @@ def total_loss(l_ego: float, l_agg: float, l_s: float,
 
 
 class _Inputs(NamedTuple):
-    """One branch's view x, its KL target p = softmax(x) and S x (or None)."""
+    """One branch's view x, KL target p = softmax(x), float64 sum of p log p, S x or None."""
 
     x: np.ndarray
     p: np.ndarray
+    p_log_p: float
     sx: np.ndarray | None
 
 
 def _prepare(model: MVGEModel, views: ViewPair, s: sp.csr_matrix):
     """What every step of one training reads, made once: S and, keyed "ego" and
-    "agg", each branch's ``_Inputs``, all in _WORK_DTYPE; S x only for a graph
-    convolution. Features past the dtype's range turn inf in the cast, and the
-    loss of the first step with them."""
+    "agg", each branch's ``_Inputs``, the arrays in _WORK_DTYPE; S x only for a
+    graph convolution. Features past the dtype's range turn inf in the cast,
+    and the loss of the first step with them."""
     s = s.astype(_WORK_DTYPE)
     inputs = {}
     for name, x in (("ego", views.x_ego), ("agg", views.x_agg)):
-        p, x = softmax_rows(x).astype(_WORK_DTYPE), x.astype(_WORK_DTYPE)
-        inputs[name] = _Inputs(x, p, None if model._is_linear(name) else spmm(s, x))
+        p, xw = softmax_rows(x), x.astype(_WORK_DTYPE)
+        p_log_p = float((p * _log_softmax(x)).sum(dtype=np.float64))
+        inputs[name] = _Inputs(xw, p.astype(_WORK_DTYPE), p_log_p,
+                               None if model._is_linear(name) else spmm(s, xw))
     return s, inputs
 
 
@@ -616,10 +626,10 @@ def _train_step(model: MVGEModel, inputs: dict[str, _Inputs], s: sp.csr_matrix,
 
     def branch(name, encode, w):
         """Encode one view and decode it; the two branches share no output."""
-        x, p, sx = inputs[name]
+        x, p, p_log_p, sx = inputs[name]
         h_view, cache = encode(x, s, sx)
         d_h_view = np.zeros_like(h_view)
-        loss = model._decode(name, h_view, p, w, d_h_view) if name in mask else 0.0
+        loss = model._decode(name, h_view, p, p_log_p, w, d_h_view) if name in mask else 0.0
         return h_view, cache, d_h_view, loss
 
     (h_ego, cache_ego, d_h_ego, l_ego), (h_agg, cache_agg, d_h_agg, l_agg) = _side_by_side(

@@ -15,7 +15,7 @@ import numpy as np
 
 from mvge.evaluate import _NODE_TAG, _STD_FLOOR, LogRegModel, SplitSpec, micro_f1
 from mvge.graph import EdgeRepairs, Graph, ValidationError
-from mvge.model import _adjacency_terms, _kl_terms
+from mvge.model import _adjacency_terms, _kl_terms, _log_softmax
 from mvge.numerics import Adam, Param, sigmoid, softmax_rows
 
 # ulps of error allowed in each loss that grad_check evaluates; see its docstring
@@ -97,7 +97,9 @@ def kl_feature_loss(targets: np.ndarray, recon: np.ndarray) -> float:
     if targets.shape != recon.shape:
         raise ValidationError(f"shape mismatch: {targets.shape} vs {recon.shape}")
     targets = np.asarray(targets, dtype=np.float64)
-    return _kl_terms(softmax_rows(targets), np.asarray(recon, dtype=np.float64))[0]
+    p = softmax_rows(targets)
+    p_log_p = float((p * _log_softmax(targets)).sum(dtype=np.float64))
+    return _kl_terms(p, p_log_p, np.asarray(recon, dtype=np.float64))[0]
 
 
 def float64_logreg_fit(x: np.ndarray, y: np.ndarray, num_classes: int):
