@@ -152,6 +152,12 @@ class MVGEConfig:
         check_fields(self)
         # checks the lengths and gives them as ints
         object.__setattr__(self, "walk_lengths", self.walk_config().lengths)
+        tiny = float(np.finfo(np.float32).tiny)  # a float32 decoder gradient flushes below it
+        for what, w in (("alpha", self.beta * self.alpha),
+                        ("(1 - alpha)", self.beta * (1.0 - self.alpha))):
+            if 0.0 < w < tiny:
+                raise ValidationError(f"task weight beta * {what} = {w:.3g} is below float32's "
+                                      f"smallest normal {tiny:.3g}; its gradient would flush to 0")
         if self.merge_fn in ("sum", "mean") and self.dim_ego != self.dim_agg:
             raise ValidationError(
                 f"merge_fn {self.merge_fn!r} needs dim_ego == dim_agg, "

@@ -675,6 +675,8 @@ MALFORMED = {
     "pair_embedding_rows_61": _pair_embedding_rows(61),
     "lr_nan": _embed_value("--lr", "nan", "lr must be finite"),
     "lr_inf": _embed_value("--lr", "inf", "lr must be finite"),
+    "alpha_flushed_in_float32": _embed_value(
+        "--alpha", "1e-300", "task weight beta * alpha = 8e-301 is below float32's smallest normal"),
     "sample_ratio_nan": _embed_value("--sample-ratio", "nan", "sample_ratio"),
     "sample_ratio_inf": _embed_value("--sample-ratio", "inf", "sample_ratio"),
     "synth_avg_degree_nan": _synth_value("--avg-degree", "nan", "avg_degree"),

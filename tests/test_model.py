@@ -909,8 +909,9 @@ def test_float32_train_step_tracks_float64(n, f, p_edge, encoder, mode, seed):
 # The loss takes sum p log p in float64 and log q as a log-softmax; over 30000
 # draws weighted to the corners its worst ratio was 5.2e-6, against 129 draws
 # past the bound when it took log p and log q of the float32 p and q.
-# w is a task weight, beta * alpha or beta * (1 - alpha); far below float32's
-# smallest normal, 1.2e-38, the scaled float32 gradient flushes to zero
+# w is a task weight, beta * alpha or beta * (1 - alpha); below float32's
+# smallest normal, 1.2e-38, the scaled float32 gradient flushes to zero, so
+# MVGEConfig refuses a weight between 0 and it
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=8),
        st.sampled_from([1, 4, 32]),
        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
