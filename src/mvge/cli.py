@@ -41,8 +41,8 @@ from mvge.data import (
     read_json_object,
     save_dataset,
     save_embeddings,
+    write_csv,
     write_json,
-    write_lines,
 )
 from mvge.evaluate import (
     SplitSpec,
@@ -158,10 +158,6 @@ def _spec(cls, args: argparse.Namespace, **fixed):
     return cls(**{**_given(cls, args), **fixed})
 
 
-def _write_csv(path: str | Path, header: str, rows) -> None:
-    write_lines(path, [header, *(",".join(map(str, row)) for row in rows)])
-
-
 def _emit(obj, out: str | None) -> None:
     if out:
         write_json(out, obj)
@@ -222,7 +218,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     report = homophily_report(ds.graph, ds.labels, bins=args.bins)
     if args.local_csv:
         rows = [(v, repr(float(x))) for v, x in enumerate(report.local)]
-        _write_csv(args.local_csv, "node,local_homophily", rows)
+        write_csv(args.local_csv, "node,local_homophily", rows)
     _emit(report.to_dict(), args.out)
     return EXIT_OK
 
@@ -247,9 +243,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
     _, emb, trace = train(ds, cfg)
     out = Path(args.out)
     written = save_embeddings(emb, out / "embeddings", fmt=args.format)
-    _write_csv(out / "trace.csv", "epoch,l_ego,l_agg,l_s,l_total",
-               [(i, repr(a), repr(b), repr(c), repr(d))
-                for i, a, b, c, d in trace.rows()])
+    write_csv(out / "trace.csv", "epoch,l_ego,l_agg,l_s,l_total",
+              [(i, repr(a), repr(b), repr(c), repr(d)) for i, a, b, c, d in trace.rows()])
     names = [p.name for p in written] + ["trace.csv"]
     _write_manifest(out, "embed", cfg, cfg.seed, args.dataset, started, names)
     print(f"embedded {ds.num_nodes} nodes into width {emb.h.shape[1]} at {out}")
@@ -293,8 +288,8 @@ def _write_reports(args: argparse.Namespace, report, cfg: MVGEConfig | None = No
         out = Path(args.out)
         names = ["report.json", "repeats.csv"]
         write_json(out / "report.json", report.to_dict())
-        _write_csv(out / "repeats.csv", f"repeat,{report.metric}",
-                   [(i, repr(s)) for i, s in enumerate(report.scores)])
+        write_csv(out / "repeats.csv", f"repeat,{report.metric}",
+                  [(i, repr(s)) for i, s in enumerate(report.scores)])
         if splits is not None:
             write_json(out / "splits.json", splits)
             names.append("splits.json")
@@ -312,8 +307,8 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         ds, cfg, grid_step=args.grid_step, val_fraction=args.val_fraction
     )
     out = Path(args.out)
-    _write_csv(out / "grid.csv", "alpha,beta,score",
-               [(repr(a), repr(b), repr(s)) for a, b, s in table])
+    write_csv(out / "grid.csv", "alpha,beta,score",
+              [(repr(a), repr(b), repr(s)) for a, b, s in table])
     best_score = max(s for _, _, s in table)
     write_json(out / "best.json", {"alpha": alpha, "beta": beta, "score": best_score})
     _write_manifest(out, "gridsearch", cfg, cfg.seed, args.dataset, started,
@@ -335,11 +330,9 @@ def cmd_diag(args: argparse.Namespace) -> int:
         sig = embedding_dim_std(load_matrix(path))
         rows.extend((view, i, repr(float(s))) for i, s in enumerate(sig))
     if args.out:
-        _write_csv(args.out, "view,dim,sigma", rows)
+        write_csv(args.out, "view,dim,sigma", rows)
     else:
-        print("view,dim,sigma")
-        for row in rows:
-            print(",".join(str(x) for x in row))
+        print("view,dim,sigma", *(",".join(map(str, row)) for row in rows), sep="\n")
     return EXIT_OK
 
 

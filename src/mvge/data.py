@@ -112,6 +112,12 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     _atomic_write(Path(path), (f"{line}\n".encode() for line in lines))
 
 
+def write_csv(path: str | Path, header: str, rows: Iterable) -> None:
+    """Write ``header``, then each row as its values' str joined by commas,
+    one line at a time."""
+    write_lines(path, itertools.chain([header], (",".join(map(str, row)) for row in rows)))
+
+
 def read_json_object(path: str | Path, what: str) -> dict:
     """Parse a JSON file that must hold an object; ValidationError otherwise."""
     try:
@@ -261,15 +267,12 @@ def _csv_rows(m: np.ndarray) -> list[str]:
     return [row_fmt % tuple(row.tolist()) for row in m]
 
 
-def _write_csv(rows: Iterable[str], dim: int, path: str | Path) -> None:
-    header = "node," + ",".join(f"e{j}" for j in range(dim))
-    write_lines(path, itertools.chain([header], (f"{i},{row}" for i, row in enumerate(rows))))
-
-
-def save_matrix_csv(m: np.ndarray, path: str | Path) -> None:
-    """Write one matrix as CSV with a "node,e0,..." header, 9 significant digits."""
-    m = np.asarray(m, dtype=np.float64)
-    _write_csv(_csv_rows(m), m.shape[1], path)
+def save_matrix_csv(m: np.ndarray, path: str | Path, rows: Iterable[str] | None = None) -> None:
+    """Write one matrix as CSV with a "node,e0,..." header, 9 significant
+    digits; ``rows`` are its rows as ``_csv_rows`` formats them, if at hand."""
+    if rows is None:
+        rows = _csv_rows(np.asarray(m, dtype=np.float64))
+    write_csv(path, "node," + ",".join(f"e{j}" for j in range(np.shape(m)[1])), enumerate(rows))
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
@@ -341,7 +344,7 @@ def save_embeddings(e: EmbeddingSet, base: str | Path, fmt: str = "binary") -> l
             save_matrix_binary(m, written[-1])
         if fmt in ("csv", "both"):
             written.append(embedding_path(base, view, "csv"))
-            _write_csv(rows[view], m.shape[1], written[-1])
+            save_matrix_csv(m, written[-1], rows[view])
     return written
 
 
