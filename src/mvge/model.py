@@ -197,11 +197,8 @@ class TrainTrace:
         return len(self.l_total)
 
     def rows(self) -> list[tuple[int, float, float, float, float]]:
-        return [
-            (i, float(self.l_ego[i]), float(self.l_agg[i]),
-             float(self.l_s[i]), float(self.l_total[i]))
-            for i in range(len(self))
-        ]
+        cols = zip(self.l_ego, self.l_agg, self.l_s, self.l_total)
+        return [(i, *map(float, row)) for i, row in enumerate(cols)]
 
 
 class MVGEModel:
@@ -279,10 +276,7 @@ class MVGEModel:
         ego, agg = inputs["ego"], inputs["agg"]
         (h_ego, _), (h_agg, _) = _side_by_side(lambda: self.encode_ego(ego.x, s, ego.sx),
                                                lambda: self.encode_agg(agg.x, s, agg.sx))
-        return EmbeddingSet(
-            h_ego=h_ego, h_agg=h_agg,
-            h=merge_embeddings(h_ego, h_agg, self.cfg.merge_fn),
-        )
+        return EmbeddingSet(h_ego, h_agg, merge_embeddings(h_ego, h_agg, self.cfg.merge_fn))
 
     def _backward_ego(self, d_h: np.ndarray, cache: dict) -> None:
         self._backward("ego", d_h, cache)
@@ -319,8 +313,7 @@ class MVGEModel:
         ``p_log_p``, in _WORK_DTYPE: returns its loss, and adds ``w`` times its
         gradient to the decoder parameters and to ``d_h`` in place."""
         dt = _WORK_DTYPE
-        dec_w = self.params[f"dec_{name}_w"]
-        dec_b = self.params[f"dec_{name}_b"]
+        dec_w, dec_b = self.params[f"dec_{name}_w"], self.params[f"dec_{name}_b"]
         h = h.astype(dt)
         w_dt = dec_w.value.astype(dt)
         loss, d_recon = _kl_terms(p, p_log_p, h @ w_dt + dec_b.value.astype(dt))
@@ -693,22 +686,15 @@ def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):
     with np.errstate(over="ignore", invalid="ignore"):
         s, inputs = _prepare(model, views, s)
         for epoch in range(cfg.epochs):
-            l_e, l_a, l_s, l_t = _train_step(model, inputs, s, g, adj_mode, neg_rng)
-            trace[epoch] = (l_e, l_a, l_s, l_t)
-            if not np.isfinite(l_t):
-                raise TrainingDivergedError(
-                    epoch, f"non-finite loss {l_t!r} at epoch {epoch}"
-                )
+            trace[epoch] = loss = _train_step(model, inputs, s, g, adj_mode, neg_rng)
+            if not np.isfinite(loss[3]):
+                raise TrainingDivergedError(epoch, f"non-finite loss {loss[3]!r} at epoch {epoch}")
             opt.step()
 
         emb = model.embeddings(inputs, s)
-    if not (np.isfinite(emb.h).all() and np.isfinite(emb.h_ego).all()
-            and np.isfinite(emb.h_agg).all()):
+    if not all(np.isfinite(m).all() for m in (emb.h, emb.h_ego, emb.h_agg)):
         raise TrainingDivergedError(cfg.epochs, "non-finite embeddings after training")
-    return model, emb, TrainTrace(
-        l_ego=trace[:, 0].copy(), l_agg=trace[:, 1].copy(),
-        l_s=trace[:, 2].copy(), l_total=trace[:, 3].copy(),
-    )
+    return model, emb, TrainTrace(*trace.T.copy())
 
 
 def embedding_dim_std(h: np.ndarray) -> np.ndarray:
