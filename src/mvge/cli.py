@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: stats, synth, embed, eval-node, eval-link, eval-pair,
-gridsearch, diag. Reports are JSON, tables are CSV with headers, and
-every training subcommand writes a run manifest capturing the fully
-resolved configuration, seed, dataset checksum, tool version, the
-environment (python, numpy, scipy, BLAS and its threads, CPUs, adjacency
+gridsearch, diag. Reports are JSON, tables are CSV with headers. After
+synth and each training subcommand that was given --out, ``main`` writes a
+run manifest from what the command wrote: the files, the fully resolved
+configuration (or synth's generator), seed, dataset checksum, tool version,
+the environment (python, numpy, scipy, BLAS and its threads, CPUs, adjacency
 loss workers) and duration. Re-running a command with the same flags and
 seed rewrites primary outputs byte for byte (on one machine the manifest
 differs only in duration).
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import logging
 import platform
@@ -34,7 +34,7 @@ import scipy
 
 from mvge import __version__
 from mvge.data import (
-    DATASET_FILES,
+    dataset_checksum,
     embedding_path,
     load_dataset,
     load_matrix,
@@ -68,18 +68,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _dataset_checksum(directory: Path) -> str:
-    """sha256 over the dataset files, in fixed order."""
-    digest = hashlib.sha256()
-    for name in DATASET_FILES:
-        path = directory / name
-        if path.is_file():
-            digest.update(name.encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 def _config_to_dict(cfg: MVGEConfig) -> dict:
     d = dataclasses.asdict(cfg)
     d["task_mask"] = sorted(cfg.task_mask)
@@ -89,7 +77,7 @@ def _config_to_dict(cfg: MVGEConfig) -> dict:
 def _resolve_config(args: argparse.Namespace) -> MVGEConfig:
     """defaults < --config JSON < explicit flags, then validate."""
     d = _config_to_dict(MVGEConfig())
-    if getattr(args, "config", None):
+    if args.config:
         overlay = read_json_object(args.config, "config")
         # a run manifest doubles as a config via its resolved_config block
         overlay = overlay.get("resolved_config", overlay)
@@ -103,7 +91,7 @@ def _resolve_config(args: argparse.Namespace) -> MVGEConfig:
     try:
         return MVGEConfig(**d)
     except (TypeError, ValueError) as exc:  # ValidationError, or a wrong JSON type
-        where = f"bad value in config {args.config}: " if getattr(args, "config", None) else ""
+        where = f"bad value in config {args.config}: " if args.config else ""
         raise ValidationError(f"{where}{exc}") from None
 
 
@@ -158,37 +146,27 @@ def _spec(cls, args: argparse.Namespace, **fixed):
     return cls(**{**_given(cls, args), **fixed})
 
 
-def _emit(obj, out: str | None) -> None:
-    if out:
-        write_json(out, obj)
-    else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _write_manifest(out: Path, command: str, cfg: MVGEConfig | None, seed: int,
-                    dataset_dir: str | None, started: float, outputs: list[str],
-                    extra: dict | None = None) -> None:
-    """Write ``out/run_manifest.json``: the command, its resolved config and
-    seed, the dataset checksum, the environment and the duration."""
+def _write_manifest(args: argparse.Namespace, outputs: list, spec: MVGEConfig | SynthSpec) -> None:
+    """Write ``run_manifest.json`` into ``args.out``: ``args.command``, the names of its
+    ``outputs``, the seed and either the resolved config (``spec`` an MVGEConfig) or
+    the generator (a SynthSpec), the checksum of the dataset directory it read or,
+    for synth, wrote, the environment and the time since ``args.started``."""
+    dataset = getattr(args, "dataset", str(Path(args.out)))
     m = {
         "tool": "mvge",
         "version": __version__,
-        "command": command,
-        "seed": seed,
-        "duration_seconds": time.time() - started,
-        "outputs": sorted(outputs),
+        "command": args.command,
+        "seed": spec.seed,
+        "duration_seconds": time.time() - args.started,
+        "outputs": sorted(Path(p).name for p in outputs),
         "env": _environment(),
+        "dataset": {"path": dataset, "sha256": dataset_checksum(dataset)},
     }
-    if cfg is not None:
-        m["resolved_config"] = _config_to_dict(cfg)
-    if dataset_dir is not None:
-        m["dataset"] = {
-            "path": str(dataset_dir),
-            "sha256": _dataset_checksum(Path(dataset_dir)),
-        }
-    if extra:
-        m.update(extra)
-    write_json(out / "run_manifest.json", m)
+    if isinstance(spec, MVGEConfig):
+        m["resolved_config"] = _config_to_dict(spec)
+    else:
+        m["generator"] = dataclasses.asdict(spec)
+    write_json(Path(args.out) / "run_manifest.json", m)
 
 
 def _environment() -> dict:
@@ -213,31 +191,27 @@ def _load_labeled(args: argparse.Namespace, what: str):
     return ds
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> None:
     ds = _load_labeled(args, "stats")
     report = homophily_report(ds.graph, ds.labels, bins=args.bins)
     if args.local_csv:
         rows = [(v, repr(float(x))) for v, x in enumerate(report.local)]
         write_csv(args.local_csv, "node,local_homophily", rows)
-    _emit(report.to_dict(), args.out)
-    return EXIT_OK
+    if args.out:
+        write_json(args.out, report.to_dict())
+    else:
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_synth(args: argparse.Namespace) -> tuple[list, SynthSpec]:
     spec = _spec(SynthSpec, args)
     ds = generate_synthetic(spec)
-    out = Path(args.out)
-    save_dataset(ds, out, extra_meta={"generator": dataclasses.asdict(spec)})
-    written = [p.name for p in out.iterdir() if p.name in DATASET_FILES]
-    _write_manifest(out, "synth", None, spec.seed, str(out), started, written,
-                    extra={"generator": dataclasses.asdict(spec)})
-    print(f"wrote {ds.name} to {out}")
-    return EXIT_OK
+    written = save_dataset(ds, args.out, extra_meta={"generator": dataclasses.asdict(spec)})
+    print(f"wrote {ds.name} to {Path(args.out)}")
+    return written, spec
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_embed(args: argparse.Namespace) -> tuple[list, MVGEConfig]:
     cfg = _resolve_config(args)
     ds = load_dataset(args.dataset)
     _, emb, trace = train(ds, cfg)
@@ -245,62 +219,53 @@ def cmd_embed(args: argparse.Namespace) -> int:
     written = save_embeddings(emb, out / "embeddings", fmt=args.format)
     write_csv(out / "trace.csv", "epoch,l_ego,l_agg,l_s,l_total",
               [(i, repr(a), repr(b), repr(c), repr(d)) for i, a, b, c, d in trace.rows()])
-    names = [p.name for p in written] + ["trace.csv"]
-    _write_manifest(out, "embed", cfg, cfg.seed, args.dataset, started, names)
     print(f"embedded {ds.num_nodes} nodes into width {emb.h.shape[1]} at {out}")
-    return EXIT_OK
+    return [*written, "trace.csv"], cfg
 
 
-def cmd_eval_node(args: argparse.Namespace) -> int:
+def cmd_eval_node(args: argparse.Namespace) -> None:
     ds = _load_labeled(args, "node evaluation")
     h = load_matrix(args.embeddings)
     spec = _spec(SplitSpec, args, task="node")
-    report = node_classification_eval(h, ds.labels, spec)
-    _write_reports(args, report)
-    return EXIT_OK
+    _write_reports(args, node_classification_eval(h, ds.labels, spec))
 
 
-def cmd_eval_link(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_eval_link(args: argparse.Namespace) -> tuple[list, MVGEConfig] | None:
     cfg = _resolve_config(args)
     ds = load_dataset(args.dataset)
     spec = _spec(SplitSpec, args, task="link", seed=cfg.seed)
     split_log: list = []
     report = link_prediction_eval(ds, cfg, spec, split_log=split_log)
-    _write_reports(args, report, cfg=cfg, splits=split_log, started=started)
-    return EXIT_OK
+    return _write_reports(args, report, cfg, splits=split_log)
 
 
-def cmd_eval_pair(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_eval_pair(args: argparse.Namespace) -> tuple[list, MVGEConfig] | None:
     cfg = _resolve_config(args)
     ds = load_dataset(args.dataset)
     h = load_matrix(args.embeddings) if args.embeddings else None
     spec = _spec(SplitSpec, args, task="pair", seed=cfg.seed)
-    report = pairwise_eval(ds, cfg, spec, h=h)
-    _write_reports(args, report, cfg=cfg, started=started)
-    return EXIT_OK
+    return _write_reports(args, pairwise_eval(ds, cfg, spec, h=h), cfg)
 
 
 def _write_reports(args: argparse.Namespace, report, cfg: MVGEConfig | None = None,
-                   splits: list | None = None, started: float | None = None) -> None:
+                   splits: list | None = None) -> tuple[list, MVGEConfig] | None:
+    """Print the report and, with --out, write it, its scores and any splits there;
+    returns those files and ``cfg`` for the manifest, if both were given."""
+    written = []
     if args.out:
         out = Path(args.out)
-        names = ["report.json", "repeats.csv"]
         write_json(out / "report.json", report.to_dict())
         write_csv(out / "repeats.csv", f"repeat,{report.metric}",
                   [(i, repr(s)) for i, s in enumerate(report.scores)])
+        written = ["report.json", "repeats.csv"]
         if splits is not None:
             write_json(out / "splits.json", splits)
-            names.append("splits.json")
-        if cfg is not None:
-            _write_manifest(out, f"eval-{report.task}", cfg, cfg.seed, args.dataset,
-                            started or time.time(), names)
+            written.append("splits.json")
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    return (written, cfg) if written and cfg is not None else None
 
 
-def cmd_gridsearch(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_gridsearch(args: argparse.Namespace) -> tuple[list, MVGEConfig]:
     cfg = _resolve_config(args)
     ds = _load_labeled(args, "grid search")
     alpha, beta, table = grid_search_alpha_beta(
@@ -311,13 +276,11 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
               [(repr(a), repr(b), repr(s)) for a, b, s in table])
     best_score = max(s for _, _, s in table)
     write_json(out / "best.json", {"alpha": alpha, "beta": beta, "score": best_score})
-    _write_manifest(out, "gridsearch", cfg, cfg.seed, args.dataset, started,
-                    ["grid.csv", "best.json"])
     print(f"best alpha={alpha} beta={beta} score={best_score}")
-    return EXIT_OK
+    return ["grid.csv", "best.json"], cfg
 
 
-def cmd_diag(args: argparse.Namespace) -> int:
+def cmd_diag(args: argparse.Namespace) -> None:
     base = Path(args.embeddings)
     fmt = "csv" if base.suffix == ".csv" else "binary"
     if base.suffix in (".bin", ".csv"):
@@ -333,7 +296,6 @@ def cmd_diag(args: argparse.Namespace) -> int:
         write_csv(args.out, "view,dim,sigma", rows)
     else:
         print("view,dim,sigma", *(",".join(map(str, row)) for row in rows), sep="\n")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,8 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log to stderr: -v at INFO, -vv at DEBUG")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    config_help = "JSON config or run manifest to start from"
     report_help = "report directory (stdout only if omitted)"
+
+    def training(name: str, summary: str) -> argparse.ArgumentParser:
+        """A subcommand that trains on a dataset directory, with every MVGEConfig flag."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("dataset")
+        p.add_argument("--config", help="JSON config or run manifest to start from")
+        _add_fields(p, MVGEConfig)
+        return p
 
     p = sub.add_parser("stats", help="homophily report for a dataset directory")
     p.add_argument("dataset")
@@ -363,10 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, type=_out_dir, help="output dataset directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("embed", help="train and write embeddings")
-    p.add_argument("dataset")
-    p.add_argument("--config", help=config_help)
-    _add_fields(p, MVGEConfig)
+    p = training("embed", "train and write embeddings")
     p.add_argument("--format", choices=("binary", "csv", "both"), default="both")
     p.add_argument("--out", required=True, type=_out_dir, help="output directory")
     p.set_defaults(func=cmd_embed)
@@ -379,28 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help=report_help)
     p.set_defaults(func=cmd_eval_node)
 
-    p = sub.add_parser("eval-link", help="link prediction (retrains per repeat)")
-    p.add_argument("dataset")
-    p.add_argument("--config", help=config_help)
-    _add_fields(p, MVGEConfig)
+    p = training("eval-link", "link prediction (retrains per repeat)")
     _add_fields(p, SplitSpec("link"), skip=("task", "seed"))
     p.add_argument("--out", help=report_help)
     p.set_defaults(func=cmd_eval_link)
 
-    p = sub.add_parser("eval-pair", help="same-class pair detection")
-    p.add_argument("dataset")
+    p = training("eval-pair", "same-class pair detection")
     p.add_argument("--embeddings",
                    help="optional embedding matrix file; trains if omitted")
-    p.add_argument("--config", help=config_help)
-    _add_fields(p, MVGEConfig)
     _add_fields(p, SplitSpec("pair"), skip=("task", "seed"))
     p.add_argument("--out", help=report_help)
     p.set_defaults(func=cmd_eval_pair)
 
-    p = sub.add_parser("gridsearch", help="alpha/beta grid search")
-    p.add_argument("dataset")
-    p.add_argument("--config", help=config_help)
-    _add_fields(p, MVGEConfig)
+    p = training("gridsearch", "alpha/beta grid search")
     p.add_argument("--grid-step", dest="grid_step", type=float, default=0.1)
     p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.7)
     p.add_argument("--out", required=True, type=_out_dir, help="output directory")
@@ -421,8 +378,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.verbose:
         logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
         logging.getLogger("mvge").setLevel(logging.INFO if args.verbose == 1 else logging.DEBUG)
+    args.started = time.time()
     try:
-        return args.func(args)
+        record = args.func(args)
+        if record is not None:  # the files it wrote and its MVGEConfig or SynthSpec
+            _write_manifest(args, *record)
+        return EXIT_OK
     except (TrainingDivergedError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -14,6 +14,7 @@ N*dim float32 values row-major. The CSV variant has a
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import logging
@@ -219,8 +220,8 @@ def load_dataset(directory: str | Path) -> Dataset:
     return ds
 
 
-def save_dataset(ds: Dataset, directory: str | Path, extra_meta: dict | None = None) -> None:
-    """Write a dataset directory; output is byte-deterministic."""
+def save_dataset(ds: Dataset, directory: str | Path, extra_meta: dict | None = None) -> list[Path]:
+    """Write a dataset directory, byte-deterministic; returns the written paths."""
     directory = Path(directory)
     write_lines(directory / "edges.tsv", [f"{u}\t{v}" for u, v in ds.graph.edge_array().tolist()])
     # repr() round-trips float64 exactly, keeping save -> load a fixed point
@@ -237,6 +238,21 @@ def save_dataset(ds: Dataset, directory: str | Path, extra_meta: dict | None = N
     if extra_meta:
         meta.update(extra_meta)
     write_json(directory / "meta.json", meta)
+    return [directory / name for name in DATASET_FILES
+            if name != "labels.txt" or ds.labels is not None]
+
+
+def dataset_checksum(directory: str | Path) -> str:
+    """sha256 over the ``DATASET_FILES`` present in ``directory``, in that order:
+    each file's name, a NUL byte and its bytes."""
+    digest = hashlib.sha256()
+    for name in DATASET_FILES:
+        path = Path(directory) / name
+        if path.is_file():
+            digest.update(name.encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def save_matrix_binary(m: np.ndarray, path: str | Path) -> None:

@@ -34,7 +34,6 @@ from mvge.numerics import (
     blas_info,
     glorot,
     sigmoid,
-    softmax_rows,
     softplus,
     spmm,
     spmm_backward,
@@ -342,16 +341,21 @@ def merge_embeddings(h_ego: np.ndarray, h_agg: np.ndarray, fn: str) -> np.ndarra
 def _kl_terms(p: np.ndarray, p_log_p: float, recon: np.ndarray):
     """Loss and logit gradient for a target distribution ``p`` whose sum of
     p log p is ``p_log_p``, in the inputs' dtype; p log q is summed in float64."""
-    p_log_q = (p * _log_softmax(recon)).sum(dtype=np.float64)
-    return p_log_p - float(p_log_q), softmax_rows(recon) - p
+    q, log_q = _softmax(recon)
+    p_log_q = (p * log_q).sum(dtype=np.float64)
+    q -= p
+    return p_log_p - float(p_log_q), q
 
 
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    """Row-wise log softmax(x), at least log(_LOG_FLOOR), in x's dtype: shifted x less
-    the log of its row sum of exp, a float64 sum, so a log near 0 stays precise."""
+def _softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax(x), over a row sum in x's dtype, and log softmax(x), at least
+    log(_LOG_FLOOR), from one exp of x less its row max: the shifted x less the log
+    of a float64 row sum, so a log near 0 stays precise. Both in x's dtype."""
     shifted = x - x.max(axis=1, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=1, keepdims=True, dtype=np.float64))
-    return np.maximum(shifted - log_sum.astype(x.dtype), float(np.log(_LOG_FLOOR)))
+    e = np.exp(shifted)
+    shifted -= np.log(e.sum(axis=1, keepdims=True, dtype=np.float64)).astype(x.dtype)
+    e /= e.sum(axis=1, keepdims=True)
+    return e, np.maximum(shifted, float(np.log(_LOG_FLOOR)), out=shifted)
 
 
 def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
@@ -610,8 +614,9 @@ def _prepare(model: MVGEModel, views: ViewPair, s: sp.csr_matrix):
     s = s.astype(_WORK_DTYPE)
     inputs = {}
     for name, x in (("ego", views.x_ego), ("agg", views.x_agg)):
-        p, xw = softmax_rows(x), x.astype(_WORK_DTYPE)
-        p_log_p = float((p * _log_softmax(x)).sum(dtype=np.float64))
+        (p, log_p), xw = _softmax(x), x.astype(_WORK_DTYPE)
+        p_log_p = float(np.multiply(log_p, p, out=log_p).sum(dtype=np.float64))
+        del log_p  # before S x: held through it, it raised pubmed-sampled's peak RSS
         inputs[name] = _Inputs(xw, p.astype(_WORK_DTYPE), p_log_p,
                                None if model._is_linear(name) else spmm(s, xw))
     return s, inputs

@@ -101,13 +101,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for stability."""
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + exp(x)) computed without overflow."""
     # max(x, 0) + log1p(exp(-|x|)); cheaper than logaddexp on big arrays

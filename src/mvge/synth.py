@@ -12,14 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mvge.data import Dataset
-from mvge.graph import (AT_LEAST_0, AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, UNIT_RANGE, Graph,
-                        ValidationError, check_fields, label_pairs)
+from mvge.graph import (AT_LEAST_0, AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, MAX_NODES,
+                        UNIT_RANGE, Graph, ValidationError, check_fields, label_pairs)
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    # past 2**32, Generator.integers(num_nodes) leaves the 32-bit words _sample_pairs replays
-    num_nodes: int = field(metadata={"rule": (lambda v: v <= 2**32, "<= 2**32")})
+    # Graph.from_edges refuses more nodes, after the per-node arrays; the bound is also
+    # below 2**32, past which Generator.integers leaves the words _sample_pairs replays
+    num_nodes: int = field(metadata={"rule": (lambda v: v <= MAX_NODES, f"<= {MAX_NODES}")})
     num_classes: int
     target_homophily: float = field(metadata={"rule": UNIT_RANGE})
     avg_degree: float = field(default=4.0, metadata={"rule": FINITE_NON_NEGATIVE})

@@ -9,14 +9,16 @@
   probe fit per repeat, as taken before the repeats were fitted as a stack.
 - ``canonicalize_edges_by_rows``: ``canonicalize_edges`` with the row-wise
   ``np.unique(axis=0)`` it deduplicated with before it used int64 keys.
+- ``softmax_rows``: a row-wise softmax on its own, with the bits of the
+  softmax half of ``mvge.model._softmax``.
 """
 
 import numpy as np
 
 from mvge.evaluate import _NODE_TAG, _STD_FLOOR, LogRegModel, SplitSpec, micro_f1
 from mvge.graph import EdgeRepairs, Graph, ValidationError
-from mvge.model import _adjacency_terms, _kl_terms, _log_softmax
-from mvge.numerics import Adam, Param, sigmoid, softmax_rows
+from mvge.model import _adjacency_terms, _kl_terms, _softmax
+from mvge.numerics import Adam, Param, sigmoid
 
 # ulps of error allowed in each loss that grad_check evaluates; see its docstring
 ROUNDOFF_ULPS = 4
@@ -97,8 +99,8 @@ def kl_feature_loss(targets: np.ndarray, recon: np.ndarray) -> float:
     if targets.shape != recon.shape:
         raise ValidationError(f"shape mismatch: {targets.shape} vs {recon.shape}")
     targets = np.asarray(targets, dtype=np.float64)
-    p = softmax_rows(targets)
-    p_log_p = float((p * _log_softmax(targets)).sum(dtype=np.float64))
+    p, log_p = _softmax(targets)
+    p_log_p = float((p * log_p).sum(dtype=np.float64))
     return _kl_terms(p, p_log_p, np.asarray(recon, dtype=np.float64))[0]
 
 
@@ -158,3 +160,10 @@ def canonicalize_edges_by_rows(edges, num_nodes: int):
     pairs = np.unique(np.stack([lo, hi], axis=1), axis=0) if len(lo) else np.empty((0, 2), np.int64)
     return pairs, EdgeRepairs(self_loops_dropped=int(loops.sum()),
                               duplicates_dropped=len(edges) - len(pairs))
+
+
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max subtraction for stability."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)

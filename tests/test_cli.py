@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, artifacts, replay."""
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import platform
@@ -295,6 +298,100 @@ def test_eval_link_writes_split_manifest(tmp_path):
     assert len(splits) == 2
     assert splits[0]["repeat"] == 0
     assert splits[0]["test_pos"]
+
+
+# -- the run manifest: one per command that trains or generates ---------------
+
+_MODEL = ("--epochs", 2, "--dim-ego", 4, "--dim-agg", 4, "--hidden-dim", 4,
+          "--walk-lengths", "3", "--seed", 5)
+# argv after the command; None stands for the dataset directory it reads
+MANIFEST_COMMANDS = {
+    "synth": ("--n", 40, "--c", 2, "--h", "0.7", "--feature-dim", 4, "--seed", 5),
+    "embed": (None, *_MODEL, "--format", "binary"),
+    "eval-link": (None, *_MODEL, "--repeats", 2),
+    "eval-pair": (None, *_MODEL, "--repeats", 2),
+    "gridsearch": (None, *_MODEL, "--grid-step", 1.0),
+}
+
+
+def _dataset_sha256(directory) -> str:
+    """sha256 over each dataset file present: its name, a NUL byte, its bytes."""
+    digest = hashlib.sha256()
+    for name in ("meta.json", "edges.tsv", "features.csv", "labels.txt"):
+        if (directory / name).is_file():
+            digest.update(name.encode() + b"\0" + (directory / name).read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def manifest_runs(tmp_path_factory, synth_dir):
+    """Each command of MANIFEST_COMMANDS run in-process into an --out of its own."""
+    root = tmp_path_factory.mktemp("manifests")
+    outs = {}
+    for command, argv in MANIFEST_COMMANDS.items():
+        outs[command] = root / command
+        argv = [synth_dir if a is None else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([command, *map(str, argv), "--out", str(outs[command])]) == 0
+    return outs
+
+
+@pytest.mark.parametrize("command", MANIFEST_COMMANDS)
+def test_manifest_records_what_the_command_wrote(manifest_runs, synth_dir, command):
+    out = manifest_runs[command]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["seed"] == 5
+    assert manifest["outputs"] == sorted(p.name for p in out.iterdir()
+                                         if p.name != "run_manifest.json")
+    read = out if command == "synth" else synth_dir
+    assert manifest["dataset"] == {"path": str(read), "sha256": _dataset_sha256(read)}
+    trained = command != "synth"
+    assert ("resolved_config" in manifest) == trained
+    assert ("generator" in manifest) == (not trained)
+    if trained:
+        assert manifest["resolved_config"]["epochs"] == 2
+        assert manifest["resolved_config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("stats", ("{data}", "--out", "{out}/report.json")),
+    ("eval-node", ("{data}", "--embeddings", "{emb}", "--repeats", 2, "--out", "{out}")),
+    ("diag", ("--embeddings", "{emb}", "--out", "{out}/sigma.csv")),
+])
+def test_commands_that_only_read_write_no_manifest(manifest_runs, synth_dir, tmp_path,
+                                                   command, argv):
+    emb = manifest_runs["embed"] / "embeddings.bin"
+    out = tmp_path / command
+    out.mkdir()
+    argv = [str(a).format(data=synth_dir, emb=emb, out=out) for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, *argv]) == 0
+    assert any(out.iterdir())
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_eval_without_out_writes_nothing(tmp_path, synth_dir, capsys):
+    # the report goes to stdout alone: no --out, no directory, no manifest
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path)
+        assert cli.main(["eval-pair", str(synth_dir), *map(str, _MODEL), "--repeats", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["task"] == "pair"
+    assert not any(tmp_path.iterdir())
+
+
+def test_synth_past_max_nodes_exits_2_before_generating(tmp_path, monkeypatch, capsys):
+    # Graph.from_edges refuses this size, but only after ~24 GB of per-node
+    # arrays; the spec refuses it first, so generation is never reached
+    def never(spec):
+        raise AssertionError("generate_synthetic reached")
+
+    monkeypatch.setattr(cli, "generate_synthetic", never)
+    argv = ["synth", "--n", "3037000500", "--c", "2", "--h", "0.5", "--avg-degree", "0",
+            "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: num_nodes must be <= 3037000499, got 3037000500\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_eval_pair_runs(tmp_path, synth_dir):

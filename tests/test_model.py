@@ -30,13 +30,13 @@ from mvge.model import (
     total_loss,
     train,
 )
-from mvge.numerics import sigmoid, softmax_rows, softplus
+from mvge.numerics import sigmoid, softplus
 from mvge.synth import SynthSpec, generate_synthetic
 from mvge.walks import ViewPair, build_views
 
 from conftest import (edge_lists, feature_matrices, hostile_datasets, make_dataset,
                       random_dataset)
-from oracles import adjacency_loss, grad_check, kl_feature_loss
+from oracles import adjacency_loss, grad_check, kl_feature_loss, softmax_rows
 
 
 def toy_cfg(**kw):
@@ -211,6 +211,20 @@ def test_kl_matches_manual_formula():
     p, q = softmax_rows(x), softmax_rows(z)
     manual = float((p * (np.log(p) - np.log(q))).sum())
     assert kl_feature_loss(x, z) == pytest.approx(manual, rel=1e-12)
+
+
+@given(feature_matrices(), st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=60, deadline=None)
+def test_softmax_pass_gives_both_halves(x, dtype):
+    # one exp serves the softmax, with the bits of a softmax alone, and the log
+    # softmax, floored at log(_LOG_FLOOR)
+    x = x.astype(dtype)
+    q, log_q = mvge.model._softmax(x)
+    assert q.dtype == log_q.dtype == dtype
+    np.testing.assert_array_equal(q, softmax_rows(x))
+    want = np.maximum(scipy.special.log_softmax(x.astype(np.float64), axis=1),
+                      np.log(mvge.model._LOG_FLOOR))
+    np.testing.assert_allclose(log_q, want, rtol=0.0, atol=1e-4 if dtype is np.float32 else 1e-12)
 
 
 @given(feature_matrices(), st.integers(min_value=0, max_value=2 ** 16))
@@ -926,8 +940,8 @@ def test_float32_train_step_tracks_float64(n, f, p_edge, encoder, mode, seed):
 def test_float32_kl_decoder_tracks_float64(n, f, d, w, x_scale, h_scale, seed):
     rng = np.random.default_rng(seed)
     x = x_scale * rng.normal(size=(n, f))
-    p = softmax_rows(x)
-    p_log_p = float((p * mvge.model._log_softmax(x)).sum())
+    p, log_p = mvge.model._softmax(x)
+    p_log_p = float((p * log_p).sum())
     h = h_scale * rng.normal(size=(n, d))
     got = {}
     for dtype in (np.float32, np.float64):

@@ -17,7 +17,6 @@ from mvge.numerics import (
     child_seed,
     glorot,
     sigmoid,
-    softmax_rows,
     softplus,
     spmm,
     spmm_backward,
@@ -25,7 +24,7 @@ from mvge.numerics import (
 )
 
 from conftest import feature_matrices
-from oracles import grad_check
+from oracles import grad_check, softmax_rows
 
 
 # -- forward ops -------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvge.data import save_dataset
-from mvge.graph import Graph, ValidationError
+from mvge.graph import MAX_NODES, Graph, ValidationError
 from mvge.homophily import global_homophily
 from mvge import synth
 from mvge.synth import _WORDS, SynthSpec, _lemire, _sample_pairs, generate_synthetic
@@ -157,9 +157,11 @@ def test_bad_homophily_range_rejected():
 
 
 def test_num_nodes_rule_bounds_only_from_above():
-    # the <= 2**32 rule (refusal pinned in test_fields.DECLARED) takes 2**32 itself
-    # and leaves the lower end, with its message, to __post_init__
-    assert spec_with(num_nodes=2**32, avg_degree=0.0).num_nodes == 2**32
+    # the <= MAX_NODES rule (refusal pinned in test_fields.DECLARED) takes MAX_NODES
+    # itself, below the replay's 2**32, and leaves the lower end, with its message,
+    # to __post_init__
+    assert MAX_NODES < 2**32
+    assert spec_with(num_nodes=MAX_NODES, avg_degree=0.0).num_nodes == MAX_NODES
     for n in (0, -1):
         with pytest.raises(ValidationError, match="need num_nodes >= num_classes >= 1"):
             spec_with(num_nodes=n)
