@@ -14,7 +14,7 @@ one BLAS thread on two or more CPUs):
 The groups, one line each:
   train/<encoder>/<merge>/<mode>/<tasks>  h, h_ego, h_agg and the loss trace
       of every ego encoder x merge function x adjacency mode x task mask
-      (all tasks, or ego or agg dropped);
+      (all tasks, or ego, agg or adj dropped);
   synth             graphs and features over a grid of specs, including specs
       whose edge budget takes the dense fallback;
   sample_non_edges, sample_label_pairs  both evaluate samplers, on their
@@ -79,7 +79,8 @@ from mvge.model import EGO_ENCODERS, MERGE_FNS, MVGEConfig, adjacency_workers, t
 from mvge.synth import SynthSpec, generate_synthetic
 from mvge.walks import WalkConfig
 
-MASKS = {"all": ("ego", "agg", "adj"), "no-ego": ("agg", "adj"), "no-agg": ("ego", "adj")}
+MASKS = {"all": ("ego", "agg", "adj"), "no-ego": ("agg", "adj"), "no-agg": ("ego", "adj"),
+         "no-adj": ("ego", "agg")}
 
 
 def digest(*arrays) -> str:
