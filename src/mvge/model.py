@@ -257,15 +257,17 @@ class MVGEModel:
         # the cache keeps only what _backward reads: relu(v) > 0 exactly where
         # v > 0 (NaN and -0.0 included), so the ReLU outputs give the masks
         if self._is_linear(name):
-            w1, b1 = p["ego_w1"].value.astype(dt), p["ego_b1"].value.astype(dt)
-            inner = np.maximum(x @ w1 + b1, 0.0)
+            inner = x @ p["ego_w1"].value.astype(dt)
+            inner += p["ego_b1"].value.astype(dt)
             cache = {"x": x}
         else:
             if s is None or sx is None:
                 raise ValidationError(f"gcn {name} encoder needs the normalized adjacency and S x")
-            g1 = np.maximum(sx @ p[f"{name}_w1"].value.astype(dt), 0.0)
-            inner = np.maximum(spmm(s, g1 @ p[f"{name}_w2"].value.astype(dt)), 0.0)
+            g1 = sx @ p[f"{name}_w1"].value.astype(dt)
+            np.maximum(g1, 0.0, out=g1)
+            inner = spmm(s, g1 @ p[f"{name}_w2"].value.astype(dt))
             cache = {"x": x, "sx": sx, "g1": g1, "s_op": s}
+        np.maximum(inner, 0.0, out=inner)
         cache["c"] = np.concatenate([x, inner], axis=1)
         h = cache["c"] @ p[f"{name}_skip_w"].value.astype(dt) + p[f"{name}_skip_b"].value
         return h, cache
@@ -285,24 +287,32 @@ class MVGEModel:
 
     def _backward(self, name: str, d_h: np.ndarray, cache: dict) -> None:
         """Adds the branch's weight gradients for the float64 ``d_h``: each a
-        _WORK_DTYPE product added into float64."""
+        _WORK_DTYPE product added into float64. Consumes ``cache``: its
+        activations leave it after their last read, so that each is freed then."""
         p = self.params
         dt = _WORK_DTYPE
         skip_w = p[f"{name}_skip_w"]
         p[f"{name}_skip_b"].grad += d_h.sum(axis=0, keepdims=True)
         d_h = d_h.astype(dt, copy=False)
-        skip_w.grad += cache["c"].T @ d_h
+        c = cache.pop("c")
+        skip_w.grad += c.T @ d_h
         f = cache["x"].shape[1]
         d_inner = d_h @ skip_w.value[f:].astype(dt).T
-        d_inner *= cache["c"][:, f:] > 0.0
+        del d_h
+        d_inner *= c[:, f:] > 0.0
+        del c
         if self._is_linear(name):
             p["ego_w1"].grad += cache["x"].T @ d_inner
             p["ego_b1"].grad += d_inner.sum(axis=0, keepdims=True, dtype=np.float64)
             return
         d_b2 = spmm_backward(cache["s_op"], d_inner)
-        p[f"{name}_w2"].grad += cache["g1"].T @ d_b2
+        del d_inner
+        g1 = cache.pop("g1")
+        p[f"{name}_w2"].grad += g1.T @ d_b2
         d_g1 = d_b2 @ p[f"{name}_w2"].value.astype(dt).T
-        d_g1 *= cache["g1"] > 0.0
+        del d_b2
+        d_g1 *= g1 > 0.0
+        del g1
         # S is symmetric, so x^T S d_g1 = (S x)^T d_g1
         p[f"{name}_w1"].grad += cache["sx"].T @ d_g1
 
@@ -315,7 +325,10 @@ class MVGEModel:
         dec_w, dec_b = self.params[f"dec_{name}_w"], self.params[f"dec_{name}_b"]
         h = h.astype(dt)
         w_dt = dec_w.value.astype(dt)
-        loss, d_recon = _kl_terms(p, p_log_p, h @ w_dt + dec_b.value.astype(dt))
+        recon = h @ w_dt
+        recon += dec_b.value.astype(dt)
+        loss, d_recon = _kl_terms(p, p_log_p, recon)
+        del recon  # _kl_terms left log q in it
         if w != 0.0:
             d_recon *= w
             dec_w.grad += h.T @ d_recon
@@ -340,9 +353,10 @@ def merge_embeddings(h_ego: np.ndarray, h_agg: np.ndarray, fn: str) -> np.ndarra
 
 def _kl_terms(p: np.ndarray, p_log_p: float, recon: np.ndarray):
     """Loss and logit gradient for a target distribution ``p`` whose sum of
-    p log p is ``p_log_p``, in the inputs' dtype; p log q is summed in float64."""
+    p log p is ``p_log_p``, in the inputs' dtype; p log q is summed in float64.
+    Overwrites ``recon``, as ``_softmax`` does."""
     q, log_q = _softmax(recon)
-    p_log_q = (p * log_q).sum(dtype=np.float64)
+    p_log_q = np.multiply(p, log_q, out=log_q).sum(dtype=np.float64)
     q -= p
     return p_log_p - float(p_log_q), q
 
@@ -350,12 +364,13 @@ def _kl_terms(p: np.ndarray, p_log_p: float, recon: np.ndarray):
 def _softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax(x), over a row sum in x's dtype, and log softmax(x), at least
     log(_LOG_FLOOR), from one exp of x less its row max: the shifted x less the log
-    of a float64 row sum, so a log near 0 stays precise. Both in x's dtype."""
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    shifted -= np.log(e.sum(axis=1, keepdims=True, dtype=np.float64)).astype(x.dtype)
+    of a float64 row sum, so a log near 0 stays precise. Both in x's dtype; the log
+    softmax is x itself, overwritten in place."""
+    x -= x.max(axis=1, keepdims=True)
+    e = np.exp(x)
+    x -= np.log(e.sum(axis=1, keepdims=True, dtype=np.float64)).astype(x.dtype)
     e /= e.sum(axis=1, keepdims=True)
-    return e, np.maximum(shifted, float(np.log(_LOG_FLOOR)), out=shifted)
+    return e, np.maximum(x, float(np.log(_LOG_FLOOR)), out=x)
 
 
 def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
@@ -373,6 +388,8 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
         # is sum(H * A H), softplus(z) = (z + |z|) / 2 + log1p(exp(-|z|)), and
         # sum(z) = |col|^2 with col the column sums of H
         ah = g.adjacency @ h
+        # taken before the strip buffers exist, so that its product is not held beside them
+        edge_sum = (h * ah).sum()
         col = h.sum(axis=0)
         dt = np.dtype(_WORK_DTYPE)
         block = max(1, _ADJ_BLOCK_BYTES // (dt.itemsize * n))
@@ -396,10 +413,12 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
             # A's results before B's, so the bits do not depend on the worker count
             t += t_b
             abs_sum, log_sum = abs_a + abs_b, log_a + log_b
-            loss = (0.5 * (col @ col + abs_sum) + log_sum - (h * ah).sum()) / (n * n)
+            loss = (0.5 * (col @ col + abs_sum) + log_sum - edge_sum) / (n * n)
             t += col
-            t -= 2.0 * ah
-        return float(loss), t / (n * n)
+            ah *= 2.0
+            t -= ah
+            t /= n * n
+        return float(loss), t
     if mode != "sampled":
         raise ValidationError(f"adjacency loss mode must be full or sampled, got {mode!r}")
     if rng is None:
@@ -417,15 +436,22 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
     dt = _WORK_DTYPE
     # both parts read one copy of H in the work dtype, each through its own
     # gather buffer, allocated here as in full mode. The negatives stay on the
-    # calling thread, the only one that draws from rng
+    # calling thread, the only one that draws from rng. Each large array goes
+    # after its last read; h only where the caller holds no other reference
     hs = h.astype(dt)
-    buf_p, buf_n = (np.empty((2, min(_PAIR_CHUNK_ROWS, rows), h.shape[1]), dt)
+    del h
+    buf_p, buf_n = (np.empty((2, min(_PAIR_CHUNK_ROWS, rows), hs.shape[1]), dt)
                     for rows in (n_pos // 2, n_neg))
     (loss_p, d_h_p), (loss_n, d_h_n) = _side_by_side(
         lambda: _positive_part(hs, g, total, buf_p),
         lambda: _negative_part(hs, g, n_neg, total, rng, buf_n))
-    # P's results before N's, so the bits do not depend on the worker count
-    return float((loss_p + loss_n) / total), np.add(d_h_p, d_h_n, dtype=np.float64)
+    del hs
+    # P's results before N's, so the bits do not depend on the worker count; the
+    # same bits as np.add(d_h_p, d_h_n, dtype=np.float64)
+    d_h = d_h_p.astype(np.float64)
+    del d_h_p
+    d_h += d_h_n
+    return float((loss_p + loss_n) / total), d_h
 
 
 def _positive_part(hs, g: Graph, total: int, buf):
@@ -614,7 +640,7 @@ def _prepare(model: MVGEModel, views: ViewPair, s: sp.csr_matrix):
     s = s.astype(_WORK_DTYPE)
     inputs = {}
     for name, x in (("ego", views.x_ego), ("agg", views.x_agg)):
-        (p, log_p), xw = _softmax(x), x.astype(_WORK_DTYPE)
+        (p, log_p), xw = _softmax(x.copy()), x.astype(_WORK_DTYPE)
         p_log_p = float(np.multiply(log_p, p, out=log_p).sum(dtype=np.float64))
         del log_p  # before S x: held through it, it raised pubmed-sampled's peak RSS
         inputs[name] = _Inputs(xw, p.astype(_WORK_DTYPE), p_log_p,
@@ -639,22 +665,31 @@ def _train_step(model: MVGEModel, inputs: dict[str, _Inputs], s: sp.csr_matrix,
     (h_ego, cache_ego, d_h_ego, l_ego), (h_agg, cache_agg, d_h_agg, l_agg) = _side_by_side(
         lambda: branch("ego", model.encode_ego, cfg.beta * cfg.alpha),
         lambda: branch("agg", model.encode_agg, cfg.beta * (1.0 - cfg.alpha)))
-    h = merge_embeddings(h_ego, h_agg, cfg.merge_fn)
 
+    # each array goes after its last read: the views' h after the merge, which
+    # only the adjacency loss reads, and the merged h inside that loss, which
+    # gets it popped into the call with no reference left here (an argument
+    # on the caller's stack is the callee's alone from CPython 3.11 on)
     l_s = 0.0
     if "adj" in mask:
-        l_s, d_h_adj = _adjacency_terms(h, g, adj_mode, rng=neg_rng,
+        h = [merge_embeddings(h_ego, h_agg, cfg.merge_fn)]
+        del h_ego, h_agg
+        l_s, d_h_adj = _adjacency_terms(h.pop(), g, adj_mode, rng=neg_rng,
                                         sample_ratio=cfg.sample_ratio)
         w = 1.0 - cfg.beta
         if w != 0.0:
-            d_h_adj = w * d_h_adj
+            d_h_adj *= w
             if cfg.merge_fn == "concat":
                 d_h_ego += d_h_adj[:, :cfg.dim_ego]
                 d_h_agg += d_h_adj[:, cfg.dim_ego:]
             else:
-                share = d_h_adj if cfg.merge_fn == "sum" else 0.5 * d_h_adj
-                d_h_ego += share
-                d_h_agg += share
+                if cfg.merge_fn == "mean":
+                    d_h_adj *= 0.5
+                d_h_ego += d_h_adj
+                d_h_agg += d_h_adj
+        del d_h_adj
+    else:
+        del h_ego, h_agg
 
     _side_by_side(lambda: model._backward_ego(d_h_ego, cache_ego),
                   lambda: model._backward_agg(d_h_agg, cache_agg))

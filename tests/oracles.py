@@ -98,10 +98,9 @@ def kl_feature_loss(targets: np.ndarray, recon: np.ndarray) -> float:
     """
     if targets.shape != recon.shape:
         raise ValidationError(f"shape mismatch: {targets.shape} vs {recon.shape}")
-    targets = np.asarray(targets, dtype=np.float64)
-    p, log_p = _softmax(targets)
+    p, log_p = _softmax(np.array(targets, dtype=np.float64))
     p_log_p = float((p * log_p).sum(dtype=np.float64))
-    return _kl_terms(p, p_log_p, np.asarray(recon, dtype=np.float64))[0]
+    return _kl_terms(p, p_log_p, np.array(recon, dtype=np.float64))[0]
 
 
 def float64_logreg_fit(x: np.ndarray, y: np.ndarray, num_classes: int):
