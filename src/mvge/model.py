@@ -298,9 +298,8 @@ class MVGEModel:
         skip_w.grad += c.T @ d_h
         f = cache["x"].shape[1]
         d_inner = d_h @ skip_w.value[f:].astype(dt).T
-        del d_h
         d_inner *= c[:, f:] > 0.0
-        del c
+        del d_h, c
         if self._is_linear(name):
             p["ego_w1"].grad += cache["x"].T @ d_inner
             p["ego_b1"].grad += d_inner.sum(axis=0, keepdims=True, dtype=np.float64)
@@ -310,9 +309,8 @@ class MVGEModel:
         g1 = cache.pop("g1")
         p[f"{name}_w2"].grad += g1.T @ d_b2
         d_g1 = d_b2 @ p[f"{name}_w2"].value.astype(dt).T
-        del d_b2
         d_g1 *= g1 > 0.0
-        del g1
+        del d_b2, g1
         # S is symmetric, so x^T S d_g1 = (S x)^T d_g1
         p[f"{name}_w1"].grad += cache["sx"].T @ d_g1
 
@@ -446,8 +444,7 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
         lambda: _positive_part(hs, g, total, buf_p),
         lambda: _negative_part(hs, g, n_neg, total, rng, buf_n))
     del hs
-    # P's results before N's, so the bits do not depend on the worker count; the
-    # same bits as np.add(d_h_p, d_h_n, dtype=np.float64)
+    # P's results before N's, so the bits do not depend on the worker count
     d_h = d_h_p.astype(np.float64)
     del d_h_p
     d_h += d_h_n
@@ -666,10 +663,9 @@ def _train_step(model: MVGEModel, inputs: dict[str, _Inputs], s: sp.csr_matrix,
         lambda: branch("ego", model.encode_ego, cfg.beta * cfg.alpha),
         lambda: branch("agg", model.encode_agg, cfg.beta * (1.0 - cfg.alpha)))
 
-    # each array goes after its last read: the views' h after the merge, which
-    # only the adjacency loss reads, and the merged h inside that loss, which
-    # gets it popped into the call with no reference left here (an argument
-    # on the caller's stack is the callee's alone from CPython 3.11 on)
+    # only the adjacency loss reads the views' h, through their merge; the merged
+    # h is popped into the call so that the loss can free it (from CPython 3.11
+    # on, a call's arguments are the callee's alone)
     l_s = 0.0
     if "adj" in mask:
         h = [merge_embeddings(h_ego, h_agg, cfg.merge_fn)]

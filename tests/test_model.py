@@ -1064,19 +1064,15 @@ def test_masked_task_logs_zero():
 def test_no_adjacency_task_skips_the_loss_and_the_step_merge(monkeypatch):
     # only the adjacency loss reads the merged h of a step, so with "adj"
     # masked out neither it nor the merge runs; the final embeddings still merge
-    calls = {"adj": 0, "merge": 0}
+    calls = []
     adjacency_terms, merge = mvge.model._adjacency_terms, mvge.model.merge_embeddings
-
-    def count(key, fn):
-        def counted(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return counted
-    monkeypatch.setattr(mvge.model, "_adjacency_terms", count("adj", adjacency_terms))
-    monkeypatch.setattr(mvge.model, "merge_embeddings", count("merge", merge))
+    monkeypatch.setattr(mvge.model, "_adjacency_terms",
+                        lambda *a, **kw: calls.append("adj") or adjacency_terms(*a, **kw))
+    monkeypatch.setattr(mvge.model, "merge_embeddings",
+                        lambda *a: calls.append("merge") or merge(*a))
     ds = random_dataset(np.random.default_rng(6), n=10)
     _, emb, trace = train(ds, toy_cfg(epochs=3, task_mask=frozenset({"ego", "agg"})))
-    assert calls == {"adj": 0, "merge": 1}
+    assert calls == ["merge"]
     assert np.all(trace.l_s == 0.0)
     assert np.array_equal(emb.h, np.hstack([emb.h_ego, emb.h_agg]))
 
