@@ -15,6 +15,9 @@ The groups, one line each:
   train/<encoder>/<merge>/<mode>/<tasks>  h, h_ego, h_agg and the loss trace
       of every ego encoder x merge function x adjacency mode x task mask
       (all tasks, or ego, agg or adj dropped);
+  graph/from_edges  the CSR arrays, edge ids and repair counts of graphs built
+      from seeded dirty edge lists (self-loops, repeats, both directions,
+      isolated nodes) and from empty ones;
   synth             graphs and features over a grid of specs, including specs
       whose edge budget takes the dense fallback;
   sample_non_edges, sample_label_pairs  both evaluate samplers, on their
@@ -74,7 +77,7 @@ from mvge.cli import main as mvge_main
 from mvge.data import EmbeddingSet, load_dataset, save_dataset, save_embeddings
 from mvge.evaluate import (LogRegModel, SplitSpec, _sample_label_pairs, _sample_non_edges,
                            link_prediction_eval, node_classification_eval, pairwise_eval)
-from mvge.graph import ValidationError
+from mvge.graph import Graph, ValidationError
 from mvge.model import EGO_ENCODERS, MERGE_FNS, MVGEConfig, adjacency_workers, train
 from mvge.synth import SynthSpec, generate_synthetic
 from mvge.walks import WalkConfig
@@ -108,6 +111,22 @@ def training_lines(n: int, epochs: int):
         yield (f"train/{encoder}/{merge}/{mode}/{mask}",
                digest(emb.h, emb.h_ego, emb.h_agg, trace.l_ego, trace.l_agg,
                       trace.l_s, trace.l_total))
+
+
+def graph_line(n: int):
+    """Graph.from_edges on seeded dirty edge lists: endpoints drawn from a few
+    nodes (self-loops and repeats, the others isolated) or from all, each list
+    followed by some of its rows reversed; and on an empty list."""
+    lists = [np.empty((0, 2), dtype=np.int64)]
+    for seed, (top, size) in itertools.product(range(3), ((n // 4, n), (n, n // 2), (n, 3 * n))):
+        edges = np.random.default_rng(seed).integers(0, top, size=(size, 2))
+        lists.append(np.concatenate([edges, edges[::3, ::-1]]))
+    parts = []
+    for edges in lists:
+        g, repairs = Graph.from_edges(n, edges)
+        parts += [g.offsets, g.neighbors, g.edge_ids,
+                  np.array([repairs.self_loops_dropped, repairs.duplicates_dropped])]
+    return "graph/from_edges", digest(*parts)
 
 
 def synth_line(sizes):
@@ -358,7 +377,7 @@ def main() -> int:
     n, epochs, synth_sizes = (40, 2, (12, 30)) if args.tiny else (1000, 5, (12, 30, 120))
     print(f"adjacency workers: {adjacency_workers()}", file=sys.stderr)
     print(f"mvge: {Path(mvge.__file__).parent}", file=sys.stderr)
-    lines = itertools.chain(training_lines(n, epochs), [synth_line(synth_sizes)],
+    lines = itertools.chain(training_lines(n, epochs), [graph_line(n), synth_line(synth_sizes)],
                             sampler_lines(n), probe_lines(n), report_lines(n, epochs),
                             save_embeddings_lines(n, epochs), cli_lines(n, epochs),
                             errors_lines())
