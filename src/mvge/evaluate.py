@@ -22,7 +22,8 @@ import numpy as np
 
 import mvge.model
 from mvge.data import Dataset
-from mvge.graph import AT_LEAST_0, AT_LEAST_1, Graph, ValidationError, check_fields, label_pairs
+from mvge.graph import (AT_LEAST_0, AT_LEAST_1, Graph, ValidationError, check_fields, label_pairs,
+                        pair_keys)
 from mvge.numerics import Adam, Param, child_seed, sigmoid
 
 TASK_NAMES = ("node", "link", "pair")
@@ -289,8 +290,9 @@ class LinkSplit:
 
 def _sample_pairs(n: int, count: int, pool: int, kind: str, keep, listed,
                   rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` distinct unordered pairs u < v with ``keep(u, v)`` true,
-    out of the ``pool`` such pairs; returns shape (count, 2). ``listed()``
+    """Draw ``count`` distinct unordered pairs u < v with ``keep(u, v)`` true
+    (``keep`` is symmetric), out of the ``pool`` such pairs; returns shape
+    (count, 2), in the order of first draw. ``listed()``
     returns all ``pool`` pairs, u-major, as shape (pool, 2). Rejection takes
     about count * total / pool uniform draws, total = n(n-1)/2, in O(count)
     memory; it runs only when pool >= 4 * count and pool**2 >= count * total / 16,
@@ -304,26 +306,14 @@ def _sample_pairs(n: int, count: int, pool: int, kind: str, keep, listed,
         # dense enough that repeats pile up, or so sparse that rejection would
         # crawl: pick among all kept pairs
         return listed()[rng.choice(pool, size=count, replace=False)]
-    taken: set[int] = set()
-    out = np.empty((count, 2), dtype=np.int64)
-    got = 0
-    while got < count:
-        m = (count - got) * 2
-        a = rng.integers(0, n, size=m)
-        b = rng.integers(0, n, size=m)
-        u = np.minimum(a, b)
-        v = np.maximum(a, b)
+    taken: dict[int, None] = {}  # the distinct keys kept, in draw order
+    while len(taken) < count:
+        m = (count - len(taken)) * 2
+        u = rng.integers(0, n, size=m)
+        v = rng.integers(0, n, size=m)
         ok = (u != v) & keep(u, v)
-        for uu, vv in zip(u[ok], v[ok]):
-            key = int(uu) * n + int(vv)
-            if key in taken:
-                continue
-            taken.add(key)
-            out[got] = (uu, vv)
-            got += 1
-            if got == count:
-                break
-    return out
+        taken |= dict.fromkeys(pair_keys(u[ok], v[ok], n).tolist())
+    return np.stack(np.divmod(np.fromiter(taken, np.int64, count), n), axis=1)
 
 
 def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -68,8 +68,14 @@ class EdgeRepairs:
 
 
 # the most nodes whose pair keys lo * n + hi fit in int64 (n^2 <= 2**63 - 1);
-# canonicalize_edges and Graph._edge_keys are exact up to here
+# pair_keys, and so every dedup and lookup of node pairs, is exact up to here
 MAX_NODES = 3037000499
+
+
+def pair_keys(u, v, n: int) -> np.ndarray:
+    """The int64 key min(u, v) * n + max(u, v) of each node pair: one key for
+    both directions, and for u < v in u-major order; exact for n <= ``MAX_NODES``."""
+    return np.minimum(u, v, dtype=np.int64) * n + np.maximum(u, v, dtype=np.int64)
 
 
 def canonicalize_edges(edges: np.ndarray, num_nodes: int) -> tuple[np.ndarray, EdgeRepairs]:
@@ -80,7 +86,7 @@ def canonicalize_edges(edges: np.ndarray, num_nodes: int) -> tuple[np.ndarray, E
     each row, sorted lexicographically, together with repair counts.
     Duplicate count is in undirected pairs (an edge listed in both
     directions counts as one duplicate). Pairs are deduplicated on their
-    int64 keys lo * num_nodes + hi, exact for num_nodes <= ``MAX_NODES``.
+    ``pair_keys``, exact for num_nodes <= ``MAX_NODES``.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
@@ -91,9 +97,8 @@ def canonicalize_edges(edges: np.ndarray, num_nodes: int) -> tuple[np.ndarray, E
     loops = edges[:, 0] == edges[:, 1]
     n_loops = int(loops.sum())
     edges = edges[~loops]
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    pairs = np.stack(np.divmod(np.unique(lo * num_nodes + hi), num_nodes), axis=1)
+    keys = np.unique(pair_keys(edges[:, 0], edges[:, 1], num_nodes))
+    pairs = np.stack(np.divmod(keys, num_nodes), axis=1)
     n_dup = len(edges) - len(pairs)
     return pairs, EdgeRepairs(self_loops_dropped=n_loops, duplicates_dropped=n_dup)
 
@@ -129,13 +134,10 @@ class Graph:
         if num_nodes > MAX_NODES:
             raise ValidationError(f"num_nodes must be <= {MAX_NODES}, got {num_nodes}")
         pairs, repairs = canonicalize_edges(edges, num_nodes)
-        directed = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
-        order = np.lexsort((directed[:, 1], directed[:, 0]))
-        directed = directed[order]
-        counts = np.bincount(directed[:, 0], minlength=num_nodes)
-        offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(num_nodes, offsets, np.ascontiguousarray(directed[:, 1])), repairs
+        # both directions of each edge, sorted by the directed key row * n + col
+        directed = np.concatenate([pairs, pairs[:, ::-1]])
+        rows, cols = np.divmod(np.sort(directed[:, 0] * num_nodes + directed[:, 1]), num_nodes)
+        return cls(num_nodes, np.searchsorted(rows, np.arange(num_nodes + 1)), cols), repairs
 
     def validate(self) -> None:
         """Check the CSR invariants; raises ValidationError on violation."""
@@ -194,16 +196,15 @@ class Graph:
     @cached_property
     def _edge_keys(self) -> np.ndarray:
         e = self.edge_array()
-        return np.sort(e[:, 0] * self.num_nodes + e[:, 1])
+        return np.sort(pair_keys(e[:, 0], e[:, 1], self.num_nodes))
 
     @cached_property
     def edge_ids(self) -> np.ndarray:
         """The row of ``edge_array()`` that each ``neighbors`` entry is one
         direction of, so a value per undirected edge ``x`` lies on the CSR
         pattern as ``x[edge_ids]``."""
-        lo = np.minimum(self.sources, self.neighbors)
-        hi = np.maximum(self.sources, self.neighbors)
-        ids = np.searchsorted(self._edge_keys, lo * self.num_nodes + hi)
+        ids = np.searchsorted(self._edge_keys,
+                              pair_keys(self.sources, self.neighbors, self.num_nodes))
         ids.setflags(write=False)
         return ids
 
@@ -215,7 +216,7 @@ class Graph:
     def has_edge_mask(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorized membership test for node pairs."""
         keys = self._edge_keys
-        q = np.minimum(u, v) * self.num_nodes + np.maximum(u, v)
+        q = pair_keys(u, v, self.num_nodes)
         if len(keys) == 0:
             return np.zeros(np.shape(q), dtype=bool)
         idx = np.clip(np.searchsorted(keys, q), 0, len(keys) - 1)
@@ -227,7 +228,7 @@ def label_pairs(labels: np.ndarray, same: bool) -> np.ndarray:
     u-major, as int64 of shape (k, 2); time and memory O(n + k log k)."""
     # the node at each position of ``order`` (the nodes by label) pairs with the
     # later positions of its class (same) or with every position of the
-    # higher-labelled classes; sorted by u * n + v, the pairs come u-major
+    # higher-labelled classes; sorted by their pair_keys, the pairs come u-major
     n = len(labels)
     order = np.argsort(labels, kind="stable")
     end = np.cumsum(np.bincount(labels))[labels[order]]
@@ -235,7 +236,7 @@ def label_pairs(labels: np.ndarray, same: bool) -> np.ndarray:
     count = (end if same else n) - start
     v = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())]
     u = np.repeat(order, count)
-    return np.stack(np.divmod(np.sort(np.minimum(u, v) * n + np.maximum(u, v)), n), axis=1)
+    return np.stack(np.divmod(np.sort(pair_keys(u, v, n)), n), axis=1)
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:

@@ -13,7 +13,8 @@ import numpy as np
 
 from mvge.data import Dataset
 from mvge.graph import (AT_LEAST_0, AT_LEAST_1, FINITE, FINITE_NON_NEGATIVE, MAX_NODES,
-                        UNIT_RANGE, Graph, ValidationError, check_fields, label_pairs)
+                        UNIT_RANGE, Graph, ValidationError, check_fields, label_pairs,
+                        pair_keys)
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,9 @@ def _sample_pairs(
     rate = (n - np.count_nonzero(sizes)) / n if intra else 2 * pool / n**2  # pairs per iteration
 
     def pairs(u, k):
-        """Each iteration's pair as the key lo * n + hi, and whether the loop keeps it."""
+        """Each iteration's pair as its ``pair_keys`` key, and whether the loop keeps it."""
         v = mates[first[labels[u]] + k]
-        key = np.minimum(u, v).astype(np.uint64) * np.uint64(n) + np.maximum(u, v).astype(np.uint64)
-        return key, ((labels[u] == labels[v]) == intra) & (u != v)
+        return pair_keys(u, v, n), ((labels[u] == labels[v]) == intra) & (u != v)
 
     state = rng.bit_generator.state
     # the kept keys, and for each the words used up to it
@@ -142,8 +142,7 @@ def _sample_pairs(
     first_seen = np.sort(first_seen)[:budget]  # the loop stops at the budget-th distinct pair
     rng.bit_generator.state = state
     rng.integers(size=int(np.concatenate(ends)[first_seen[-1]]), **_WORDS)
-    lo, hi = np.divmod(np.sort(np.concatenate(keys)[first_seen]), np.uint64(n))
-    return np.stack([lo, hi], axis=1).astype(np.int64)
+    return np.stack(np.divmod(np.sort(np.concatenate(keys)[first_seen]), n), axis=1)
 
 
 def generate_synthetic(spec: SynthSpec) -> Dataset:

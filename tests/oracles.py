@@ -9,6 +9,12 @@
   probe fit per repeat, as taken before the repeats were fitted as a stack.
 - ``canonicalize_edges_by_rows``: ``canonicalize_edges`` with the row-wise
   ``np.unique(axis=0)`` it deduplicated with before it used int64 keys.
+- ``csr_by_lexsort``: the CSR arrays of ``Graph.from_edges`` from the
+  ``np.lexsort`` and ``np.bincount`` it built them with before it sorted
+  directed keys.
+- ``distinct_pairs_one_by_one``: the rejection path of
+  ``evaluate._sample_pairs`` as the per-pair loop over a set of keys it ran
+  before it kept each round's keys in one dict.
 - ``softmax_rows``: a row-wise softmax on its own, with the bits of the
   softmax half of ``mvge.model._softmax``.
 """
@@ -159,6 +165,44 @@ def canonicalize_edges_by_rows(edges, num_nodes: int):
     pairs = np.unique(np.stack([lo, hi], axis=1), axis=0) if len(lo) else np.empty((0, 2), np.int64)
     return pairs, EdgeRepairs(self_loops_dropped=int(loops.sum()),
                               duplicates_dropped=len(edges) - len(pairs))
+
+
+def csr_by_lexsort(num_nodes: int, edges):
+    """The offsets, neighbors and repair counts of ``Graph.from_edges``: both
+    directions of each pair of ``canonicalize_edges_by_rows`` in row order by
+    ``np.lexsort``, and the offsets as the running sum of the row counts."""
+    pairs, repairs = canonicalize_edges_by_rows(edges, num_nodes)
+    directed = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
+    directed = directed[np.lexsort((directed[:, 1], directed[:, 0]))]
+    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(directed[:, 0], minlength=num_nodes), out=offsets[1:])
+    return offsets, np.ascontiguousarray(directed[:, 1]), repairs
+
+
+def distinct_pairs_one_by_one(n: int, count: int, keep, rng: np.random.Generator):
+    """``count`` distinct pairs u < v with ``keep(u, v)`` true, shape (count, 2):
+    rounds of 2 * (count - got) uniform draws, each kept pair taken in turn
+    unless the set of Python int keys u * n + v already holds it."""
+    taken = set()
+    out = np.empty((count, 2), dtype=np.int64)
+    got = 0
+    while got < count:
+        m = (count - got) * 2
+        a = rng.integers(0, n, size=m)
+        b = rng.integers(0, n, size=m)
+        u = np.minimum(a, b)
+        v = np.maximum(a, b)
+        ok = (u != v) & keep(u, v)
+        for uu, vv in zip(u[ok], v[ok]):
+            key = int(uu) * n + int(vv)
+            if key in taken:
+                continue
+            taken.add(key)
+            out[got] = (uu, vv)
+            got += 1
+            if got == count:
+                break
+    return out
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from mvge.evaluate import (
     LogRegModel,
     SplitSpec,
     _sample_label_pairs,
+    _sample_pairs,
     _sample_non_edges,
     grid_search_alpha_beta,
     link_prediction_eval,
@@ -35,7 +36,7 @@ from mvge.model import MVGEConfig
 from mvge.synth import SynthSpec, generate_synthetic
 
 from conftest import hostile_datasets, labeled_graphs, make_dataset, random_dataset
-from oracles import float64_logreg_fit, node_eval_one_fit_per_repeat
+from oracles import distinct_pairs_one_by_one, float64_logreg_fit, node_eval_one_fit_per_repeat
 
 
 # -- logistic regression probe -----------------------------------------------
@@ -512,26 +513,7 @@ def reference_non_edges(g, count, rng):
         iu, iv = iu[mask], iv[mask]
         pick = rng.choice(iu.size, size=count, replace=False)
         return np.stack([iu[pick], iv[pick]], axis=1).astype(np.int64)
-    taken = set()
-    out = np.empty((count, 2), dtype=np.int64)
-    got = 0
-    while got < count:
-        m = (count - got) * 2
-        a = rng.integers(0, n, size=m)
-        b = rng.integers(0, n, size=m)
-        u = np.minimum(a, b)
-        v = np.maximum(a, b)
-        ok = (u != v) & ~g.has_edge_mask(u, v)
-        for uu, vv in zip(u[ok], v[ok]):
-            key = int(uu) * n + int(vv)
-            if key in taken:
-                continue
-            taken.add(key)
-            out[got] = (uu, vv)
-            got += 1
-            if got == count:
-                break
-    return out
+    return distinct_pairs_one_by_one(n, count, lambda u, v: ~g.has_edge_mask(u, v), rng)
 
 
 def reference_label_pairs(labels, count, same, rng):
@@ -548,27 +530,8 @@ def reference_label_pairs(labels, count, same, rng):
         iu, iv = iu[mask], iv[mask]
         pick = rng.choice(iu.size, size=count, replace=False)
         return np.stack([iu[pick], iv[pick]], axis=1).astype(np.int64)
-    taken = set()
-    out = np.empty((count, 2), dtype=np.int64)
-    got = 0
-    while got < count:
-        m = (count - got) * 2
-        a = rng.integers(0, n, size=m)
-        b = rng.integers(0, n, size=m)
-        u = np.minimum(a, b)
-        v = np.maximum(a, b)
-        match = (labels[u] == labels[v]) if same else (labels[u] != labels[v])
-        ok = (u != v) & match
-        for uu, vv in zip(u[ok], v[ok]):
-            key = int(uu) * n + int(vv)
-            if key in taken:
-                continue
-            taken.add(key)
-            out[got] = (uu, vv)
-            got += 1
-            if got == count:
-                break
-    return out
+    return distinct_pairs_one_by_one(n, count, lambda u, v: (labels[u] == labels[v]) == same,
+                                     rng)
 
 
 def assert_same_draw(sample, reference, pool, total, data):
@@ -591,6 +554,30 @@ def assert_same_draw(sample, reference, pool, total, data):
         return
     out = sample(count, rng_new)
     assert out.dtype == want.dtype and np.array_equal(out, want)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@given(st.integers(min_value=2, max_value=14), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rejection_path_matches_the_one_by_one_loop(n, data):
+    # few nodes and up to a quarter of the pool, so that rounds draw pairs kept
+    # before; the listing is never asked for
+    total = n * (n - 1) // 2
+    iu, iv = np.triu_indices(n, 1)
+    kept = np.zeros((n, n), dtype=bool)
+    kept[iu, iv] = kept[iv, iu] = data.draw(st.lists(st.booleans(), min_size=total,
+                                                     max_size=total))
+    pool = int(kept[iu, iv].sum())
+    count = data.draw(st.integers(min_value=0, max_value=min(pool // 4, 16 * pool**2 // total)))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    def listed():
+        raise AssertionError("the pool was listed")
+    out = _sample_pairs(n, count, pool, "kept", lambda u, v: kept[u, v], listed, rng_new)
+    want = distinct_pairs_one_by_one(n, count, lambda u, v: kept[u, v], rng_ref)
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tolist() == want.tolist()
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 

@@ -16,7 +16,7 @@ from mvge.graph import (
 )
 
 from conftest import edge_lists
-from oracles import canonicalize_edges_by_rows
+from oracles import canonicalize_edges_by_rows, csr_by_lexsort
 
 
 def test_triangle_degrees(triangle):
@@ -54,11 +54,11 @@ def test_canonicalize_orders_within_pair():
 
 
 @st.composite
-def dirty_edge_lists(draw):
+def dirty_edge_lists(draw, max_nodes=MAX_NODES):
     """Edge lists with repeats, both directions and self-loops, on up to 40
-    nodes or on a node count up to MAX_NODES with endpoints near its top."""
+    nodes or on a node count up to ``max_nodes`` with endpoints near its top."""
     n = draw(st.one_of(st.integers(min_value=1, max_value=40),
-                       st.integers(min_value=41, max_value=MAX_NODES)))
+                       st.integers(min_value=41, max_value=max_nodes)))
     ends = st.one_of(st.integers(min_value=0, max_value=min(n, 40) - 1),
                      st.integers(min_value=max(0, n - 40), max_value=n - 1))
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=80))
@@ -78,6 +78,21 @@ def test_canonicalize_matches_row_unique(graph):
     assert pairs.dtype == want_pairs.dtype == np.int64
     assert pairs.tolist() == want_pairs.tolist()
     assert repairs == want_repairs
+
+
+@given(dirty_edge_lists(max_nodes=200))
+@example((0, []))
+@example((5, []))
+@settings(max_examples=200, deadline=None)
+def test_from_edges_matches_the_lexsort_build(graph):
+    # the nodes between the two endpoint ranges of a large n are isolated
+    n, edges = graph
+    g, repairs = Graph.from_edges(n, np.array(edges, dtype=np.int64))
+    offsets, neighbors, want_repairs = csr_by_lexsort(n, edges)
+    assert g.offsets.dtype == offsets.dtype and g.offsets.tolist() == offsets.tolist()
+    assert g.neighbors.dtype == neighbors.dtype and g.neighbors.tolist() == neighbors.tolist()
+    assert repairs == want_repairs
+    g.validate()
 
 
 def test_from_edges_refuses_node_counts_past_int64_keys():
