@@ -168,12 +168,6 @@ class MVGEConfig:
         if not self.task_mask:
             raise ValidationError("task_mask must enable at least one task")
 
-    @property
-    def embedding_dim(self) -> int:
-        if self.merge_fn == "concat":
-            return self.dim_ego + self.dim_agg
-        return self.dim_ego
-
     def walk_config(self) -> WalkConfig:
         return WalkConfig(lengths=self.walk_lengths, aggr=self.aggr, seed=self.seed)
 

@@ -1201,12 +1201,6 @@ def test_config_seed_must_fit_uint64():
     assert MVGEConfig(seed=2**64 - 1).walk_config().seed == 2**64 - 1
 
 
-def test_config_embedding_dim():
-    assert MVGEConfig().embedding_dim == 128
-    assert MVGEConfig(merge_fn="sum").embedding_dim == 64
-    assert MVGEConfig(dim_ego=10, dim_agg=20).embedding_dim == 30
-
-
 def test_config_adj_mode_resolution():
     assert MVGEConfig().resolve_adj_mode(100) == "full"
     assert MVGEConfig().resolve_adj_mode(5001) == "sampled"
