@@ -25,6 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from mvge.data import write_csv
 from mvge.evaluate import SplitSpec, node_classification_eval
 from mvge.model import MVGEConfig, embedding_dim_std, train
 from mvge.synth import SynthSpec, generate_synthetic
@@ -87,9 +88,8 @@ def main() -> int:
               f"      {scores['full']:.4f}      {sigma_gap:+.4f}       {elapsed:5.1f}")
 
     if args.csv:
-        lines = ["h,ego_only_f1,agg_only_f1,full_f1,sigma_gap"]
-        lines += [f"{h},{e!r},{a!r},{f!r},{s!r}" for h, e, a, f, s in rows]
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        write_csv(args.csv, "h,ego_only_f1,agg_only_f1,full_f1,sigma_gap",
+                  ((h, *map(repr, rest)) for h, *rest in rows))
         print(f"wrote {args.csv}")
     return 0
 
