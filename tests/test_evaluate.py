@@ -20,8 +20,8 @@ from mvge.evaluate import (
     LogRegModel,
     SplitSpec,
     _sample_label_pairs,
-    _sample_pairs,
     _sample_non_edges,
+    _sample_pairs,
     grid_search_alpha_beta,
     link_prediction_eval,
     link_split,
