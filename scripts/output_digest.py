@@ -39,8 +39,9 @@ The groups, one line each:
       accepted. The groups are the fields of MVGEConfig, WalkConfig, SplitSpec
       and SynthSpec, the keys of a dataset's meta.json, one-line edits of a
       dataset's files (numbers past int64, ragged rows, a missing key, a
-      num_nodes far above the feature rows), the formats of save_embeddings,
-      and embeddings with NaN or inf given to the protocols.
+      num_nodes far above the feature rows), the formats of save_embeddings
+      and of load_embeddings, and embeddings with NaN or inf given to the
+      protocols.
 
 The worker count and the directory of the mvge package it loaded go to
 stderr, so they do not enter the diff. A PYTHONPATH entry comes before this
@@ -74,7 +75,8 @@ sys.path.insert(1 + len(_pythonpath.split(os.pathsep)) if _pythonpath else 1,
 
 import mvge
 from mvge.cli import main as mvge_main
-from mvge.data import EmbeddingSet, load_dataset, save_dataset, save_embeddings
+from mvge.data import (EmbeddingSet, load_dataset, load_embeddings, save_dataset,
+                       save_embeddings)
 from mvge.evaluate import (LogRegModel, SplitSpec, _sample_label_pairs, _sample_non_edges,
                            link_prediction_eval, node_classification_eval, pairwise_eval)
 from mvge.graph import Graph, ValidationError
@@ -358,6 +360,9 @@ def errors_lines():
         groups["save_embeddings"] = bad_fields(
             lambda fmt: save_embeddings(emb, tmp / "e", fmt=fmt),
             kinds(("fmt",), "xml", "BINARY", "", None))
+        groups["load_embeddings"] = [r.replace(str(tmp), "<dir>") for r in bad_fields(
+            lambda fmt: load_embeddings(tmp / "e", fmt=fmt),
+            kinds(("fmt",), "xml", "both", "BINARY", "", None))]
     ds, node, pair = dataset(40, seed=1), SplitSpec("node", repeats=1), SplitSpec("pair", repeats=1)
     groups["embeddings"] = []
     for value in (np.nan, np.inf, -np.inf):
