@@ -366,6 +366,8 @@ def save_embeddings(e: EmbeddingSet, base: str | Path, fmt: str = "binary") -> l
 
 def load_embeddings(base: str | Path, fmt: str = "binary") -> EmbeddingSet:
     """Load an embedding set written by save_embeddings."""
+    if fmt not in _FORMAT_SUFFIX:
+        raise ValidationError(f"unknown embedding format {fmt!r}, expected binary or csv")
     mats = {}
     for view in ("merged", "ego", "agg"):
         p = embedding_path(base, view, fmt)

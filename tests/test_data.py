@@ -1,6 +1,7 @@
 """Dataset directory format and embedding matrix persistence."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ def test_load_embeddings_missing_view(tmp_path):
     (tmp_path / "emb.agg.bin").unlink()
     with pytest.raises(ValidationError, match="missing embedding file"):
         load_embeddings(tmp_path / "emb", fmt="binary")
+
+
+@pytest.mark.parametrize("fmt", ["xml", "both", "BINARY", "", None])
+def test_load_embeddings_rejects_unknown_format(tmp_path, fmt):
+    # "both" is a format save_embeddings writes but not one that load_embeddings reads
+    e = EmbeddingSet(h_ego=np.ones((2, 2)), h_agg=np.ones((2, 2)), h=np.ones((2, 4)))
+    save_embeddings(e, tmp_path / "emb", fmt="both")
+    with pytest.raises(ValidationError,
+                       match=f"^unknown embedding format {re.escape(repr(fmt))}, "
+                             "expected binary or csv$"):
+        load_embeddings(tmp_path / "emb", fmt=fmt)
 
 
 def test_save_embeddings_rejects_unknown_format(tmp_path):
