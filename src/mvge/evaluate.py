@@ -399,12 +399,8 @@ def link_prediction_eval(ds: Dataset, cfg: mvge.model.MVGEConfig, spec: SplitSpe
     out = []
     for r in range(spec.repeats):
         split = link_split(ds.graph, spec, repeat=r)
-        train_ds = Dataset(
-            graph=split.train_graph, features=ds.features, labels=ds.labels,
-            num_classes=ds.num_classes, name=ds.name,
-        )
         cfg_r = replace(cfg, seed=child_seed(cfg.seed, _LINK_MODEL_TAG, r))
-        _, emb, _ = mvge.model.train(train_ds, cfg_r)
+        _, emb, _ = mvge.model.train(replace(ds, graph=split.train_graph), cfg_r)
         out.append(_pair_auc(emb.h, split.train_pos, split.train_neg,
                              split.test_pos, split.test_neg))
         if split_log is not None:

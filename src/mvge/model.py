@@ -369,7 +369,7 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
                      rng: np.random.Generator | None = None,
                      sample_ratio: float = 1.0):
     """Cross-entropy between sigmoid(H H^T) and the adjacency matrix, and
-    its gradient with respect to H."""
+    its gradient with respect to H. Sampled mode draws its negatives from ``rng``."""
     if h.shape[0] != g.num_nodes:
         raise ValidationError(f"embedding rows {h.shape[0]} != num_nodes {g.num_nodes}")
     n = g.num_nodes
@@ -413,8 +413,6 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
         return float(loss), t
     if mode != "sampled":
         raise ValidationError(f"adjacency loss mode must be full or sampled, got {mode!r}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     # loss = (sum over edges u -> v of softplus(-z) + sum over the sampled
     # non-edges of softplus(z)) / (both counts). z is symmetric, so each
     # undirected edge is scored once and counts twice
@@ -604,14 +602,9 @@ def _pool() -> ThreadPoolExecutor:
     return _POOL[1]
 
 
-def total_loss(l_ego: float, l_agg: float, l_s: float,
-               alpha: float, beta: float,
-               task_mask: frozenset[str] = frozenset(TASKS)) -> float:
-    """Combined objective; masked tasks contribute exactly zero."""
-    e = l_ego if "ego" in task_mask else 0.0
-    a = l_agg if "agg" in task_mask else 0.0
-    s = l_s if "adj" in task_mask else 0.0
-    return beta * (alpha * e + (1.0 - alpha) * a) + (1.0 - beta) * s
+def total_loss(l_ego: float, l_agg: float, l_s: float, alpha: float, beta: float) -> float:
+    """Combined objective; ``_train_step`` passes 0.0 for a masked task's loss."""
+    return beta * (alpha * l_ego + (1.0 - alpha) * l_agg) + (1.0 - beta) * l_s
 
 
 class _Inputs(NamedTuple):
@@ -683,7 +676,7 @@ def _train_step(model: MVGEModel, inputs: dict[str, _Inputs], s: sp.csr_matrix,
 
     _side_by_side(lambda: model._backward_ego(d_h_ego, cache_ego),
                   lambda: model._backward_agg(d_h_agg, cache_agg))
-    return l_ego, l_agg, l_s, total_loss(l_ego, l_agg, l_s, cfg.alpha, cfg.beta, mask)
+    return l_ego, l_agg, l_s, total_loss(l_ego, l_agg, l_s, cfg.alpha, cfg.beta)
 
 
 def train(ds: Dataset, cfg: MVGEConfig, *, views: ViewPair | None = None):

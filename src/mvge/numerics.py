@@ -33,9 +33,6 @@ class Param:
         if self.grad.shape != self.value.shape:
             raise ValueError("grad shape must match value shape")
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
 
 def child_seed(seed: int, *key: int) -> int:
     """Derive an independent integer seed from a root seed and a key path."""
@@ -140,5 +137,5 @@ class Adam:
             num *= self.lr
             num /= den
             p.value -= num
-            p.zero_grad()
+            g[...] = 0.0
 

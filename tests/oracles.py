@@ -1,6 +1,6 @@
 """Reference implementations that only the tests call.
 
-- ``grad_check``: central differences against the hand-derived gradients.
+- ``grad_check``: finite differences against the hand-derived gradients.
 - ``adjacency_loss``: the adjacency loss alone, without its gradient.
 - ``kl_feature_loss``: the KL reconstruction loss from raw target features.
 - ``float64_logreg_fit``: the probe's all-float64 training loop, which
@@ -37,8 +37,9 @@ def grad_check(
     epsilon: float = 1e-5,
     max_entries_per_param: int = 40,
     seed: int = 0,
+    relu_sides=None,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and finite-difference gradients.
 
     ``loss_fn()`` must recompute the loss from the current parameter
     values and leave the full analytic gradient in each param's ``grad``.
@@ -46,21 +47,48 @@ def grad_check(
     relative error is max(0, |analytic - numeric| - floor) /
     max(1e-8, |analytic| + |numeric|).
 
-    ``floor`` is the roundoff of the central difference. Each float64 loss
-    is taken to be correct to ``ROUNDOFF_ULPS`` ulps, so (plus - minus) /
-    (2 epsilon) may be off by ROUNDOFF_ULPS * eps * (|plus| + |minus|) /
-    (2 epsilon), about 1e-10 for an O(1) loss at epsilon 1e-5. A gradient
-    entry near that size cannot be resolved, and the floor keeps its
-    roundoff from reading as a relative error near 1.
+    ``numeric`` is the central difference (f(x + epsilon) - f(x - epsilon))
+    / (2 epsilon). A ReLU input within reach of epsilon puts a kink inside
+    it. ``relu_sides()``, if given, returns after each ``loss_fn()`` call a
+    value that tells on which side of zero each ReLU input lay in that call.
+    Where it differs at x - epsilon but not at x + epsilon, the kink lies
+    below x, and the entry takes the one-sided difference
+    (4 f(x + epsilon) - f(x + 2 epsilon) - 3 f(x)) / (2 epsilon), whose
+    truncation error is O(epsilon^2) like the central one's, so long as
+    x + 2 epsilon leaves the sides as at x too; and the mirror image above x.
+
+    ``floor`` is the roundoff of the difference. Each float64 loss is
+    taken to be correct to ``ROUNDOFF_ULPS`` ulps, so the central
+    difference may be off by ROUNDOFF_ULPS * eps * (|plus| + |minus|) /
+    (2 epsilon), about 1e-10 for an O(1) loss at epsilon 1e-5, and the
+    one-sided one by the same sum over its three weighted terms. A
+    gradient entry near that size cannot be resolved, and the floor keeps
+    its roundoff from reading as a relative error near 1.
     """
     rng = np.random.default_rng(seed)
     base = loss_fn()
     if not np.isfinite(base):
         raise FloatingPointError(f"non-finite loss {base!r} in grad_check")
+    base_sides = None if relu_sides is None else relu_sides()
     analytic = {k: p.grad.copy() for k, p in params.items()}
-    for p in params.values():
-        p.zero_grad()
 
+    def clear():
+        for p in params.values():
+            p.grad[...] = 0.0
+
+    def moved(flat, i, step):
+        """The loss, and whether the ReLU sides are those at x, with flat[i] moved by step."""
+        orig = flat[i]
+        flat[i] = orig + step
+        value = loss_fn()
+        same = relu_sides is None or relu_sides() == base_sides
+        flat[i] = orig
+        clear()
+        if not np.isfinite(value):
+            raise FloatingPointError("non-finite loss during grad_check probe")
+        return value, same
+
+    clear()
     worst = 0.0
     for k, p in params.items():
         flat = p.value.reshape(-1)
@@ -69,18 +97,17 @@ def grad_check(
             n, size=max_entries_per_param, replace=False
         )
         for i in idx:
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            plus = loss_fn()
-            flat[i] = orig - epsilon
-            minus = loss_fn()
-            flat[i] = orig
-            for q in params.values():
-                q.zero_grad()
-            if not (np.isfinite(plus) and np.isfinite(minus)):
-                raise FloatingPointError("non-finite loss during grad_check probe")
+            plus, plus_same = moved(flat, i, epsilon)
+            minus, minus_same = moved(flat, i, -epsilon)
             numeric = (plus - minus) / (2.0 * epsilon)
             floor = ROUNDOFF_ULPS * _EPS * (abs(plus) + abs(minus)) / (2.0 * epsilon)
+            if plus_same != minus_same:  # a kink on one side only: step to the other
+                step, near = (epsilon, plus) if plus_same else (-epsilon, minus)
+                far, far_same = moved(flat, i, 2.0 * step)
+                if far_same:
+                    numeric = (4.0 * near - far - 3.0 * base) / (2.0 * step)
+                    floor = (ROUNDOFF_ULPS * _EPS * (4.0 * abs(near) + abs(far) + 3.0 * abs(base))
+                             / (2.0 * epsilon))
             a = analytic[k].reshape(-1)[i]
             err = max(0.0, abs(a - numeric) - floor) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, err)

@@ -761,13 +761,15 @@ def near_complete_graph(n=10):
 
 def test_sampled_near_complete_graph_within_round_cap():
     h = np.random.default_rng(23).normal(size=(10, 3))
-    assert np.isfinite(adjacency_loss(h, near_complete_graph(), "sampled"))
+    assert np.isfinite(adjacency_loss(h, near_complete_graph(), "sampled",
+                                      rng=np.random.default_rng(0)))
 
 
 def test_sampled_rejection_loop_bounded(monkeypatch):
     monkeypatch.setattr(mvge.model, "_NEG_MAX_ROUNDS", 1)
     with pytest.raises(ValidationError, match=r"acceptance rate 2\.00%"):
-        adjacency_loss(np.ones((10, 2)), near_complete_graph(), "sampled")
+        adjacency_loss(np.ones((10, 2)), near_complete_graph(), "sampled",
+                       rng=np.random.default_rng(0))
 
 
 def test_total_loss_pure_ego():
@@ -782,9 +784,17 @@ def test_total_loss_arithmetic_example():
     assert total_loss(2.0, 4.0, 1.0, alpha=0.5, beta=0.5) == pytest.approx(2.0)
 
 
-def test_total_loss_masks_tasks():
-    assert total_loss(2.0, 4.0, 1.0, 0.5, 0.5, frozenset({"ego"})) == pytest.approx(0.5)
-    assert total_loss(2.0, 4.0, 1.0, 0.5, 0.5, frozenset({"adj"})) == pytest.approx(0.5)
+@pytest.mark.parametrize("mask", [{"ego"}, {"agg"}, {"adj"}, {"ego", "agg"}, {"agg", "adj"}])
+def test_total_loss_masks_tasks(mask):
+    # a masked task's loss reaches total_loss as 0.0, so it adds exactly nothing
+    ds = random_dataset(np.random.default_rng(3), n=8, f=2, c=2, p_edge=0.4)
+    cfg = toy_cfg(task_mask=frozenset(mask), alpha=0.3, beta=0.6)
+    _, _, trace = train(ds, cfg)
+    losses = {"ego": trace.l_ego, "agg": trace.l_agg, "adj": trace.l_s}
+    for task, loss in losses.items():
+        assert (loss != 0.0).all() if task in mask else not loss.any()
+    want = [total_loss(*row, cfg.alpha, cfg.beta) for row in zip(*losses.values())]
+    assert trace.l_total.tolist() == want
 
 
 @given(
@@ -827,13 +837,24 @@ def toy_step(ds, **cfg_kw):
 
 def grad_check_toy(ds=None, **cfg_kw):
     """grad_check over every parameter of the combined loss on a toy graph,
-    with all the float32 work in float64."""
+    with all the float32 work in float64. Each step records the sign of every
+    ReLU output in the encoder caches, so that grad_check sees a kink that its
+    step crosses."""
     if ds is None:
         ds = random_dataset(np.random.default_rng(3), n=8, f=2, c=2, p_edge=0.4)
     model, loss = toy_step(ds, dim_ego=3, dim_agg=3, hidden_dim=4, **cfg_kw)
+    sides, encode = {}, model._encode
+
+    def recording_encode(name, x, s, sx):
+        h, cache = encode(name, x, s, sx)
+        sides[name] = [(cache[k] > 0.0).tobytes() for k in ("g1", "c") if k in cache]
+        return h, cache
+
     with pytest.MonkeyPatch.context() as mp:
         use_float64_work(mp)
-        return grad_check(loss, model.params, max_entries_per_param=12)
+        mp.setattr(model, "_encode", recording_encode)
+        return grad_check(loss, model.params, max_entries_per_param=12,
+                          relu_sides=lambda: (sides["ego"], sides["agg"]))
 
 
 def test_gradients_full_model():
@@ -864,6 +885,22 @@ def test_gradients_single_task_masks():
     assert grad_check_toy(task_mask=frozenset({"adj"})) < 1e-4
 
 
+KINK_DATASET = make_dataset(
+    Graph.from_edges(11, [(1, 6), (3, 6), (3, 9), (4, 6), (5, 6), (6, 9), (8, 9), (8, 10)])[0],
+    np.array([[-1.33197984], [0.61392966], [0.60277683], [-1.76771858], [0.3470301],
+              [-0.25042135], [0.7815227], [-0.43906219], [-0.01824086], [0.34285152],
+              [-0.87626169]]))
+
+
+def test_grad_check_steps_away_from_a_kink():
+    # the pinned draw fails the central difference alone
+    model, loss = toy_step(KINK_DATASET, dim_ego=3, dim_agg=3, hidden_dim=4, ego_encoder="gcn")
+    with pytest.MonkeyPatch.context() as mp:
+        use_float64_work(mp)
+        assert grad_check(loss, model.params, max_entries_per_param=12) > 1e-2
+    assert grad_check_toy(KINK_DATASET, ego_encoder="gcn") < 1e-4
+
+
 # 60 examples take about 4 s on a 2-vCPU VM; the deadline catches a path
 # that spins, such as a negative-sampling loop without its bound
 @given(hostile_datasets(plain_features=True), st.sampled_from(["full", "sampled"]),
@@ -872,6 +909,10 @@ def test_gradients_single_task_masks():
 # down where the central difference's roundoff is
 @example(ds=make_dataset(Graph.from_edges(1, [])[0], np.array([[0.00123015]])),
          mode="full", encoder="linear")
+# one agg second-convolution ReLU input lies 1.8e-6 from zero, inside the
+# central difference's reach: grad_check must step away from it
+@example(ds=KINK_DATASET, mode="full", encoder="gcn")
+@example(ds=KINK_DATASET, mode="sampled", encoder="gcn")
 @settings(max_examples=60, deadline=timedelta(seconds=5))
 def test_gradients_on_hostile_graphs(ds, mode, encoder):
     # zero or constant features put ReLU inputs exactly on the kink, where
