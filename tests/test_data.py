@@ -154,6 +154,57 @@ def test_binary_rejects_bad_magic(tmp_path):
         load_matrix_binary(tmp_path / "m.bin")
 
 
+def _binary_with_version(path):
+    save_matrix_binary(np.ones((2, 2)), path)
+    path.write_bytes(MAGIC + (BINARY_VERSION + 1).to_bytes(4, "little") + path.read_bytes()[8:])
+    return load_matrix_binary(path)
+
+
+def _csv_with_text(path, text):
+    path.write_text(text)
+    return load_matrix_csv(path)
+
+
+def _dataset_with_edges(path, text):
+    save_dataset(small_ds(), path)
+    (path / "edges.tsv").write_text(text)
+    return load_dataset(path)
+
+
+def _labeled(labels, num_classes):
+    ds = small_ds()
+    return Dataset(ds.graph, ds.features, np.array(labels), num_classes).validate()
+
+
+# one bad input each, with the message it must raise
+INPUT_CHECKS = {
+    "binary version": (lambda tmp: _binary_with_version(tmp / "m.bin"),
+                       f"^unsupported embedding format version {BINARY_VERSION + 1}$"),
+    "csv header": (lambda tmp: _csv_with_text(tmp / "m.csv", "id,e0\n0,1.0\n"),
+                   "^malformed embedding CSV header in "),
+    "csv empty": (lambda tmp: _csv_with_text(tmp / "m.csv", ""),
+                  "^malformed embedding CSV header in "),
+    "csv value": (lambda tmp: _csv_with_text(tmp / "m.csv", "node,e0,e1\n0,1.0,2.0\n1,1.0,x\n"),
+                  "m.csv: non-numeric value in row 2$"),
+    "label count": (lambda tmp: _labeled([0, 1, 1], 2), "^label count != node count$"),
+    "no num_classes": (lambda tmp: _labeled([0, 1, 1, 0], None),
+                       r"^labeled dataset needs num_classes >= 1$"),
+    "zero num_classes": (lambda tmp: _labeled([0, 0, 0, 0], 0),
+                         r"^labeled dataset needs num_classes >= 1$"),
+    "edge separator": (lambda tmp: _dataset_with_edges(tmp / "d", "0\t1\n1 2\n"),
+                       r"edges.tsv:2: expected two tab-separated ids$"),
+    "edge fields": (lambda tmp: _dataset_with_edges(tmp / "d", "0\t1\t2\n"),
+                    r"edges.tsv:1: expected two tab-separated ids$"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_checks_raise(tmp_path, case):
+    make, message = INPUT_CHECKS[case]
+    with pytest.raises(ValidationError, match=message):
+        make(tmp_path)
+
+
 def test_csv_matrix_roundtrip(tmp_path):
     m = np.array([[1.25, -0.5], [3.0, 1e-7], [0.0, 12345.678]])
     save_matrix_csv(m, tmp_path / "m.csv")

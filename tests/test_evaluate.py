@@ -825,6 +825,48 @@ def test_link_prediction_above_chance():
     assert {"repeat", "test_pos", "test_neg"} <= set(log[0])
 
 
+def _labeled_ds():
+    return random_dataset(np.random.default_rng(9), n=20, c=3, p_edge=0.3)
+
+
+# one bad input each, with the message it must raise
+EVAL_INPUT_CHECKS = {
+    "fit vector x": (lambda ds: LogRegModel().fit(np.ones(4), np.zeros(4)),
+                     r"^bad training shapes \(4,\) / \(4,\)$"),
+    "fit label count": (lambda ds: LogRegModel().fit(np.ones((4, 2)), np.zeros(3)),
+                        r"^bad training shapes \(4, 2\) / \(3,\)$"),
+    "fit no rows": (lambda ds: LogRegModel().fit(np.ones((0, 2)), np.zeros(0)),
+                    r"^bad training shapes \(0, 2\) / \(0,\)$"),
+    "scores before fit": (lambda ds: LogRegModel().scores(np.ones((2, 2))),
+                          "^classifier is not fitted$"),
+    "roc_auc lengths": (lambda ds: roc_auc(np.ones(3), np.array([0, 1])),
+                        r"^bad score shapes \(3,\) / \(2,\)$"),
+    "roc_auc matrix": (lambda ds: roc_auc(np.ones((2, 2)), np.array([[0, 1], [1, 0]])),
+                       r"^bad score shapes \(2, 2\) / \(2, 2\)$"),
+    "node spec": (lambda ds: node_classification_eval(ds.features, ds.labels, SplitSpec("link")),
+                  "^expected a node SplitSpec, got 'link'$"),
+    "link_split spec": (lambda ds: link_split(ds.graph, SplitSpec("pair")),
+                        "^expected a link SplitSpec, got 'pair'$"),
+    "link spec": (lambda ds: link_prediction_eval(ds, fast_cfg(), SplitSpec("node")),
+                  "^expected a link SplitSpec, got 'node'$"),
+    "pair spec": (lambda ds: pairwise_eval(ds, fast_cfg(), SplitSpec("link"), h=ds.features),
+                  "^expected a pair SplitSpec, got 'link'$"),
+    "pair unlabeled": (lambda ds: pairwise_eval(make_dataset(ds.graph, ds.features), fast_cfg(),
+                                                SplitSpec("pair"), h=ds.features),
+                       "^pair evaluation needs labels$"),
+    **{f"val_fraction {v}": (lambda ds, v=v: grid_search_alpha_beta(ds, fast_cfg(), val_fraction=v),
+                             rf"^val_fraction must be in \(0, 1\), got {v}$")
+       for v in (0.0, 1.0, -0.5, 1.5)},
+}
+
+
+@pytest.mark.parametrize("case", EVAL_INPUT_CHECKS)
+def test_input_checks_raise(case):
+    make, message = EVAL_INPUT_CHECKS[case]
+    with pytest.raises(ValidationError, match=message):
+        make(_labeled_ds())
+
+
 def test_split_spec_defaults_and_validation():
     assert SplitSpec("node").train_fraction == 0.3
     assert SplitSpec("link").train_fraction == 0.85

@@ -284,6 +284,20 @@ def test_validate_self_loop_precedes_disorder_at_same_node():
         g.validate()
 
 
+@pytest.mark.parametrize("offsets, neighbors, message", [
+    ([0, 1, 2], [1, 0], "^offsets length must be num_nodes \\+ 1$"),
+    ([0, 2, 1, 2], [1, 0], "^offsets must be non-decreasing$"),
+    ([1, 1, 2, 2], [0, 1], "^offsets must span the neighbor array$"),
+    ([0, 1, 2, 2], [1, 0, 2], "^offsets must span the neighbor array$"),
+    ([0, 1, 2, 2], [3, 0], "^neighbor id out of range$"),
+    ([0, 1, 2, 2], [1, -1], "^neighbor id out of range$"),
+])
+def test_validate_rejects_bad_offsets_and_ids(offsets, neighbors, message):
+    g = Graph(3, np.array(offsets, dtype=np.int64), np.array(neighbors, dtype=np.int64))
+    with pytest.raises(ValidationError, match=message):
+        g.validate()
+
+
 def test_validate_empty_graph():
     Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)).validate()
 
