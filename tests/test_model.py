@@ -784,17 +784,17 @@ def test_total_loss_arithmetic_example():
     assert total_loss(2.0, 4.0, 1.0, alpha=0.5, beta=0.5) == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("mask", [{"ego"}, {"agg"}, {"adj"}, {"ego", "agg"}, {"agg", "adj"}])
-def test_total_loss_masks_tasks(mask):
+def test_total_loss_masks_tasks():
     # a masked task's loss reaches total_loss as 0.0, so it adds exactly nothing
     ds = random_dataset(np.random.default_rng(3), n=8, f=2, c=2, p_edge=0.4)
-    cfg = toy_cfg(task_mask=frozenset(mask), alpha=0.3, beta=0.6)
-    _, _, trace = train(ds, cfg)
-    losses = {"ego": trace.l_ego, "agg": trace.l_agg, "adj": trace.l_s}
-    for task, loss in losses.items():
-        assert (loss != 0.0).all() if task in mask else not loss.any()
-    want = [total_loss(*row, cfg.alpha, cfg.beta) for row in zip(*losses.values())]
-    assert trace.l_total.tolist() == want
+    for mask in ({"ego"}, {"agg"}, {"adj"}, {"ego", "agg"}, {"agg", "adj"}):
+        cfg = toy_cfg(task_mask=frozenset(mask), alpha=0.3, beta=0.6)
+        _, _, trace = train(ds, cfg)
+        losses = {"ego": trace.l_ego, "agg": trace.l_agg, "adj": trace.l_s}
+        for task, loss in losses.items():
+            assert (loss != 0.0).all() if task in mask else not loss.any()
+        want = [total_loss(*row, cfg.alpha, cfg.beta) for row in zip(*losses.values())]
+        assert trace.l_total.tolist() == want, mask
 
 
 @given(
@@ -892,13 +892,12 @@ KINK_DATASET = make_dataset(
               [-0.87626169]]))
 
 
-def test_grad_check_steps_away_from_a_kink():
-    # the pinned draw fails the central difference alone
+def test_kink_draw_fails_the_central_difference_alone():
+    # keeps the @examples below on a draw whose check needs the one-sided difference
     model, loss = toy_step(KINK_DATASET, dim_ego=3, dim_agg=3, hidden_dim=4, ego_encoder="gcn")
     with pytest.MonkeyPatch.context() as mp:
         use_float64_work(mp)
         assert grad_check(loss, model.params, max_entries_per_param=12) > 1e-2
-    assert grad_check_toy(KINK_DATASET, ego_encoder="gcn") < 1e-4
 
 
 # 60 examples take about 4 s on a 2-vCPU VM; the deadline catches a path
