@@ -37,7 +37,8 @@ The groups, one line each:
   errors/<group>    the outcome of each of a fixed list of bad inputs, one bad
       value at a time: the exception's type and message, or "ok" if it was
       accepted. The groups are the fields of MVGEConfig, WalkConfig, SplitSpec
-      and SynthSpec, the keys of a dataset's meta.json, one-line edits of a
+      and SynthSpec, generate_synthetic on specs whose edge budget exceeds
+      the pairs of that edge type, the keys of a dataset's meta.json, one-line edits of a
       dataset's files (numbers past int64, ragged rows, a missing key, a
       num_nodes far above the feature rows), the formats of save_embeddings
       and of load_embeddings, and embeddings with NaN or inf given to the
@@ -311,6 +312,10 @@ def errors_lines():
             *kinds(("avg_degree", "noise_sigma"), -1.0, float("nan"), float("inf"), *not_reals),
             *kinds(("class_separation",), float("nan"), *not_reals), ("avg_degree", 40.0),
         ]),
+        # specs SynthSpec accepts whose edge budget exceeds its pool of pairs
+        "generate_synthetic": [outcome(lambda: generate_synthetic(SynthSpec(**kw))) for kw in (
+            dict(num_nodes=10, num_classes=5, target_homophily=1.0, avg_degree=4.0),
+            dict(num_nodes=4, num_classes=2, target_homophily=0.0, avg_degree=2.5))],
     }
     ds = dataset(12, seed=1)  # 12 nodes, 8 features, 3 classes
     with tempfile.TemporaryDirectory() as tmp:
