@@ -811,16 +811,20 @@ def test_pairwise_eval_trains_when_no_embeddings_given():
 
 
 def test_link_prediction_above_chance():
-    spec = SynthSpec(num_nodes=500, num_classes=5, target_homophily=0.5,
-                     avg_degree=4.0, feature_dim=8, class_separation=1.0,
-                     noise_sigma=0.5, seed=2)
-    ds = generate_synthetic(spec)
-    log = []
-    rep = link_prediction_eval(ds, fast_cfg(epochs=50), SplitSpec("link", repeats=3),
-                               split_log=log)
-    # above chance by 3 sigma of the repeat scatter (floored for stability)
-    assert rep.mean > 0.5 + 3.0 * max(rep.std, 0.01)
-    assert len(rep.scores) == 3
+    # at h = 0.5 the edges carry little link signal, so one graph's AUC says
+    # little: the claim is pooled over 16 graphs, the mean of their per-graph
+    # means above chance by 3 standard errors
+    means, log = [], []
+    for seed in range(16):
+        spec = SynthSpec(num_nodes=500, num_classes=5, target_homophily=0.5,
+                         avg_degree=4.0, feature_dim=8, class_separation=1.0,
+                         noise_sigma=0.5, seed=seed)
+        ds = generate_synthetic(spec)
+        rep = link_prediction_eval(ds, fast_cfg(epochs=50), SplitSpec("link", repeats=3),
+                                   split_log=log if seed == 0 else None)
+        means.append(rep.mean)
+        assert len(rep.scores) == 3
+    assert np.mean(means) > 0.5 + 3.0 * np.std(means, ddof=1) / np.sqrt(len(means))
     assert len(log) == 3
     assert {"repeat", "test_pos", "test_neg"} <= set(log[0])
 
