@@ -214,13 +214,13 @@ class Graph:
         return np.stack([self.sources[mask], self.neighbors[mask]], axis=1)
 
     def has_edge_mask(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Vectorized membership test for node pairs."""
+        """Vectorized membership test for node pairs; a self-pair is never an edge."""
         keys = self._edge_keys
         q = pair_keys(u, v, self.num_nodes)
         if len(keys) == 0:
             return np.zeros(np.shape(q), dtype=bool)
         idx = np.clip(np.searchsorted(keys, q), 0, len(keys) - 1)
-        return (keys[idx] == q) & (u != v)
+        return keys[idx] == q
 
 
 def label_pairs(labels: np.ndarray, same: bool) -> np.ndarray:
