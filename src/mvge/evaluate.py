@@ -22,8 +22,9 @@ import numpy as np
 
 import mvge.model
 from mvge.data import Dataset
-from mvge.graph import (AT_LEAST_0, AT_LEAST_1, Graph, ValidationError, check_fields, label_pairs,
-                        pair_keys)
+from mvge.graph import AT_LEAST_0, AT_LEAST_1, Graph, ValidationError, check_fields, sample_pairs
+# the pair protocol calls it by this module's name, so a wrapper set here sees its draws
+from mvge.graph import sample_label_pairs as _sample_label_pairs
 from mvge.numerics import Adam, Param, child_seed, sigmoid
 
 TASK_NAMES = ("node", "link", "pair")
@@ -288,34 +289,6 @@ class LinkSplit:
     test_neg: np.ndarray
 
 
-def _sample_pairs(n: int, count: int, pool: int, kind: str, keep, listed,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` distinct unordered pairs u < v with ``keep(u, v)`` true
-    (``keep`` is symmetric), out of the ``pool`` such pairs; returns shape
-    (count, 2), in the order of first draw. ``listed()``
-    returns all ``pool`` pairs, u-major, as shape (pool, 2). Rejection takes
-    about count * total / pool uniform draws, total = n(n-1)/2, in O(count)
-    memory; it runs only when pool >= 4 * count and pool**2 >= count * total / 16,
-    so within 4 * sqrt(count * total) draws. Listing holds the pool, then fewer
-    than max(4 * count, sqrt(count * total) / 4) pairs."""
-    if count > pool:
-        raise ValidationError(f"need {count} {kind} pairs but only {pool} exist")
-    if count == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if count * 4 > pool or 16 * pool * pool < count * (n * (n - 1) // 2):
-        # dense enough that repeats pile up, or so sparse that rejection would
-        # crawl: pick among all kept pairs
-        return listed()[rng.choice(pool, size=count, replace=False)]
-    taken: dict[int, None] = {}  # the distinct keys kept, in draw order
-    while len(taken) < count:
-        m = (count - len(taken)) * 2
-        u = rng.integers(0, n, size=m)
-        v = rng.integers(0, n, size=m)
-        ok = (u != v) & keep(u, v)
-        taken |= dict.fromkeys(pair_keys(u[ok], v[ok], n).tolist())
-    return np.stack(np.divmod(np.fromiter(taken, np.int64, count), n), axis=1)
-
-
 def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` distinct unordered non-adjacent pairs. The dense path lists
     all total = n(n-1)/2 pairs, but only when the non-edges, pool, number fewer
@@ -327,8 +300,8 @@ def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> np.ndar
         return np.stack([iu[kept], iv[kept]], axis=1)
 
     n = g.num_nodes
-    return _sample_pairs(n, count, n * (n - 1) // 2 - g.num_edges, "non-edge",
-                         lambda u, v: ~g.has_edge_mask(u, v), listed, rng)
+    return sample_pairs(n, count, n * (n - 1) // 2 - g.num_edges, "non-edge",
+                        lambda u, v: ~g.has_edge_mask(u, v), listed, rng)
 
 
 def link_split(g: Graph, spec: SplitSpec, repeat: int = 0) -> LinkSplit:
@@ -410,18 +383,6 @@ def link_prediction_eval(ds: Dataset, cfg: mvge.model.MVGEConfig, spec: SplitSpe
                 "test_neg": split.test_neg.tolist(),
             })
     return _make_report("link", out)
-
-
-def _sample_label_pairs(labels: np.ndarray, count: int, same: bool,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Distinct unordered pairs with equal (or differing) labels."""
-    n = labels.shape[0]
-    counts = np.bincount(labels)
-    same_pool = int((counts * (counts - 1) // 2).sum())
-    pool = same_pool if same else n * (n - 1) // 2 - same_pool
-    kind = "same-class" if same else "different-class"
-    return _sample_pairs(n, count, pool, kind, lambda u, v: (labels[u] == labels[v]) == same,
-                         lambda: label_pairs(labels, same), rng)
 
 
 def pairwise_eval(ds: Dataset, cfg: mvge.model.MVGEConfig, spec: SplitSpec,

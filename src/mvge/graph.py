@@ -1,6 +1,7 @@
 """Undirected graph in compressed sparse row form, the symmetrically
 normalized propagation operator used by the GCN branch, the pools of
-label pairs, and the input checks the other modules share."""
+label pairs, the one sampler of distinct node pairs, and the input checks
+the other modules share."""
 
 from __future__ import annotations
 
@@ -237,6 +238,46 @@ def label_pairs(labels: np.ndarray, same: bool) -> np.ndarray:
     v = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())]
     u = np.repeat(order, count)
     return np.stack(np.divmod(np.sort(pair_keys(u, v, n)), n), axis=1)
+
+
+def sample_pairs(n: int, count: int, pool: int, kind: str, keep, listed,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` distinct unordered pairs u < v with ``keep(u, v)`` true
+    (``keep`` is symmetric), out of the ``pool`` such pairs; returns shape
+    (count, 2), in the order of first draw. ``listed()``
+    returns all ``pool`` pairs, u-major, as shape (pool, 2). Rejection takes
+    about count * total / pool uniform draws, total = n(n-1)/2, in O(count)
+    memory; it runs only when pool >= 4 * count and pool**2 >= count * total / 16,
+    so within 4 * sqrt(count * total) draws. Listing holds the pool, then fewer
+    than max(4 * count, sqrt(count * total) / 4) pairs."""
+    if count > pool:
+        raise ValidationError(f"need {count} {kind} pairs but only {pool} exist")
+    if count == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if count * 4 > pool or 16 * pool * pool < count * (n * (n - 1) // 2):
+        # dense enough that repeats pile up, or so sparse that rejection would
+        # crawl: pick among all kept pairs
+        return listed()[rng.choice(pool, size=count, replace=False)]
+    taken: dict[int, None] = {}  # the distinct keys kept, in draw order
+    while len(taken) < count:
+        m = (count - len(taken)) * 2
+        u = rng.integers(0, n, size=m)
+        v = rng.integers(0, n, size=m)
+        ok = (u != v) & keep(u, v)
+        taken |= dict.fromkeys(pair_keys(u[ok], v[ok], n).tolist())
+    return np.stack(np.divmod(np.fromiter(taken, np.int64, count), n), axis=1)
+
+
+def sample_label_pairs(labels: np.ndarray, count: int, same: bool,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Distinct unordered pairs with equal (or differing) labels."""
+    n = labels.shape[0]
+    counts = np.bincount(labels)
+    same_pool = int((counts * (counts - 1) // 2).sum())
+    pool = same_pool if same else n * (n - 1) // 2 - same_pool
+    kind = "same-class" if same else "different-class"
+    return sample_pairs(n, count, pool, kind, lambda u, v: (labels[u] == labels[v]) == same,
+                        lambda: label_pairs(labels, same), rng)
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:

@@ -13,7 +13,7 @@
   ``np.lexsort`` and ``np.bincount`` it built them with before it sorted
   directed keys.
 - ``distinct_pairs_one_by_one``: the rejection path of
-  ``evaluate._sample_pairs`` as the per-pair loop over a set of keys it ran
+  ``graph.sample_pairs`` as the per-pair loop over a set of keys it ran
   before it kept each round's keys in one dict.
 - ``softmax_rows``: a row-wise softmax on its own, with the bits of the
   softmax half of ``mvge.model._softmax``.

@@ -21,7 +21,6 @@ from mvge.evaluate import (
     SplitSpec,
     _sample_label_pairs,
     _sample_non_edges,
-    _sample_pairs,
     grid_search_alpha_beta,
     link_prediction_eval,
     link_split,
@@ -31,7 +30,7 @@ from mvge.evaluate import (
     pairwise_eval,
     roc_auc,
 )
-from mvge.graph import Graph, ValidationError
+from mvge.graph import Graph, ValidationError, sample_pairs
 from mvge.model import MVGEConfig
 from mvge.synth import SynthSpec, generate_synthetic
 
@@ -574,7 +573,7 @@ def test_rejection_path_matches_the_one_by_one_loop(n, data):
 
     def listed():
         raise AssertionError("the pool was listed")
-    out = _sample_pairs(n, count, pool, "kept", lambda u, v: kept[u, v], listed, rng_new)
+    out = sample_pairs(n, count, pool, "kept", lambda u, v: kept[u, v], listed, rng_new)
     want = distinct_pairs_one_by_one(n, count, lambda u, v: kept[u, v], rng_ref)
     assert out.dtype == want.dtype and out.shape == want.shape
     assert out.tolist() == want.tolist()
