@@ -38,11 +38,11 @@ The groups, one line each:
       value at a time: the exception's type and message, or "ok" if it was
       accepted. The groups are the fields of MVGEConfig, WalkConfig, SplitSpec
       and SynthSpec, generate_synthetic on specs whose edge budget exceeds
-      the pairs of that edge type, the keys of a dataset's meta.json, one-line edits of a
-      dataset's files (numbers past int64, ragged rows, a missing key, a
-      num_nodes far above the feature rows), the formats of save_embeddings
-      and of load_embeddings, and embeddings with NaN or inf given to the
-      protocols.
+      the pairs of that edge type, the keys of a dataset's meta.json,
+      one-line edits of a dataset's files (numbers past int64, ragged rows, a
+      missing key, a num_nodes far above the feature rows), the formats of
+      save_embeddings and of load_embeddings, and embeddings with NaN or inf
+      given to the protocols.
 
 The worker count and the directory of the mvge package it loaded go to
 stderr, so they do not enter the diff. A PYTHONPATH entry comes before this
