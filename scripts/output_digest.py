@@ -15,6 +15,9 @@ The groups, one line each:
   train/<encoder>/<merge>/<mode>/<tasks>  h, h_ego, h_agg and the loss trace
       of every ego encoder x merge function x adjacency mode x task mask
       (all tasks, or ego, agg or adj dropped);
+  model/init        the parameter names, in insertion order, and the shapes and
+      initial values of MVGEModel for both ego encoders, at two width sets
+      whose ego and agg input widths and embedding widths differ;
   graph/from_edges  the CSR arrays, edge ids and repair counts of graphs built
       from seeded dirty edge lists (self-loops, repeats, both directions,
       isolated nodes) and from empty ones;
@@ -81,7 +84,8 @@ from mvge.data import (EmbeddingSet, load_dataset, load_embeddings, save_dataset
 from mvge.evaluate import (LogRegModel, SplitSpec, _sample_label_pairs, _sample_non_edges,
                            link_prediction_eval, node_classification_eval, pairwise_eval)
 from mvge.graph import Graph, ValidationError
-from mvge.model import EGO_ENCODERS, MERGE_FNS, MVGEConfig, adjacency_workers, train
+from mvge.model import (EGO_ENCODERS, MERGE_FNS, MVGEConfig, MVGEModel, adjacency_workers,
+                        train)
 from mvge.synth import SynthSpec, generate_synthetic
 from mvge.walks import WalkConfig
 
@@ -114,6 +118,19 @@ def training_lines(n: int, epochs: int):
         yield (f"train/{encoder}/{merge}/{mode}/{mask}",
                digest(emb.h, emb.h_ego, emb.h_agg, trace.l_ego, trace.l_agg,
                       trace.l_s, trace.l_total))
+
+
+def model_init_line():
+    """Each parameter's name, shape and initial value, in the params dict's
+    order; the trainings pin only what the parameters become."""
+    parts = []
+    for encoder, (f_ego, f_agg, dim_ego, dim_agg) in itertools.product(
+            EGO_ENCODERS, ((5, 12, 3, 7), (9, 4, 6, 2))):
+        cfg = MVGEConfig(dim_ego=dim_ego, dim_agg=dim_agg, hidden_dim=16, seed=3,
+                         ego_encoder=encoder)
+        for name, p in MVGEModel(cfg, f_ego=f_ego, f_agg=f_agg).params.items():
+            parts += [np.frombuffer(name.encode(), dtype=np.uint8), p.value]
+    return "model/init", digest(*parts)
 
 
 def graph_line(n: int):
@@ -387,7 +404,8 @@ def main() -> int:
     n, epochs, synth_sizes = (40, 2, (12, 30)) if args.tiny else (1000, 5, (12, 30, 120))
     print(f"adjacency workers: {adjacency_workers()}", file=sys.stderr)
     print(f"mvge: {Path(mvge.__file__).parent}", file=sys.stderr)
-    lines = itertools.chain(training_lines(n, epochs), [graph_line(n), synth_line(synth_sizes)],
+    lines = itertools.chain(training_lines(n, epochs),
+                            [model_init_line(), graph_line(n), synth_line(synth_sizes)],
                             sampler_lines(n), probe_lines(n), report_lines(n, epochs),
                             save_embeddings_lines(n, epochs), cli_lines(n, epochs),
                             errors_lines())

@@ -126,11 +126,12 @@ def test_output_digest_same_on_one_or_two_workers():
     rows = [line.split("  ") for line in free.splitlines()]
     assert all(re.fullmatch("[0-9a-f]{64}", sha) for sha, _ in rows)
     names = [name for _, name in rows]
-    assert len(names) == 2 * 3 * 2 * 4 + 9 + 3 + 11 + 10
+    assert len(names) == 2 * 3 * 2 * 4 + 10 + 3 + 11 + 10
     assert names[:4] == ["train/linear/concat/full/all", "train/linear/concat/full/no-ego",
                          "train/linear/concat/full/no-agg", "train/linear/concat/full/no-adj"]
-    assert names[48:] == ["graph/from_edges", "synth", "sample_non_edges", "sample_label_pairs",
-                          "probe/multiclass", "probe/binary", "report/node", "report/link", "report/pair",
+    assert names[48:] == ["model/init", "graph/from_edges", "synth", "sample_non_edges",
+                          "sample_label_pairs", "probe/multiclass", "probe/binary", "report/node",
+                          "report/link", "report/pair",
                           "save_embeddings/concat", "save_embeddings/sum", "save_embeddings/mean",
                           "cli/synth", "cli/stats", "cli/embed", "cli/eval-node", "cli/eval-link",
                           "cli/eval-pair", "cli/gridsearch", "cli/diag", "cli/synth-defaults",
