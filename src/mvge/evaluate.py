@@ -121,7 +121,8 @@ class LogRegModel:
         self.bias: np.ndarray | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray, num_classes: int | None = None):
-        x = np.asarray(x, dtype=np.float64)
+        # in C order a slice's mean and std sum as in a fit of that slice alone
+        x = np.ascontiguousarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         stacked = x.ndim == 3
         xr, yr = (x, y) if stacked else (x[None], y[None])
@@ -132,12 +133,9 @@ class LogRegModel:
         self.num_classes = num_classes
         reps, n, d = xr.shape
         n_out = 1 if num_classes == 2 else num_classes
-        mu = np.empty((reps, d))
-        sd = np.empty((reps, d))
-        for r in range(reps):
-            mu[r] = xr[r].mean(axis=0)
-            s = xr[r].std(axis=0, ddof=0)
-            sd[r] = np.where(s < _STD_FLOOR, 1.0, s)
+        mu = xr.mean(axis=1)
+        sd = xr.std(axis=1, ddof=0)
+        sd[sd < _STD_FLOOR] = 1.0
         degenerate = tuple(int(p[0]) if p.size == 1 else None for p in map(np.unique, yr))
         live = [r for r, c in enumerate(degenerate) if c is None]
         # one float32 layout per slice, features by rows (d x n), so both
@@ -367,8 +365,6 @@ def link_prediction_eval(ds: Dataset, cfg: mvge.model.MVGEConfig, spec: SplitSpe
     ``split_log`` (if a list) receives one dict of test pairs per
     repeat so the holdout is auditable.
     """
-    if spec.task != "link":
-        raise ValidationError(f"expected a link SplitSpec, got {spec.task!r}")
     out = []
     for r in range(spec.repeats):
         split = link_split(ds.graph, spec, repeat=r)

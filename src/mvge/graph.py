@@ -252,8 +252,6 @@ def sample_pairs(n: int, count: int, pool: int, kind: str, keep, listed,
     than max(4 * count, sqrt(count * total) / 4) pairs."""
     if count > pool:
         raise ValidationError(f"need {count} {kind} pairs but only {pool} exist")
-    if count == 0:
-        return np.empty((0, 2), dtype=np.int64)
     if count * 4 > pool or 16 * pool * pool < count * (n * (n - 1) // 2):
         # dense enough that repeats pile up, or so sparse that rejection would
         # crawl: pick among all kept pairs

@@ -138,8 +138,8 @@ class MVGEConfig:
     epochs: int = field(default=200, metadata={"rule": AT_LEAST_0})
     lr: float = field(default=0.01, metadata={"rule": FINITE_POSITIVE})
     seed: int = field(default=0, metadata={"rule": SEED_RANGE})
-    walk_lengths: tuple[int, ...] = (3, 5, 10)
-    aggr: str = field(default="concat", metadata={"choices": AGGREGATORS})
+    walk_lengths: tuple[int, ...] = WalkConfig.lengths
+    aggr: str = field(default=WalkConfig.aggr, metadata={"choices": AGGREGATORS})
     merge_fn: str = field(default="concat", metadata={"choices": MERGE_FNS})
     task_mask: frozenset[str] = frozenset(TASKS)
     ego_encoder: str = field(default="linear", metadata={"choices": EGO_ENCODERS})
@@ -205,26 +205,22 @@ class MVGEModel:
 
     def __init__(self, cfg: MVGEConfig, f_ego: int, f_agg: int):
         self.cfg = cfg
-        self.f_ego = f_ego
-        self.f_agg = f_agg
+        self.widths = {"ego": f_ego, "agg": f_agg}
+        dims = {"ego": cfg.dim_ego, "agg": cfg.dim_agg}
         rng = np.random.default_rng([cfg.seed, _INIT_TAG])
         h = cfg.hidden_dim
         p: dict[str, Param] = {}
-        p["ego_w1"] = Param(glorot(rng, f_ego, h))
-        if cfg.ego_encoder == "linear":
-            p["ego_b1"] = Param(np.zeros((1, h)))
-        else:
-            p["ego_w2"] = Param(glorot(rng, h, h))
-        p["ego_skip_w"] = Param(glorot(rng, f_ego + h, cfg.dim_ego))
-        p["ego_skip_b"] = Param(np.zeros((1, cfg.dim_ego)))
-        p["agg_w1"] = Param(glorot(rng, f_agg, h))
-        p["agg_w2"] = Param(glorot(rng, h, h))
-        p["agg_skip_w"] = Param(glorot(rng, f_agg + h, cfg.dim_agg))
-        p["agg_skip_b"] = Param(np.zeros((1, cfg.dim_agg)))
-        p["dec_ego_w"] = Param(glorot(rng, cfg.dim_ego, f_ego))
-        p["dec_ego_b"] = Param(np.zeros((1, f_ego)))
-        p["dec_agg_w"] = Param(glorot(rng, cfg.dim_agg, f_agg))
-        p["dec_agg_b"] = Param(np.zeros((1, f_agg)))
+        for name, f in self.widths.items():
+            p[f"{name}_w1"] = Param(glorot(rng, f, h))
+            if self._is_linear(name):
+                p[f"{name}_b1"] = Param(np.zeros((1, h)))
+            else:
+                p[f"{name}_w2"] = Param(glorot(rng, h, h))
+            p[f"{name}_skip_w"] = Param(glorot(rng, f + h, dims[name]))
+            p[f"{name}_skip_b"] = Param(np.zeros((1, dims[name])))
+        for name, f in self.widths.items():
+            p[f"dec_{name}_w"] = Param(glorot(rng, dims[name], f))
+            p[f"dec_{name}_b"] = Param(np.zeros((1, f)))
         self.params = p
 
     def encode_ego(self, x: np.ndarray, s: sp.csr_matrix | None = None, sx=None):
@@ -244,15 +240,15 @@ class MVGEModel:
         gives them, in _WORK_DTYPE; returns the float64 h and the cache. The
         first convolution is relu((S x) W1)."""
         p = self.params
-        f = self.f_ego if name == "ego" else self.f_agg
+        f = self.widths[name]
         if x.shape[1] != f:
             raise ValidationError(f"expected {f} {name} features, got {x.shape[1]}")
         dt = _WORK_DTYPE
         # the cache keeps only what _backward reads: relu(v) > 0 exactly where
         # v > 0 (NaN and -0.0 included), so the ReLU outputs give the masks
         if self._is_linear(name):
-            inner = x @ p["ego_w1"].value.astype(dt)
-            inner += p["ego_b1"].value.astype(dt)
+            inner = x @ p[f"{name}_w1"].value.astype(dt)
+            inner += p[f"{name}_b1"].value.astype(dt)
             cache = {"x": x}
         else:
             if s is None or sx is None:
@@ -290,13 +286,13 @@ class MVGEModel:
         d_h = d_h.astype(dt, copy=False)
         c = cache.pop("c")
         skip_w.grad += c.T @ d_h
-        f = cache["x"].shape[1]
+        f = self.widths[name]
         d_inner = d_h @ skip_w.value[f:].astype(dt).T
         d_inner *= c[:, f:] > 0.0
         del d_h, c
         if self._is_linear(name):
-            p["ego_w1"].grad += cache["x"].T @ d_inner
-            p["ego_b1"].grad += d_inner.sum(axis=0, keepdims=True, dtype=np.float64)
+            p[f"{name}_w1"].grad += cache["x"].T @ d_inner
+            p[f"{name}_b1"].grad += d_inner.sum(axis=0, keepdims=True, dtype=np.float64)
             return
         d_b2 = spmm_backward(cache["s_op"], d_inner)
         del d_inner
@@ -369,7 +365,7 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
                      rng: np.random.Generator | None = None,
                      sample_ratio: float = 1.0):
     """Cross-entropy between sigmoid(H H^T) and the adjacency matrix, and
-    its gradient with respect to H. Sampled mode draws its negatives from ``rng``."""
+    its gradient with respect to H. Any mode but "full" samples negatives from ``rng``."""
     if h.shape[0] != g.num_nodes:
         raise ValidationError(f"embedding rows {h.shape[0]} != num_nodes {g.num_nodes}")
     n = g.num_nodes
@@ -411,8 +407,6 @@ def _adjacency_terms(h: np.ndarray, g: Graph, mode: str,
             t -= ah
             t /= n * n
         return float(loss), t
-    if mode != "sampled":
-        raise ValidationError(f"adjacency loss mode must be full or sampled, got {mode!r}")
     # loss = (sum over edges u -> v of softplus(-z) + sum over the sampled
     # non-edges of softplus(z)) / (both counts). z is symmetric, so each
     # undirected edge is scored once and counts twice

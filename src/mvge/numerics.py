@@ -21,17 +21,14 @@ import scipy.sparse as sp
 
 @dataclass
 class Param:
-    """A trainable matrix paired with its gradient accumulator."""
+    """A trainable matrix paired with its gradient accumulator, zeros at first."""
 
     value: np.ndarray
-    grad: np.ndarray = field(default=None)  # type: ignore[assignment]
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        if self.grad.shape != self.value.shape:
-            raise ValueError("grad shape must match value shape")
+        self.grad = np.zeros_like(self.value)
 
 
 def child_seed(seed: int, *key: int) -> int:

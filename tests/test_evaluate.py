@@ -538,11 +538,16 @@ def assert_same_draw(sample, reference, pool, total, data):
 
     Counts are drawn both up to min(pool / 4, 16 * pool**2 / total) (the
     rejection loop), total being all n(n-1)/2 pairs, and up to pool + 2 (the
-    enumeration fallback and the too-many message)."""
+    enumeration fallback and the too-many message). Count 0 is asked of every
+    pool, listed or not, and must give no pairs and draw nothing."""
     rejected = min(pool // 4, 16 * pool * pool // max(total, 1))
     count = data.draw(st.one_of(st.integers(min_value=0, max_value=rejected),
                                 st.integers(min_value=0, max_value=pool + 2)))
     seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    none = sample(0, rng)
+    assert none.dtype == np.int64 and none.shape == (0, 2)
+    assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     try:
         want = reference(count, rng_ref)

@@ -53,6 +53,21 @@ def toy_model(n=5, f_ego=4, f_agg=4, **kw):
 
 # -- encoders ----------------------------------------------------------------
 
+@pytest.mark.parametrize("encoder", EGO_ENCODERS)
+def test_params_names_and_shapes_in_order(encoder):
+    # the two branches differ in input and embedding width, so a width taken
+    # from the other branch shows; Adam and the digests walk this order
+    model, cfg = toy_model(f_ego=4, f_agg=7, dim_ego=6, dim_agg=3, ego_encoder=encoder)
+    h = cfg.hidden_dim
+    inner = ("ego_b1", (1, h)) if encoder == "linear" else ("ego_w2", (h, h))
+    assert [(k, p.value.shape) for k, p in model.params.items()] == [
+        ("ego_w1", (4, h)), inner, ("ego_skip_w", (4 + h, 6)), ("ego_skip_b", (1, 6)),
+        ("agg_w1", (7, h)), ("agg_w2", (h, h)), ("agg_skip_w", (7 + h, 3)), ("agg_skip_b", (1, 3)),
+        ("dec_ego_w", (6, 4)), ("dec_ego_b", (1, 4)), ("dec_agg_w", (3, 7)), ("dec_agg_b", (1, 7))]
+    for p in model.params.values():
+        assert p.grad.shape == p.value.shape and not p.grad.any()
+
+
 def test_zero_input_zero_output():
     model, _ = toy_model()
     h, _ = model.encode_ego(np.zeros((5, 4)))
