@@ -184,11 +184,14 @@ def load_dataset(directory: str | Path) -> Dataset:
             )
     edges = np.array(raw, dtype=np.int64).reshape(-1, 2)
 
+    num_features = _meta_int(meta, "num_features", meta_path)
     try:
-        features = np.loadtxt(feat_path, delimiter=",", dtype=np.float64, ndmin=2)
+        # a dataset of no nodes saves an empty file, which holds no column count
+        features = (np.loadtxt(feat_path, delimiter=",", dtype=np.float64, ndmin=2)
+                    if feat_path.stat().st_size else np.empty((0, num_features)))
     except ValueError as exc:
         raise ValidationError(f"{feat_path}: {exc}") from None
-    if features.shape[1] != _meta_int(meta, "num_features", meta_path):
+    if features.shape[1] != num_features:
         raise ValidationError(
             f"{feat_path}: feature column count {features.shape[1]} != "
             f"meta num_features {meta['num_features']}"

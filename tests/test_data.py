@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,26 @@ def test_unlabeled_roundtrip(tmp_path):
     back = load_dataset(tmp_path / "d")
     assert back.labels is None
     assert back.num_classes is None
+
+
+@pytest.mark.parametrize("labels", [True, False])
+def test_zero_node_roundtrip(tmp_path, labels):
+    # a dataset of no nodes saves an empty features.csv; it loads back with the
+    # meta's column count and no warning from the CSV reader
+    g, _ = Graph.from_edges(0, [])
+    ds = make_dataset(g, np.zeros((0, 3)), np.zeros(0) if labels else None,
+                      num_classes=2 if labels else None, name="empty")
+    save_dataset(ds, tmp_path / "d")
+    assert (tmp_path / "d" / "features.csv").read_bytes() == b""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_dataset(tmp_path / "d")
+    assert back.num_nodes == 0 and back.graph.num_edges == 0
+    assert back.features.shape == (0, 3) and back.features.dtype == np.float64
+    if labels:
+        assert back.labels.shape == (0,) and back.num_classes == 2
+    else:
+        assert back.labels is None
 
 
 def test_save_load_is_fixed_point(tmp_path):
