@@ -138,14 +138,17 @@ class LogRegModel:
         sd[sd < _STD_FLOOR] = 1.0
         degenerate = tuple(int(p[0]) if p.size == 1 else None for p in map(np.unique, yr))
         live = [r for r, c in enumerate(degenerate) if c is None]
-        # one float32 layout per slice, features by rows (d x n), so both
-        # products stream it in order; each slice is standardized in float64
-        # straight into its slot. Weights, bias and Adam stay float64
-        xs_t = np.empty((len(live), d, n), dtype=np.float32)
+        # two float32 layouts per slice, features by rows: columns [0, k) and [k, n)
+        # with k = n // 2 on any worker count, which a step runs side by side; each
+        # product streams its half in order. Each slice is standardized in float64
+        # straight into its two slots. Weights, bias and Adam stay float64
+        k = n // 2
+        halves = (np.empty((len(live), d, k), dtype=np.float32),
+                  np.empty((len(live), d, n - k), dtype=np.float32))
         for i, r in enumerate(live):
             xs = xr[r] - mu[r]
             xs /= sd[r]
-            xs_t[i] = xs.T
+            halves[0][i], halves[1][i] = xs[:k].T, xs[k:].T
             del xs
         y_live = yr[live]
         targets_t = (
@@ -153,17 +156,26 @@ class LogRegModel:
             if n_out == 1
             else (np.arange(num_classes)[:, None] == y_live[:, None, :]).astype(np.float64)
         )
+        t_halves = (targets_t[..., :k], targets_t[..., k:])
         params = {
             "w": Param(np.zeros((len(live), d, n_out))),
             "b": Param(np.zeros((len(live), 1, n_out))),
         }
         opt = Adam(params, lr=self.LR)
+
+        def partials(j, w32, b_t):
+            """Weight and bias gradient partials of column half j."""
+            d_z_t = (sigmoid(w32 @ halves[j] + b_t) - t_halves[j]) / n
+            return halves[j] @ d_z_t.swapaxes(1, 2).astype(np.float32), d_z_t.sum(axis=2)[:, None, :]
+
         for _ in range(self.ITERATIONS if live else 0):
             w = params["w"].value
-            z_t = w.swapaxes(1, 2).astype(np.float32) @ xs_t + params["b"].value.swapaxes(1, 2)
-            d_z_t = (sigmoid(z_t) - targets_t) / n
-            params["w"].grad += xs_t @ d_z_t.swapaxes(1, 2).astype(np.float32) + 2.0 * self.L2 * w
-            params["b"].grad += d_z_t.sum(axis=2)[:, None, :]
+            w32, b_t = w.swapaxes(1, 2).astype(np.float32), params["b"].value.swapaxes(1, 2)
+            for g_w, g_b in mvge.model._side_by_side(lambda: partials(0, w32, b_t),
+                                                     lambda: partials(1, w32, b_t)):
+                params["w"].grad += g_w
+                params["b"].grad += g_b
+            params["w"].grad += 2.0 * self.L2 * w
             opt.step()
         weights = np.zeros((reps, d, n_out))
         bias = np.zeros((reps, 1, n_out))
@@ -191,6 +203,8 @@ class LogRegModel:
         """Per-class decision scores, shape (n, num_classes)."""
         if self.weights is None:
             raise ValidationError("classifier is not fitted")
+        if isinstance(self.degenerate_class, tuple):
+            raise ValidationError("a stacked fit is scored through slices()")
         x = np.asarray(x, dtype=np.float64)
         if self.degenerate_class is not None:
             out = np.zeros((x.shape[0], self.num_classes))

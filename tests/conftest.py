@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import mvge.model
 from mvge.data import Dataset
 from mvge.graph import Graph
 
@@ -38,6 +39,11 @@ def make_dataset(g, features, labels=None, num_classes=None, name="test"):
     x = np.ascontiguousarray(features, dtype=np.float64)
     y = None if labels is None else np.asarray(labels, dtype=np.int64)
     return Dataset(graph=g, features=x, labels=y, num_classes=num_classes, name=name)
+
+
+def force_workers(monkeypatch, workers):
+    """Run ``mvge.model._side_by_side`` on ``workers`` threads, whatever the BLAS."""
+    monkeypatch.setattr(mvge.model, "adjacency_workers", lambda: workers)
 
 
 def random_dataset(rng, n=20, f=4, c=3, p_edge=0.2):

@@ -3,6 +3,7 @@
 import copy
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -11,7 +12,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mvge.model
@@ -34,7 +35,8 @@ from mvge.graph import Graph, ValidationError, sample_pairs
 from mvge.model import MVGEConfig
 from mvge.synth import SynthSpec, generate_synthetic
 
-from conftest import hostile_datasets, labeled_graphs, make_dataset, random_dataset
+from conftest import (force_workers, hostile_datasets, labeled_graphs, make_dataset,
+                      random_dataset)
 from oracles import distinct_pairs_one_by_one, float64_logreg_fit, node_eval_one_fit_per_repeat
 
 
@@ -230,6 +232,89 @@ def test_stacked_fit_standardizes_one_slice_at_a_time():
     # one slice's float64 standardized rows or a step's arrays, a few of
     # R x classes x n floats. The whole stack standardized at once would be 1x
     assert peak <= 0.5 * x.nbytes + max(1.2 * x[0].nbytes, 8 * 8 * y.size * classes)
+
+
+@pytest.mark.parametrize("classes", [2, 5])
+def test_logreg_fit_peak_allocation_on_two_workers(monkeypatch, classes):
+    force_workers(monkeypatch, 2)
+    test_logreg_fit_peak_allocation(classes)
+
+
+def test_stacked_fit_standardizes_one_slice_at_a_time_on_two_workers(monkeypatch):
+    force_workers(monkeypatch, 2)
+    test_stacked_fit_standardizes_one_slice_at_a_time()
+
+
+@settings(max_examples=60, deadline=None)
+@given(probe_stacks() | probe_problems())
+# n = 1: the first column half is empty, and every slice has a single class
+@example(problem=(np.array([[[1.0, -2.0]], [[3.0, 0.5]]]), np.array([[1], [0]]), 2))
+# n = 2: one column a half, beside a single-class slice
+@example(problem=(np.array([[[1.0, -2.0], [0.5, 4.0]], [[3.0, 0.5], [-1.0, 2.0]]]),
+                  np.array([[0, 2], [1, 1]]), 3))
+def test_fit_same_bits_on_one_or_two_workers(problem):
+    x, y, k = problem
+    fits = []
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            force_workers(mp, workers)
+            fits.append(LogRegModel().fit(x, y, num_classes=k))
+    for name in ("mu", "sd", "weights", "bias"):
+        assert same_bits(getattr(fits[0], name), getattr(fits[1], name)), name
+
+
+def test_each_probe_step_runs_its_column_halves_side_by_side(monkeypatch):
+    calls = []
+    side_by_side = mvge.model._side_by_side
+
+    def spy(first, second):
+        calls.append(1)
+        return side_by_side(first, second)
+
+    monkeypatch.setattr(mvge.model, "_side_by_side", spy)
+    rng = np.random.default_rng(7)
+    LogRegModel().fit(rng.normal(size=(40, 3)), np.arange(40) % 3, num_classes=3)
+    assert len(calls) == LogRegModel.ITERATIONS
+    calls.clear()
+    LogRegModel().fit(rng.normal(size=(2, 40, 3)), np.full((2, 40), 1), num_classes=3)
+    assert not calls  # no slice to train, no step
+
+
+def test_concurrent_probe_fits_share_the_worker(monkeypatch):
+    # more calling threads than cores, switching often, through a pool made
+    # under the race; each must get the bits of a lone fit
+    force_workers(monkeypatch, 2)
+    rng = np.random.default_rng(9)
+    x, y = rng.normal(size=(3, 30, 4)), np.arange(90).reshape(3, 30) % 3
+    want = LogRegModel().fit(x, y, num_classes=3).weights.tobytes()
+    monkeypatch.setattr(mvge.model, "_POOL", None)
+    got = []
+
+    def call():
+        for _ in range(3):
+            got.append(LogRegModel().fit(x, y, num_classes=3).weights.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 12
+
+
+def test_stacked_fit_is_scored_through_slices():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 20, 3))
+    clf = LogRegModel().fit(x, np.arange(40).reshape(2, 20) % 2, num_classes=2)
+    for method in (clf.scores, clf.predict):
+        with pytest.raises(ValidationError, match=r"scored through slices\(\)"):
+            method(x[0])
 
 
 @settings(max_examples=15, deadline=None)

@@ -35,8 +35,8 @@ from mvge.numerics import sigmoid, softplus
 from mvge.synth import SynthSpec, generate_synthetic
 from mvge.walks import ViewPair, build_views
 
-from conftest import (edge_lists, feature_matrices, hostile_datasets, make_dataset,
-                      random_dataset)
+from conftest import (edge_lists, feature_matrices, force_workers, hostile_datasets,
+                      make_dataset, random_dataset)
 from oracles import adjacency_loss, grad_check, kl_feature_loss, softmax_rows
 
 
@@ -520,10 +520,6 @@ def test_full_adjacency_peak_allocation_is_block_sized():
 def test_full_adjacency_peak_allocation_is_block_sized_on_two_workers(monkeypatch):
     force_workers(monkeypatch, 2)
     test_full_adjacency_peak_allocation_is_block_sized()
-
-
-def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(mvge.model, "adjacency_workers", lambda: workers)
 
 
 @given(edge_lists(max_nodes=40, max_edges=80),
