@@ -269,19 +269,21 @@ class MVGEModel:
                                                lambda: self.encode_agg(agg.x, s, agg.sx))
         return EmbeddingSet(h_ego, h_agg, merge_embeddings(h_ego, h_agg, self.cfg.merge_fn))
 
-    def _backward_ego(self, d_h: np.ndarray, cache: dict) -> None:
-        self._backward("ego", d_h, cache)
+    def _backward_ego(self, cache: dict) -> None:
+        self._backward("ego", cache)
 
-    def _backward_agg(self, d_h: np.ndarray, cache: dict) -> None:
-        self._backward("agg", d_h, cache)
+    def _backward_agg(self, cache: dict) -> None:
+        self._backward("agg", cache)
 
-    def _backward(self, name: str, d_h: np.ndarray, cache: dict) -> None:
-        """Adds the branch's weight gradients for the float64 ``d_h``: each a
-        _WORK_DTYPE product added into float64. Consumes ``cache``: its
-        activations leave it after their last read, so that each is freed then."""
+    def _backward(self, name: str, cache: dict) -> None:
+        """Adds the branch's weight gradients for the float64 gradient of h
+        that ``cache`` holds as "d_h": each a _WORK_DTYPE product added into
+        float64. Consumes ``cache``: d_h and the activations leave it after
+        their last read, so that each is freed then."""
         p = self.params
         dt = _WORK_DTYPE
         skip_w = p[f"{name}_skip_w"]
+        d_h = cache.pop("d_h")
         p[f"{name}_skip_b"].grad += d_h.sum(axis=0, keepdims=True)
         d_h = d_h.astype(dt, copy=False)
         c = cache.pop("c")
@@ -304,11 +306,11 @@ class MVGEModel:
         # S is symmetric, so x^T S d_g1 = (S x)^T d_g1
         p[f"{name}_w1"].grad += cache["sx"].T @ d_g1
 
-    def _decode(self, name: str, h: np.ndarray, p: np.ndarray, p_log_p: float, w: float,
-                d_h: np.ndarray) -> float:
+    def _decode(self, name: str, h: np.ndarray, p: np.ndarray, p_log_p: float, w: float):
         """One branch's KL decoder against ``_prepare``'s target ``p`` and sum
-        ``p_log_p``, in _WORK_DTYPE: returns its loss, and adds ``w`` times its
-        gradient to the decoder parameters and to ``d_h`` in place."""
+        ``p_log_p``, in _WORK_DTYPE: adds ``w`` times its gradient to the
+        decoder parameters, and returns its loss and ``w`` times its gradient
+        with respect to h, in _WORK_DTYPE (None when ``w`` is 0)."""
         dt = _WORK_DTYPE
         dec_w, dec_b = self.params[f"dec_{name}_w"], self.params[f"dec_{name}_b"]
         h = h.astype(dt)
@@ -317,12 +319,12 @@ class MVGEModel:
         recon += dec_b.value.astype(dt)
         loss, d_recon = _kl_terms(p, p_log_p, recon)
         del recon  # _kl_terms left log q in it
-        if w != 0.0:
-            d_recon *= w
-            dec_w.grad += h.T @ d_recon
-            dec_b.grad += d_recon.sum(axis=0, keepdims=True, dtype=np.float64)
-            d_h += d_recon @ w_dt.T
-        return loss
+        if w == 0.0:
+            return loss, None
+        d_recon *= w
+        dec_w.grad += h.T @ d_recon
+        dec_b.grad += d_recon.sum(axis=0, keepdims=True, dtype=np.float64)
+        return loss, d_recon @ w_dt.T
 
 
 def merge_embeddings(h_ego: np.ndarray, h_agg: np.ndarray, fn: str) -> np.ndarray:
@@ -636,18 +638,19 @@ def _train_step(model: MVGEModel, inputs: dict[str, _Inputs], s: sp.csr_matrix,
         """Encode one view and decode it; the two branches share no output."""
         x, p, p_log_p, sx = inputs[name]
         h_view, cache = encode(x, s, sx)
-        d_h_view = np.zeros_like(h_view)
-        loss = model._decode(name, h_view, p, p_log_p, w, d_h_view) if name in mask else 0.0
-        return h_view, cache, d_h_view, loss
+        loss, d_dec = model._decode(name, h_view, p, p_log_p, w) if name in mask else (0.0, None)
+        return h_view, cache, d_dec, loss
 
-    (h_ego, cache_ego, d_h_ego, l_ego), (h_agg, cache_agg, d_h_agg, l_agg) = _side_by_side(
+    (h_ego, cache_ego, dec_ego, l_ego), (h_agg, cache_agg, dec_agg, l_agg) = _side_by_side(
         lambda: branch("ego", model.encode_ego, cfg.beta * cfg.alpha),
         lambda: branch("agg", model.encode_agg, cfg.beta * (1.0 - cfg.alpha)))
+    shapes = h_ego.shape, h_agg.shape
+    concat = cfg.merge_fn == "concat"
 
     # only the adjacency loss reads the views' h, through their merge; the merged
     # h is popped into the call so that the loss can free it (from CPython 3.11
     # on, a call's arguments are the callee's alone)
-    l_s = 0.0
+    l_s, parts = 0.0, (None, None)
     if "adj" in mask:
         h = [merge_embeddings(h_ego, h_agg, cfg.merge_fn)]
         del h_ego, h_agg
@@ -656,20 +659,27 @@ def _train_step(model: MVGEModel, inputs: dict[str, _Inputs], s: sp.csr_matrix,
         w = 1.0 - cfg.beta
         if w != 0.0:
             d_h_adj *= w
-            if cfg.merge_fn == "concat":
-                d_h_ego += d_h_adj[:, :cfg.dim_ego]
-                d_h_agg += d_h_adj[:, cfg.dim_ego:]
-            else:
-                if cfg.merge_fn == "mean":
-                    d_h_adj *= 0.5
-                d_h_ego += d_h_adj
-                d_h_agg += d_h_adj
+            if cfg.merge_fn == "mean":
+                d_h_adj *= 0.5
+            parts = ((d_h_adj[:, :cfg.dim_ego], d_h_adj[:, cfg.dim_ego:]) if concat
+                     else (d_h_adj, d_h_adj))
         del d_h_adj
     else:
         del h_ego, h_agg
 
-    _side_by_side(lambda: model._backward_ego(d_h_ego, cache_ego),
-                  lambda: model._backward_agg(d_h_agg, cache_agg))
+    # each branch's float64 d_h is its share of the adjacency gradient plus the
+    # decoder's _WORK_DTYPE one. Under concat the share is a column slice of the
+    # branch's own, so the sum goes into it in place; sum and mean share one array
+    for cache, part, dec, shape in zip((cache_ego, cache_agg), parts, (dec_ego, dec_agg), shapes):
+        if part is None:
+            part = np.zeros(shape) if dec is None else dec.astype(np.float64)
+        elif dec is not None:
+            part = np.add(part, dec, out=part if concat else None)
+        cache["d_h"] = part
+    # _backward frees each d_h once it has cast it, so the step holds none
+    del parts, part, dec, dec_ego, dec_agg
+    _side_by_side(lambda: model._backward_ego(cache_ego),
+                  lambda: model._backward_agg(cache_agg))
     return l_ego, l_agg, l_s, total_loss(l_ego, l_agg, l_s, cfg.alpha, cfg.beta)
 
 

@@ -998,10 +998,12 @@ def test_float32_kl_decoder_tracks_float64(n, f, d, w, x_scale, h_scale, seed):
     got = {}
     for dtype in (np.float32, np.float64):
         model, _ = toy_model(f_ego=f, dim_ego=d, dim_agg=d, seed=seed)
-        d_h = np.zeros_like(h)
+        d_h = np.zeros_like(h)  # the float64 d_h that a step adds the decoder's share into
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mvge.model, "_WORK_DTYPE", dtype)
-            loss = model._decode("ego", h, p.astype(dtype), p_log_p, w, d_h)
+            loss, d_dec = model._decode("ego", h, p.astype(dtype), p_log_p, w)
+        if d_dec is not None:
+            d_h += d_dec
         got[dtype] = loss, model.params["dec_ego_b"].grad, model.params["dec_ego_w"].grad, d_h
     entropy = -(p * np.log(np.maximum(p, 1e-12))).sum()
     dec_w = model.params["dec_ego_w"].value
