@@ -258,9 +258,12 @@ class MVGEModel:
             inner = spmm(s, g1 @ p[f"{name}_w2"].value.astype(dt))
             cache = {"x": x, "sx": sx, "g1": g1, "s_op": s}
         np.maximum(inner, 0.0, out=inner)
-        cache["c"] = np.concatenate([x, inner], axis=1)
-        h = cache["c"] @ p[f"{name}_skip_w"].value.astype(dt) + p[f"{name}_skip_b"].value
-        return h, cache
+        cache["inner"] = inner
+        # the skip layer over [x, inner] as two products, skip_w's rows split at f
+        skip_w = p[f"{name}_skip_w"].value
+        h = x @ skip_w[:f].astype(dt)
+        h += inner @ skip_w[f:].astype(dt)
+        return h + p[f"{name}_skip_b"].value, cache
 
     def embeddings(self, inputs: dict[str, _Inputs], s: sp.csr_matrix) -> EmbeddingSet:
         """Both branches' embeddings, from what ``_prepare`` returns, and their merge."""
@@ -286,12 +289,13 @@ class MVGEModel:
         d_h = cache.pop("d_h")
         p[f"{name}_skip_b"].grad += d_h.sum(axis=0, keepdims=True)
         d_h = d_h.astype(dt, copy=False)
-        c = cache.pop("c")
-        skip_w.grad += c.T @ d_h
         f = self.widths[name]
+        inner = cache.pop("inner")
+        skip_w.grad[:f] += cache["x"].T @ d_h
+        skip_w.grad[f:] += inner.T @ d_h
         d_inner = d_h @ skip_w.value[f:].astype(dt).T
-        d_inner *= c[:, f:] > 0.0
-        del d_h, c
+        d_inner *= inner > 0.0
+        del d_h, inner
         if self._is_linear(name):
             p[f"{name}_w1"].grad += cache["x"].T @ d_inner
             p[f"{name}_b1"].grad += d_inner.sum(axis=0, keepdims=True, dtype=np.float64)

@@ -858,7 +858,7 @@ def grad_check_toy(ds=None, **cfg_kw):
 
     def recording_encode(name, x, s, sx):
         h, cache = encode(name, x, s, sx)
-        sides[name] = [(cache[k] > 0.0).tobytes() for k in ("g1", "c") if k in cache]
+        sides[name] = [(cache[k] > 0.0).tobytes() for k in ("g1", "inner") if k in cache]
         return h, cache
 
     with pytest.MonkeyPatch.context() as mp:
