@@ -43,9 +43,10 @@ The groups, one line each:
       and SynthSpec, generate_synthetic on specs whose edge budget exceeds
       the pairs of that edge type, the keys of a dataset's meta.json,
       one-line edits of a dataset's files (numbers past int64, ragged rows, a
-      missing key, a num_nodes far above the feature rows), the formats of
-      save_embeddings and of load_embeddings, and embeddings with NaN or inf
-      given to the protocols.
+      missing key, a num_nodes far above the feature rows), a byte that is
+      not UTF-8 in each of a dataset's files and in an embedding CSV, the
+      formats of save_embeddings and of load_embeddings, and embeddings with
+      NaN or inf given to the protocols.
 
 The worker count and the directory of the mvge package it loaded go to
 stderr, so they do not enter the diff. A PYTHONPATH entry comes before this
@@ -79,8 +80,8 @@ sys.path.insert(1 + len(_pythonpath.split(os.pathsep)) if _pythonpath else 1,
 
 import mvge
 from mvge.cli import main as mvge_main
-from mvge.data import (EmbeddingSet, load_dataset, load_embeddings, save_dataset,
-                       save_embeddings)
+from mvge.data import (DATASET_FILES, EmbeddingSet, load_dataset, load_embeddings,
+                       save_dataset, save_embeddings)
 from mvge.evaluate import (LogRegModel, SplitSpec, _sample_label_pairs, _sample_non_edges,
                            link_prediction_eval, node_classification_eval, pairwise_eval)
 from mvge.graph import Graph, ValidationError
@@ -379,6 +380,19 @@ def errors_lines():
         groups["files"] = [outcome(lambda: edit(name, change)).replace(str(tmp), "<dir>")
                            for name, change in cases]
         emb = EmbeddingSet(h_ego=ds.features, h_agg=ds.features, h=ds.features)
+        save_embeddings(emb, tmp / "u", fmt="csv")
+
+        def not_utf8(name, load):  # a 0xff byte at the start of line 2, or of line 1
+            for other, text in files.items():
+                (tmp / other).write_text(text)
+            raw = (tmp / name).read_bytes()
+            cut = raw.find(b"\n") + 1
+            (tmp / name).write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+            return load()
+        groups["not-utf8"] = [
+            outcome(lambda: not_utf8(name, load)).replace(str(tmp), "<dir>")
+            for name, load in [*((name, lambda: load_dataset(tmp)) for name in DATASET_FILES),
+                               ("u.ego.csv", lambda: load_embeddings(tmp / "u", fmt="csv"))]]
         groups["save_embeddings"] = bad_fields(
             lambda fmt: save_embeddings(emb, tmp / "e", fmt=fmt),
             kinds(("fmt",), "xml", "BINARY", "", None))

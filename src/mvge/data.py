@@ -22,6 +22,7 @@ import os
 import struct
 import tempfile
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,10 +120,32 @@ def write_csv(path: str | Path, header: str, rows: Iterable) -> None:
     write_lines(path, itertools.chain([header], (",".join(map(str, row)) for row in rows)))
 
 
+@contextmanager
+def open_text(path: str | Path):
+    """``path`` opened for reading as UTF-8 text with universal newlines, the
+    one way every text file is read. A byte sequence that is not UTF-8, met
+    anywhere in the block, raises ValidationError naming the file and line."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()  # the error's offset is within a chunk
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise ValidationError(f"{path}:{line}: not UTF-8 text "
+                                      f"(byte {data[exc.start]:#04x}: {exc.reason})") from None
+            raise
+
+
 def read_json_object(path: str | Path, what: str) -> dict:
     """Parse a JSON file that must hold an object; ValidationError otherwise."""
     try:
-        raw = json.loads(Path(path).read_text())
+        with open_text(path) as f:
+            raw = json.loads(f.read())
+    except ValidationError:
+        raise
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -168,7 +191,7 @@ def load_dataset(directory: str | Path) -> Dataset:
     n = _meta_int(meta, "num_nodes", meta_path)
 
     raw = []
-    with edges_path.open() as f:
+    with open_text(edges_path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -187,8 +210,11 @@ def load_dataset(directory: str | Path) -> Dataset:
     num_features = _meta_int(meta, "num_features", meta_path)
     try:
         # a dataset of no nodes saves an empty file, which holds no column count
-        features = (np.loadtxt(feat_path, delimiter=",", dtype=np.float64, ndmin=2)
-                    if feat_path.stat().st_size else np.empty((0, num_features)))
+        with open_text(feat_path) as f:
+            features = (np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2)
+                        if feat_path.stat().st_size else np.empty((0, num_features)))
+    except ValidationError:
+        raise
     except ValueError as exc:
         raise ValidationError(f"{feat_path}: {exc}") from None
     if features.shape[1] != num_features:
@@ -203,9 +229,10 @@ def load_dataset(directory: str | Path) -> Dataset:
         if meta.get("num_classes") is None:
             raise ValidationError(f"{labels_path} present but {meta_path} lacks num_classes")
         num_classes = _meta_int(meta, "num_classes", meta_path)
-        labels = np.array([_parse_int(t, f"{labels_path}:{i}", "label")
-                           for i, line in enumerate(labels_path.read_text().splitlines(), 1)
-                           for t in line.split()], dtype=np.int64)
+        with open_text(labels_path) as f:
+            labels = np.array([_parse_int(t, f"{labels_path}:{i}", "label")
+                               for i, line in enumerate(f.read().splitlines(), 1)
+                               for t in line.split()], dtype=np.int64)
 
     try:  # these errors come from the dataset as a whole, so they name its directory
         if n > features.shape[0]:  # before from_edges allocates O(n)
@@ -295,7 +322,7 @@ def save_matrix_csv(m: np.ndarray, path: str | Path, rows: Iterable[str] | None 
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
-    with Path(path).open() as f:
+    with open_text(path) as f:
         header = f.readline().strip().split(",")
         if not header or header[0] != "node":
             raise ValidationError(f"malformed embedding CSV header in {path}")

@@ -118,6 +118,18 @@ def test_stats_unlabeled_exits_2(tmp_path, synth_dir):
     assert "labels.txt" in r.stderr
 
 
+def test_stats_non_utf8_edges_exits_2(tmp_path, synth_dir):
+    # a UnicodeDecodeError once escaped as a traceback and exit code 1
+    import shutil
+    target = tmp_path / "corrupt"
+    shutil.copytree(synth_dir, target)
+    (target / "edges.tsv").write_bytes(b"\xff" + (target / "edges.tsv").read_bytes())
+    r = run_cli("stats", target)
+    assert r.returncode == 2
+    assert "edges.tsv:1: not UTF-8 text (byte 0xff: invalid start byte)" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.fixture(scope="module")
 def embed_run(tmp_path_factory, synth_dir):
     out = tmp_path_factory.mktemp("emb")

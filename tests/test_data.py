@@ -2,14 +2,18 @@
 
 import json
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvge.data import (
     BINARY_VERSION,
+    DATASET_FILES,
     MAGIC,
     Dataset,
     _is_concat,
@@ -224,6 +228,81 @@ def test_input_checks_raise(tmp_path, case):
     make, message = INPUT_CHECKS[case]
     with pytest.raises(ValidationError, match=message):
         make(tmp_path)
+
+
+def _insert_at_line(path, line, raw):
+    """Put ``raw`` at the start of 1-based ``line`` of the file."""
+    data = path.read_bytes()
+    at = 0
+    for _ in range(line - 1):
+        at = data.index(b"\n", at) + 1
+    path.write_bytes(data[:at] + raw + data[at:])
+
+
+@pytest.mark.parametrize("name", DATASET_FILES)
+def test_non_utf8_dataset_file_names_file_and_line(tmp_path, name):
+    # each of them once raised UnicodeDecodeError, which the CLI does not map to exit 2
+    save_dataset(small_ds(), tmp_path)
+    _insert_at_line(tmp_path / name, 3, b"\xff")
+    with pytest.raises(ValidationError, match=rf"{name}:3: not UTF-8 text \(byte 0xff: "):
+        load_dataset(tmp_path)
+
+
+def test_non_utf8_embedding_csv_names_file_and_line(tmp_path):
+    save_matrix_csv(np.eye(3), tmp_path / "m.csv")
+    _insert_at_line(tmp_path / "m.csv", 4, b"0.5\xe2\x82")  # a cut-off 3-byte sequence
+    with pytest.raises(ValidationError, match=r"m.csv:4: not UTF-8 text \(byte 0xe2: "):
+        load_matrix_csv(tmp_path / "m.csv")
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """The bytes of every file that load_dataset and load_embeddings read, by
+    name: a 12-node labelled dataset, and embeddings in both formats."""
+    root = tmp_path_factory.mktemp("saved")
+    ds = generate_synthetic(SynthSpec(num_nodes=12, num_classes=3, target_homophily=0.5,
+                                      avg_degree=3.0, feature_dim=4, seed=2))
+    written = save_dataset(ds, root) + save_embeddings(
+        EmbeddingSet(h_ego=ds.features[:, :2], h_agg=ds.features[:, 2:], h=ds.features),
+        root / "e", fmt="both")
+    return {p.name: p.read_bytes() for p in written}
+
+
+@given(st.data(), st.sampled_from(["set", "cut", "insert", "extreme"]),
+       st.integers(min_value=0, max_value=255),
+       st.sampled_from([b"1e999", b"-1", b"99999999999999999999", b"nan", b"0x1"]))
+@example(data=None, kind="insert", byte=0xFF, extreme=b"")  # the edges.tsv case below
+@settings(max_examples=300, deadline=None)
+def test_mutated_saved_file_loads_or_raises_validation_error(saved_files, data, kind, byte,
+                                                             extreme):
+    # one mutation of one file: a byte overwritten, the file cut short, a byte
+    # inserted, or a "1" replaced by an extreme value
+    if data is None:
+        name, at = "edges.tsv", 0
+    else:
+        name = data.draw(st.sampled_from(sorted(saved_files)), label="file")
+        at = data.draw(st.integers(min_value=0, max_value=len(saved_files[name])), label="at")
+    raw = saved_files[name]
+    if kind == "set" and at < len(raw):
+        raw = raw[:at] + bytes([byte]) + raw[at + 1:]
+    elif kind == "cut":
+        raw = raw[:at]
+    elif kind == "insert":
+        raw = raw[:at] + bytes([byte]) + raw[at:]
+    elif kind == "extreme" and b"1" in raw[at:]:
+        one = raw.index(b"1", at)
+        raw = raw[:one] + extreme + raw[one + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for other, content in saved_files.items():
+            (tmp / other).write_bytes(raw if other == name else content)
+        try:
+            if name in DATASET_FILES:
+                load_dataset(tmp)
+            else:
+                load_embeddings(tmp / "e", fmt="csv" if name.endswith(".csv") else "binary")
+        except ValidationError:
+            pass
 
 
 def test_csv_matrix_roundtrip(tmp_path):

@@ -126,7 +126,7 @@ def test_output_digest_same_on_one_or_two_workers():
     rows = [line.split("  ") for line in free.splitlines()]
     assert all(re.fullmatch("[0-9a-f]{64}", sha) for sha, _ in rows)
     names = [name for _, name in rows]
-    assert len(names) == 2 * 3 * 2 * 4 + 10 + 3 + 11 + 10
+    assert len(names) == 2 * 3 * 2 * 4 + 10 + 3 + 11 + 11
     assert names[:4] == ["train/linear/concat/full/all", "train/linear/concat/full/no-ego",
                          "train/linear/concat/full/no-agg", "train/linear/concat/full/no-adj"]
     assert names[48:] == ["model/init", "graph/from_edges", "synth", "sample_non_edges",
@@ -138,7 +138,8 @@ def test_output_digest_same_on_one_or_two_workers():
                           "cli/eval-node-defaults", "cli/eval-pair-defaults",
                           "errors/MVGEConfig", "errors/WalkConfig", "errors/SplitSpec",
                           "errors/SynthSpec", "errors/generate_synthetic", "errors/meta.json",
-                          "errors/files", "errors/save_embeddings", "errors/load_embeddings",
+                          "errors/files", "errors/not-utf8", "errors/save_embeddings",
+                          "errors/load_embeddings",
                           "errors/embeddings"]
     taskset = shutil.which("taskset")
     if taskset is None or not hasattr(os, "sched_getaffinity"):
