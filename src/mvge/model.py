@@ -84,11 +84,13 @@ _FULL_SECONDS_AT_5000 = 0.24
 _ADJ_BLOCK_BYTES = 4 << 20
 
 # dtype of the float32 work: x, S, S x, the activations and every product of
-# the encoders; p, the recon product, softmax, log q and q - p of the KL
+# the encoders, the skip layer's x W_x and inner W_in summed included; p, the
+# recon product, softmax, log q, q - p and the share of d_h of the KL
 # decoders; the strips z = H H^T and their |z|, exp, log1p and tanh passes in
 # full mode; the copy of H the pair dots gather from and the coefficient
 # matrices in sampled mode. Sums, losses, the parameters, their gradients
-# (float32 products added into float64), Adam, h and every d_h are float64.
+# (float32 products added into float64), Adam, h and every d_h are float64: a
+# branch's d_h is the adjacency gradient's share with the decoder's added in.
 # float32 holds values up to 3.4e38: features past it overflow in _prepare's
 # cast, and row norms of H past 1.8e19 overflow a strip (z_ii = |h_i|^2). Both
 # end in a non-finite loss, never a wrong finite value. Finite differences
