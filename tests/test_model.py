@@ -1168,10 +1168,10 @@ def test_no_adjacency_task_skips_the_loss_and_the_step_merge(monkeypatch):
 def test_sampled_training_peak_allocation_per_node(monkeypatch, workers):
     # a step holds each large array once and lets go of it after its last read.
     # One sampled-mode training of the default model at N=3000 peaked at
-    # 6,574-6,576 B a node (tracemalloc, one or two workers, CPython 3.11),
-    # against 7,598-7,601 B while each skip layer cached [x, inner] and each
-    # branch's float64 d_h lived through the other's backward, and
-    # 10,200-10,600 B when every array of a step lived to its end
+    # 6,574-6,578 B a node (tracemalloc, one or two workers, CPython 3.11),
+    # against 7,598-7,706 B while each skip layer cached [x, inner] and each
+    # branch's float64 d_h lived to the end of the step, and 10,200-10,600 B
+    # when every array of a step lived to its end
     force_workers(monkeypatch, workers)
     n = 3000
     ds = generate_synthetic(SynthSpec(num_nodes=n, num_classes=5, target_homophily=0.8,
