@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import multiprocessing
+import platform
 import sys
 import threading
 import tracemalloc
@@ -1167,11 +1168,9 @@ def test_no_adjacency_task_skips_the_loss_and_the_step_merge(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sampled_training_peak_allocation_per_node(monkeypatch, workers):
     # a step holds each large array once and lets go of it after its last read.
-    # One sampled-mode training of the default model at N=3000 peaked at
-    # 6,574-6,578 B a node (tracemalloc, one or two workers, CPython 3.11),
-    # against 7,598-7,706 B while each skip layer cached [x, inner] and each
-    # branch's float64 d_h lived to the end of the step, and 10,200-10,600 B
-    # when every array of a step lived to its end
+    # One sampled-mode training of the default model at N=3000 peaks at
+    # 6,574-6,578 B a node (tracemalloc, one or two workers, CPython 3.11).
+    # The figure is printed, so that `pytest -s` shows it on any Python
     force_workers(monkeypatch, workers)
     n = 3000
     ds = generate_synthetic(SynthSpec(num_nodes=n, num_classes=5, target_homophily=0.8,
@@ -1184,12 +1183,13 @@ def test_sampled_training_peak_allocation_per_node(monkeypatch, workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    print(f"training peak at N={n}, sampled, {workers} worker(s), "
+          f"CPython {platform.python_version()}: {peak / n:.0f} B a node")
     if sys.version_info >= (3, 11):
         assert peak / n < 7300
     else:
         # before 3.11 a caller's value stack keeps each argument until the call
-        # returns, so the merged h stays alive through the adjacency loss: with it
-        # held, a 3.11 copy read 8,480-8,620 B a node before the skip layer split
+        # returns, so the merged h stays alive through the adjacency loss
         assert peak / n < 9500
 
 

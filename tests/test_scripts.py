@@ -118,12 +118,6 @@ def test_benchmark_real(tmp_path):
     assert tasks == ["node", "link", "pair"]
 
 
-def test_training_peak():
-    out = run_script("training_peak.py", "--nodes", 300)
-    assert re.fullmatch(r"training peak at N=300, sampled, [12] worker\(s\), CPython \S+: "
-                        r"\d+ B, \d+ B a node\n", out)
-
-
 def test_output_digest_same_on_one_or_two_workers():
     # at one BLAS thread the script's process runs a second worker thread
     # when it may use two CPUs; pinned to one CPU, every part runs on one thread
