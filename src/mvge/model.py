@@ -89,8 +89,8 @@ _ADJ_BLOCK_BYTES = 4 << 20
 # decoders; the strips z = H H^T and their |z|, exp, log1p and tanh passes in
 # full mode; the copy of H the pair dots gather from and the coefficient
 # matrices in sampled mode. Sums, losses, the parameters, their gradients
-# (float32 products added into float64), Adam, h and every d_h are float64: a
-# branch's d_h is the adjacency gradient's share with the decoder's added in.
+# (float32 products added into float64), Adam, h and a d_h with a share of the
+# adjacency gradient are float64; a decoder-only d_h stays float32 (its bias sum float64).
 # float32 holds values up to 3.4e38: features past it overflow in _prepare's
 # cast, and row norms of H past 1.8e19 overflow a strip (z_ii = |h_i|^2). Both
 # end in a non-finite loss, never a wrong finite value. Finite differences
@@ -281,15 +281,18 @@ class MVGEModel:
         self._backward("agg", cache)
 
     def _backward(self, name: str, cache: dict) -> None:
-        """Adds the branch's weight gradients for the float64 gradient of h
-        that ``cache`` holds as "d_h": each a _WORK_DTYPE product added into
-        float64. Consumes ``cache``: d_h and the activations leave it after
-        their last read, so that each is freed then."""
+        """Adds the branch's weight gradients for the gradient of h that ``cache``
+        holds as "d_h" (None where no loss reaches the branch, which makes no product):
+        each a _WORK_DTYPE product added into float64. Consumes ``cache``: d_h and
+        the activations leave it after their last read, so that each is freed then."""
+        d_h = cache.pop("d_h")
+        if d_h is None:
+            cache.clear()
+            return
         p = self.params
         dt = _WORK_DTYPE
         skip_w = p[f"{name}_skip_w"]
-        d_h = cache.pop("d_h")
-        p[f"{name}_skip_b"].grad += d_h.sum(axis=0, keepdims=True)
+        p[f"{name}_skip_b"].grad += d_h.sum(axis=0, keepdims=True, dtype=np.float64)
         d_h = d_h.astype(dt, copy=False)
         f = self.widths[name]
         inner = cache.pop("inner")
@@ -634,56 +637,51 @@ def _prepare(model: MVGEModel, views: ViewPair, s: sp.csr_matrix):
     return s, inputs
 
 
+def _adjacency_share(cfg: MVGEConfig, cache_ego: dict, cache_agg: dict, g: Graph,
+                     adj_mode: str, rng: np.random.Generator) -> float:
+    """The adjacency loss on the merge of the views the caches hold as "h", popped into
+    call temporaries so that the loss can free h (from CPython 3.11 on, a call's arguments
+    are the callee's alone); adds each view's share of its gradient into the cache's "d_h"."""
+    l_s, d_h = _adjacency_terms(merge_embeddings(cache_ego.pop("h"), cache_agg.pop("h"),
+                                                 cfg.merge_fn),
+                                g, adj_mode, rng=rng, sample_ratio=cfg.sample_ratio)
+    if cfg.beta == 1.0:
+        return l_s
+    d_h *= 1.0 - cfg.beta
+    if cfg.merge_fn == "mean":
+        d_h *= 0.5
+    # a concat share is its own column slice of d_h, so the decoder's goes in place
+    concat = cfg.merge_fn == "concat"
+    shares = (d_h[:, :cfg.dim_ego], d_h[:, cfg.dim_ego:]) if concat else (d_h, d_h)
+    for cache, share in zip((cache_ego, cache_agg), shares):
+        dec = cache["d_h"]
+        cache["d_h"] = share if dec is None else np.add(share, dec, out=share if concat else None)
+    return l_s
+
+
 def _train_step(model: MVGEModel, inputs: dict[str, _Inputs], s: sp.csr_matrix,
                 g: Graph, adj_mode: str, neg_rng: np.random.Generator):
-    """One forward/backward pass on ``_prepare``'s inputs; gradients are left in model.params."""
+    """One forward/backward pass on ``_prepare``'s inputs, each branch's arrays handed
+    between the phases in its cache; gradients are left in model.params."""
     cfg = model.cfg
     mask = cfg.task_mask
 
     def branch(name, encode, w):
-        """Encode one view and decode it; the two branches share no output."""
+        """Encode one view and decode it; the two branches share no output. The
+        cache takes the decoder's share of d_h and, for the adjacency loss, h."""
         x, p, p_log_p, sx = inputs[name]
         h_view, cache = encode(x, s, sx)
-        loss, d_dec = model._decode(name, h_view, p, p_log_p, w) if name in mask else (0.0, None)
-        return h_view, cache, d_dec, loss
+        loss, cache["d_h"] = (model._decode(name, h_view, p, p_log_p, w) if name in mask
+                              else (0.0, None))
+        if "adj" in mask:
+            cache["h"] = h_view
+        return cache, loss
 
-    (h_ego, cache_ego, dec_ego, l_ego), (h_agg, cache_agg, dec_agg, l_agg) = _side_by_side(
+    (cache_ego, l_ego), (cache_agg, l_agg) = _side_by_side(
         lambda: branch("ego", model.encode_ego, cfg.beta * cfg.alpha),
         lambda: branch("agg", model.encode_agg, cfg.beta * (1.0 - cfg.alpha)))
-    shapes = h_ego.shape, h_agg.shape
-    concat = cfg.merge_fn == "concat"
-
-    # only the adjacency loss reads the views' h, through their merge; the merged
-    # h is popped into the call so that the loss can free it (from CPython 3.11
-    # on, a call's arguments are the callee's alone)
-    l_s, parts = 0.0, (None, None)
-    if "adj" in mask:
-        h = [merge_embeddings(h_ego, h_agg, cfg.merge_fn)]
-        del h_ego, h_agg
-        l_s, d_h_adj = _adjacency_terms(h.pop(), g, adj_mode, rng=neg_rng,
-                                        sample_ratio=cfg.sample_ratio)
-        w = 1.0 - cfg.beta
-        if w != 0.0:
-            d_h_adj *= w
-            if cfg.merge_fn == "mean":
-                d_h_adj *= 0.5
-            parts = ((d_h_adj[:, :cfg.dim_ego], d_h_adj[:, cfg.dim_ego:]) if concat
-                     else (d_h_adj, d_h_adj))
-        del d_h_adj
-    else:
-        del h_ego, h_agg
-
-    # each branch's float64 d_h is its share of the adjacency gradient plus the
-    # decoder's _WORK_DTYPE one. Under concat the share is a column slice of the
-    # branch's own, so the sum goes into it in place; sum and mean share one array
-    for cache, part, dec, shape in zip((cache_ego, cache_agg), parts, (dec_ego, dec_agg), shapes):
-        if part is None:
-            part = np.zeros(shape) if dec is None else dec.astype(np.float64)
-        elif dec is not None:
-            part = np.add(part, dec, out=part if concat else None)
-        cache["d_h"] = part
-    # _backward frees each d_h once it has cast it, so the step holds none
-    del parts, part, dec, dec_ego, dec_agg
+    l_s = (_adjacency_share(cfg, cache_ego, cache_agg, g, adj_mode, neg_rng)
+           if "adj" in mask else 0.0)
     _side_by_side(lambda: model._backward_ego(cache_ego),
                   lambda: model._backward_agg(cache_agg))
     return l_ego, l_agg, l_s, total_loss(l_ego, l_agg, l_s, cfg.alpha, cfg.beta)

@@ -931,6 +931,50 @@ def test_encode_caches_no_concatenation_and_backward_empties_the_cache(encoder):
         assert all(any(v is kept for kept in (x, sx, s)) for v in cache.values()), sorted(cache)
 
 
+# a step hands d_h and h between its phases through the branch caches and
+# leaves in them only what it was given. A branch that no loss reaches (its
+# decoder masked or weighted 0, and no adjacency term) gets no d_h, so its
+# backward pass makes no product: every gradient of it stays exactly 0
+@pytest.mark.parametrize("mode", ["full", "sampled"])
+@pytest.mark.parametrize("merge", MERGE_FNS)
+@pytest.mark.parametrize("weights", [{}, {"alpha": 0.0, "beta": 1.0}], ids=["default", "a0b1"])
+@pytest.mark.parametrize("mask", TASK_MASKS, ids=lambda m: "+".join(sorted(m)))
+def test_train_step_hands_off_through_the_caches(monkeypatch, mask, weights, merge, mode):
+    force_workers(monkeypatch, 1)  # one thread, so that the current branch names each S product
+    ds = random_dataset(np.random.default_rng(5), n=10, p_edge=0.3)
+    cfg = toy_cfg(task_mask=mask, merge_fn=merge, adj_loss_mode=mode, ego_encoder="gcn",
+                  **weights)
+    views = build_views(ds.graph, ds.features, cfg.walk_config())
+    model = MVGEModel(cfg, views.x_ego.shape[1], views.x_agg.shape[1])
+    s, inputs = _prepare(model, views, normalized_adjacency(ds.graph))
+    caches, products, current = {}, [], []
+    encode, backward, spmm_backward = model._encode, model._backward, mvge.model.spmm_backward
+
+    def recording_encode(name, x, s_op, sx):
+        h, caches[name] = encode(name, x, s_op, sx)
+        return h, caches[name]
+
+    def recording_backward(name, cache):
+        current[:] = [name]
+        backward(name, cache)
+
+    monkeypatch.setattr(model, "_encode", recording_encode)
+    monkeypatch.setattr(model, "_backward", recording_backward)
+    monkeypatch.setattr(mvge.model, "spmm_backward",
+                        lambda a, y: products.append(current[0]) or spmm_backward(a, y))
+    _train_step(model, inputs, s, ds.graph, mode, np.random.default_rng(7))
+    adj = "adj" in mask and cfg.beta < 1.0
+    reached = {"ego": adj or ("ego" in mask and cfg.alpha > 0.0),
+               "agg": adj or ("agg" in mask and cfg.alpha < 1.0)}
+    for name, cache in caches.items():
+        x, _, _, sx = inputs[name]
+        assert set(cache) <= {"x", "sx", "s_op"}, sorted(cache)
+        assert all(cache[k] is v for k, v in (("x", x), ("sx", sx), ("s_op", s)) if k in cache)
+        grads = [p.grad for k, p in model.params.items() if k.startswith((name, f"dec_{name}"))]
+        assert any(g.any() for g in grads) == reached[name]
+        assert products.count(name) == reached[name]
+
+
 KINK_DATASET = make_dataset(
     Graph.from_edges(11, [(1, 6), (3, 6), (3, 9), (4, 6), (5, 6), (6, 9), (8, 9), (8, 10)])[0],
     np.array([[-1.33197984], [0.61392966], [0.60277683], [-1.76771858], [0.3470301],
@@ -1169,7 +1213,7 @@ def test_no_adjacency_task_skips_the_loss_and_the_step_merge(monkeypatch):
 def test_sampled_training_peak_allocation_per_node(monkeypatch, workers):
     # a step holds each large array once and lets go of it after its last read.
     # One sampled-mode training of the default model at N=3000 peaks at
-    # 6,574-6,578 B a node (tracemalloc, one or two workers, CPython 3.11).
+    # 6,567-6,575 B a node (tracemalloc, one or two workers, CPython 3.11).
     # The figure is printed, so that `pytest -s` shows it on any Python
     force_workers(monkeypatch, workers)
     n = 3000
