@@ -9,9 +9,8 @@ per-dimension spread gap between the two views of the full model. The
 single-task runs widen the active branch so every probed embedding has
 the same dimensionality.
 
-The defaults reproduce the crossover checked by acceptance criteria 4
-and 5 when the grid includes 0.1 and 0.9; the full five-point sweep
-takes a few minutes.
+Acceptance criteria 4 and 5 run it with the defaults at --h 0.1,0.9 and
+judge the rows of its CSV; the full five-point sweep takes a few minutes.
 
 Usage:
     python3 scripts/crossover_sweep.py

@@ -25,8 +25,7 @@ from mvge.evaluate import (
 )
 from mvge.graph import Graph, normalized_adjacency
 from mvge.homophily import global_homophily, local_homophily
-from mvge.model import MVGEConfig, MVGEModel, embedding_dim_std, train
-from mvge.synth import SynthSpec, generate_synthetic
+from mvge.model import MVGEConfig, MVGEModel, train
 from mvge.walks import build_views
 
 from conftest import random_dataset
@@ -120,55 +119,29 @@ def test_acceptance_3_homophilic_node_classification():
 
 # -- criteria 4 and 5: behaviour on controllable-homophily graphs -----------
 
-SYNTH_BASE = dict(
-    num_nodes=1490,
-    num_classes=5,
-    avg_degree=4.0,
-    feature_dim=32,
-    class_separation=1.2,
-    noise_sigma=1.5,
-    seed=42,
-)
-
-
 @pytest.fixture(scope="module")
-def crossover():
-    """Six trained models: {ego-only, agg-only, full} at both extremes.
-
-    Single-task runs widen the active branch to 128 dims so every probe
-    below sees a 128-dim embedding trained under exactly one objective;
-    full runs keep the 64+64 defaults and expose the merged matrix.
-    """
-    out = {}
-    for h in (0.1, 0.9):
-        ds = generate_synthetic(SynthSpec(target_homophily=h, **SYNTH_BASE))
-        for mask in ("ego", "agg", "full"):
-            if mask == "full":
-                cfg = MVGEConfig(seed=1)
-            else:
-                cfg = MVGEConfig(
-                    task_mask=frozenset({mask}), dim_ego=128, dim_agg=128, seed=1
-                )
-            _, emb, _ = train(ds, cfg)
-            out[h, mask] = (ds.labels, emb)
-    return out
-
-
-def _probe(h_matrix, labels):
-    spec = SplitSpec("node", repeats=10, seed=3)
-    return node_classification_eval(h_matrix, labels, spec).mean
+def crossover(tmp_path_factory):
+    """scripts/crossover_sweep.py at both extremes, read from its CSV: by h,
+    the probe's micro-F1 of the ego-only and agg-only embeddings (each view
+    trained alone at 128 dims) and of the full model's merged 64+64 one, and
+    the full model's sigma(h_ego) - sigma(h_agg)."""
+    csv = tmp_path_factory.mktemp("crossover") / "sweep.csv"
+    script = Path(__file__).resolve().parents[1] / "scripts" / "crossover_sweep.py"
+    r = subprocess.run([sys.executable, str(script), "--h", "0.1,0.9", "--csv", str(csv)],
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    return {float(h): dict(zip(("ego", "agg", "full", "sigma_gap"), map(float, rest)))
+            for h, *rest in rows}
 
 
 def test_acceptance_4_ego_agg_crossover(crossover):
-    f1 = {}
-    for (h, mask), (labels, emb) in crossover.items():
-        view = {"ego": emb.h_ego, "agg": emb.h_agg, "full": emb.h}[mask]
-        f1[h, mask] = _probe(view, labels)
-    lo_margin = f1[0.1, "ego"] - f1[0.1, "agg"]
-    hi_margin = f1[0.9, "agg"] - f1[0.9, "ego"]
+    lo, hi = crossover[0.1], crossover[0.9]
+    lo_margin = lo["ego"] - lo["agg"]
+    hi_margin = hi["agg"] - hi["ego"]
     # full task set must land within 3 points of the better single task
-    lo_gap = max(f1[0.1, "ego"], f1[0.1, "agg"]) - f1[0.1, "full"]
-    hi_gap = max(f1[0.9, "ego"], f1[0.9, "agg"]) - f1[0.9, "full"]
+    lo_gap = max(lo["ego"], lo["agg"]) - lo["full"]
+    hi_gap = max(hi["ego"], hi["agg"]) - hi["full"]
     ok = (
         lo_margin >= 0.05
         and hi_margin >= 0.05
@@ -176,9 +149,9 @@ def test_acceptance_4_ego_agg_crossover(crossover):
         and hi_gap <= 0.03
     )
     detail = (
-        f"h=0.1 ego {f1[0.1, 'ego']:.4f} vs agg {f1[0.1, 'agg']:.4f} "
+        f"h=0.1 ego {lo['ego']:.4f} vs agg {lo['agg']:.4f} "
         f"(margin {100 * lo_margin:.1f} pts), "
-        f"h=0.9 agg {f1[0.9, 'agg']:.4f} vs ego {f1[0.9, 'ego']:.4f} "
+        f"h=0.9 agg {hi['agg']:.4f} vs ego {hi['ego']:.4f} "
         f"(margin {100 * hi_margin:.1f} pts), "
         f"full gaps {100 * lo_gap:.1f}/{100 * hi_gap:.1f} pts (limit 3)"
     )
@@ -186,13 +159,7 @@ def test_acceptance_4_ego_agg_crossover(crossover):
 
 
 def test_acceptance_5_view_spread_ordering(crossover):
-    gaps = {}
-    for h in (0.1, 0.9):
-        _, emb = crossover[h, "full"]
-        gaps[h] = (
-            embedding_dim_std(emb.h_ego).mean()
-            - embedding_dim_std(emb.h_agg).mean()
-        )
+    gaps = {h: row["sigma_gap"] for h, row in crossover.items()}
     ok = gaps[0.1] > 0.0 and gaps[0.9] < gaps[0.1]
     detail = (
         f"sigma(h_ego) - sigma(h_agg): {gaps[0.1]:.4f} at h=0.1, "
